@@ -161,7 +161,10 @@ def build_cusp_profile(a: float, r0: float | None = None, n_table: int = 96,
 
     ``r0`` defaults to the scanned radius below which the weight-ratio infimum
     stays below 1.  The half-angle table is obtained by inverting the angular
-    eigenvalue at each tip distance (monotone bisection on the eigenvalue).
+    eigenvalue at each tip distance (`oned.invert_angular_eigenvalue`, a
+    bracketed secant).  The rows are solved in order of increasing target
+    ``E(a) / g``, each bracketed from below by the previous root, since E is
+    non-decreasing in the angle.
     """
     if not (math.pi / 4 < a < math.pi / 2):
         raise DomainRangeError(f"limit angle must lie in (pi/4, pi/2), got {a}")
@@ -171,11 +174,15 @@ def build_cusp_profile(a: float, r0: float | None = None, n_table: int = 96,
     rho = np.geomspace(1e-7, r0, n_table)
     rho[-1] = r0
     g_vals = np.array([weight.cusp_ratio_infimum(float(p), a) for p in rho])
+    if np.any(g_vals >= 1.0):
+        bad = rho[np.argmax(g_vals >= 1.0)]
+        raise NumericalError(f"weight ratio not below 1 at rho={bad}")
+    targets = e_a / g_vals
     a_vals = np.empty_like(rho)
-    for i, gv in enumerate(g_vals):
-        if gv >= 1.0:
-            raise NumericalError(f"weight ratio not below 1 at rho={rho[i]}")
-        a_vals[i] = oned.invert_angular_eigenvalue(e_a / gv, a, grid_size=grid_size)
+    a_lo = a
+    for i in np.argsort(targets, kind="stable"):
+        a_lo = a_vals[i] = oned.invert_angular_eigenvalue(
+            targets[i], a_lo, grid_size=grid_size)
     return CuspProfile(a=a, r0=float(r0), eigenvalue=e_a, rho_table=rho,
                        g_table=g_vals, a_table=a_vals)
 

@@ -101,13 +101,19 @@ def cusp_weight_ratio(r, theta):
         raise DomainRangeError("r must lie in (0, 1)")
     if np.any(th <= 0.0) or np.any(th >= math.pi):
         raise DomainRangeError("theta must lie in (0, pi)")
-    w = r_arr * r_arr - 2.0 * r_arr * np.sin(th)  # h - 1, small near the tip
-    log_h = np.log1p(w)
-    y2 = r_arr * np.sin(th)
-    out = 0.25 * (1.0 + w) * log_h * log_h / (y2 * y2)
+    out = _ratio_in_range(r_arr, th)
     if np.ndim(r) == 0 and np.ndim(theta) == 0:
         return float(out)
     return out
+
+
+def _ratio_in_range(r, theta):
+    """`cusp_weight_ratio` without the conversions and range checks."""
+    s = np.sin(theta)
+    w = r * r - 2.0 * r * s  # h - 1, small near the tip
+    log_h = np.log1p(w)
+    y2 = r * s
+    return 0.25 * (1.0 + w) * log_h * log_h / (y2 * y2)
 
 
 def cusp_ratio_infimum(r: float, a: float, samples: int = 2048,
@@ -115,7 +121,9 @@ def cusp_ratio_infimum(r: float, a: float, samples: int = 2048,
     """Minimum of `cusp_weight_ratio` over the cone slice theta in [a, pi - a].
 
     Dense sampling followed by golden-section refinement of the best bracket;
-    the slice is symmetric about pi/2 so the scan covers [a, pi/2].
+    the slice is symmetric about pi/2 so the scan covers [a, pi/2].  The
+    refinement stays inside the validated scan range, so it evaluates the
+    ratio on single floats without the checks of `cusp_weight_ratio`.
     """
     if not (0.0 < r < 1.0):
         raise DomainRangeError(f"r must lie in (0, 1), got {r}")
@@ -126,23 +134,23 @@ def cusp_ratio_infimum(r: float, a: float, samples: int = 2048,
     if not np.all(np.isfinite(vals)):
         raise NumericalError(f"non-finite ratio values at r={r}")
     k = int(np.argmin(vals))
-    lo = thetas[max(k - 1, 0)]
-    hi = thetas[min(k + 1, samples - 1)]
+    lo = float(thetas[max(k - 1, 0)])
+    hi = float(thetas[min(k + 1, samples - 1)])
     # Golden-section refinement of the sampled bracket.
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1 = cusp_weight_ratio(r, x1)
-    f2 = cusp_weight_ratio(r, x2)
+    f1 = _ratio_in_range(r, x1)
+    f2 = _ratio_in_range(r, x2)
     while hi - lo > refine_tol:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
-            f1 = cusp_weight_ratio(r, x1)
+            f1 = _ratio_in_range(r, x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
-            f2 = cusp_weight_ratio(r, x2)
-    best = min(float(vals[k]), f1, f2)
+            f2 = _ratio_in_range(r, x2)
+    best = float(min(vals[k], f1, f2))
     if not math.isfinite(best):
         raise NumericalError(f"cusp ratio minimization failed at r={r}")
     return best

@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from crithardy import (ArcSet, DomainRangeError, DomainSpec, Regime, classify,
-                       limsup_m0, limsup_mR, profile_measure)
+                       limsup_m0, limsup_mR, oned, profile_measure)
+from crithardy.domain import build_cusp_profile
 
 
 class TestArcSet:
@@ -146,12 +148,31 @@ class TestSerialization:
 
 class TestCalibratedProfile:
     def test_opening_calibration(self, calibrated_cusp):
-        # eigenvalue(a(rho)) * g(rho) = eigenvalue(a) along the table
+        # eigenvalue(a(rho)) * g(rho) = eigenvalue(a) on every row of the table
         from crithardy import angular_eigenvalue
         prof = calibrated_cusp.cusp
-        for i in range(0, len(prof.rho_table), 24):
-            lhs = angular_eigenvalue(float(prof.a_table[i]), 512) * prof.g_table[i]
-            assert lhs == pytest.approx(prof.eigenvalue, rel=1e-6)
+        for a_i, g_i in zip(prof.a_table, prof.g_table):
+            lhs = angular_eigenvalue(float(a_i), 512) * g_i
+            assert lhs == pytest.approx(prof.eigenvalue, abs=1e-9)
+
+    def test_opening_nondecreasing(self, calibrated_cusp):
+        assert np.all(np.diff(calibrated_cusp.cusp.a_table) >= 0.0)
+
+    def test_cold_build_solve_count(self, monkeypatch):
+        # plain bisection on E makes 2093 angular solves for this profile
+        calls = []
+        solve = oned.solve_angular
+
+        def counted(prob):
+            calls.append(prob.a)
+            return solve(prob)
+
+        monkeypatch.setattr(oned, "solve_angular", counted)
+        oned.angular_eigenvalue.cache_clear()
+        build_cusp_profile.cache_clear()
+        prof = build_cusp_profile(0.9)
+        assert prof.a_table.size == 96
+        assert len(calls) <= 600
 
     def test_opening_tends_to_limit(self, calibrated_cusp):
         prof = calibrated_cusp.cusp

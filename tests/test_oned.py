@@ -92,11 +92,51 @@ class TestAngularEigenvalue:
         res = solve_angular(AngularEigenProblem(a=0.9, grid_size=512))
         assert res.value == pytest.approx(angular_eigenvalue(0.9), rel=1e-6)
 
+    @pytest.mark.parametrize("a", [0.5, 0.9, 1.2, 1.4])
+    def test_ferrers_oracle(self, a):
+        # phi = sqrt(sin) P^{i tau}_{-1/2}(+-cos) solves the problem with
+        # E = 1/4 + tau^2; the even combination over its value at pi/2 is real
+        mp = pytest.importorskip("mpmath")
+
+        def even(tau, x):
+            return (mp.legenp(-0.5, 1j * tau, x, type=2)
+                    + mp.legenp(-0.5, 1j * tau, -x, type=2))
+
+        e = angular_eigenvalue(a)
+        with mp.workdps(30):
+            tau = mp.findroot(
+                lambda t: mp.re(even(t, mp.cos(a)) / even(t, 0)),
+                mp.sqrt(e - 0.25))
+            oracle = float(0.25 + tau**2)
+        assert e == pytest.approx(oracle, rel=1e-11)
+
+    @pytest.mark.parametrize("a", [0.9, 1.2])
+    def test_monotone_at_inversion_scale(self, a):
+        # steps of 1e-11 move E by ~1e-10 (the inversion tolerance); LAPACK's
+        # bisection eigenvalue goes down on about a sixth of them
+        vals = np.array([angular_eigenvalue(a + k * 1e-11, 512)
+                         for k in range(200)])
+        assert np.all(np.diff(vals) >= 0.0)
+
     def test_inversion(self):
         target = angular_eigenvalue(0.9, 1024) * 1.07
         a_r = invert_angular_eigenvalue(target, 0.9)
         assert angular_eigenvalue(a_r, 1024) == pytest.approx(target, abs=1e-9)
         assert a_r > 0.9
+
+    def test_inversion_target_at_lower_end(self):
+        assert invert_angular_eigenvalue(angular_eigenvalue(0.9, 1024), 0.9) == 0.9
+
+    def test_inversion_target_below_lower_end(self):
+        with pytest.raises(DomainRangeError):
+            invert_angular_eigenvalue(angular_eigenvalue(0.9, 1024) - 1e-6, 0.9)
+
+    def test_inversion_steep_target(self):
+        # E(1.5) ~ 492 with dE/da ~ 1.4e4: 1e-10 in E is 7e-15 in the angle
+        target = angular_eigenvalue(1.5, 1024)
+        a_r = invert_angular_eigenvalue(target, 0.9, value_tol=1e-10)
+        assert abs(angular_eigenvalue(a_r, 1024) - target) <= 1e-10
+        assert a_r == pytest.approx(1.5, abs=1e-13)
 
 
 class TestIdentity:
