@@ -1,8 +1,8 @@
 """Command-line front end: reproducible runs, JSON/CSV artifacts.
 
 Outputs are deterministic for a fixed configuration and seed; every artifact
-embeds the tool version and a hash of the effective configuration.  The
-environment variable ``HARDY_THREADS`` caps schedule-level parallelism.
+embeds the tool version and a hash of the effective configuration (output
+paths excluded).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def _config_hash(payload: dict) -> str:
 
 def _meta(args: argparse.Namespace) -> dict:
     payload = {k: v for k, v in sorted(vars(args).items())
-               if k not in ("func",) and not callable(v)}
+               if k not in ("out", "emit_vtk") and not callable(v)}
     return {"tool": "crithardy", "version": __version__,
             "config_hash": _config_hash(payload),
             "seed": getattr(args, "seed", None)}
@@ -207,14 +207,13 @@ def _write_vtk(path: str, mesh: fem2d.Mesh, vector: np.ndarray) -> None:
 
 def cmd_constant(args) -> int:
     dom = _load_domain(args.domain)
-    schedule = _parse_schedule(args.schedule)
-    est = fem2d.extrapolate_constant(dom, schedule, target_h=args.h)
+    est = fem2d.extrapolate_constant(dom, _parse_schedule(args.schedule),
+                                     target_h=args.h)
     doc = {"meta": _meta(args), "estimate": est.estimate, "method": est.method,
            "aitken": est.aitken, "fit": est.fit, "per_n": est.per_n,
            "collar_report": est.collar_report, "warnings": est.warnings}
     if args.emit_vtk:
-        res, mesh, _ = fem2d.solve_truncated(dom, schedule[-1], target_h=args.h)
-        _write_vtk(args.emit_vtk, mesh, res.vector)
+        _write_vtk(args.emit_vtk, est.mesh, est.vector)
         doc["vtk"] = args.emit_vtk
     _emit_json(doc, args.out)
     return 0

@@ -17,14 +17,13 @@ reports both.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import least_squares
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
+                                  splu)
 
 from ._errors import (AssemblyError, ConstructionError, DomainRangeError,
                       NonConvergenceError)
@@ -348,49 +347,52 @@ def assemble(mesh: Mesh, wp: WeightParams
 
 def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
                    tol: float = 1e-10, interior: np.ndarray | None = None,
-                   shift: float = 0.0, max_iter: int = 400,
-                   n: int = 0) -> EigenResult:
-    """Smallest generalized eigenpair by shifted inverse power iteration.
+                   shift: float = 0.0, n: int = 0) -> EigenResult:
+    """Smallest generalized eigenpair by shift-invert Lanczos (ARPACK).
 
+    ``K - shift*M`` is factored once; ``iterations`` counts the solves with
+    that factor.  The start vector is fixed, so results are deterministic.
     ``interior`` masks the free (non-Dirichlet) unknowns; the returned vector
     is embedded with zeros elsewhere, normalized to unit weighted mass and
-    sign-normalized to nonnegative mean.  The residual is measured in the
-    inverse-mass norm relative to the mass norm of the iterate.
+    sign-normalized to nonnegative mean.  The residual is the relative
+    2-norm ``|Kx - d Mx| / |Kx|`` at the Rayleigh quotient ``d``.
     """
     nv = stiffness.shape[0]
-    if interior is None:
-        interior = np.ones(nv, dtype=bool)
-    idx = np.where(interior)[0]
+    idx = np.arange(nv) if interior is None else np.where(interior)[0]
+    if idx.size < 2:
+        raise NonConvergenceError("eigen solve needs two free unknowns",
+                                  {"iterations": 0, "unknowns": int(idx.size)})
     K = stiffness[np.ix_(idx, idx)].tocsc()
     M = weighted_mass[np.ix_(idx, idx)].tocsc()
-    op = splu((K - shift * M).tocsc()) if shift != 0.0 else splu(K)
-    m_op = splu(M)
-    x = np.ones(idx.size)
-    x /= math.sqrt(x @ (M @ x))
-    value = float(x @ (K @ x))
-    for it in range(1, max_iter + 1):
-        y = op.solve(M @ x)
-        nrm = math.sqrt(y @ (M @ y))
-        if not math.isfinite(nrm) or nrm == 0.0:
-            raise NonConvergenceError("inverse iteration broke down",
-                                      {"iteration": it})
-        x = y / nrm
-        kx = K @ x
-        mx = M @ x
-        value = float(x @ kx)
-        res = kx - value * mx
-        rnorm = math.sqrt(max(res @ m_op.solve(res), 0.0))
-        if rnorm <= tol * math.sqrt(x @ mx):
-            break
-    else:
+    lu = splu((K - shift * M).tocsc())
+    solves = []
+
+    def solve(b):
+        solves.append(b.size)
+        return lu.solve(b)
+
+    op_inv = LinearOperator(K.shape, matvec=solve, dtype=float)
+    try:
+        _, vecs = eigsh(K, k=1, M=M, sigma=shift, OPinv=op_inv, tol=tol,
+                        v0=np.ones(idx.size))
+    except ArpackNoConvergence as exc:
         raise NonConvergenceError(
-            f"inverse iteration did not reach tol={tol}",
-            {"iterations": max_iter, "residual": rnorm, "value": value})
+            f"shift-invert Lanczos did not reach tol={tol}",
+            {"iterations": len(solves), "message": str(exc)}) from exc
+    x = vecs[:, 0]
+    x /= math.sqrt(x @ (M @ x))
+    kx, mx = K @ x, M @ x
+    value = float(x @ kx)
+    rnorm = float(np.linalg.norm(kx - value * mx) / np.linalg.norm(kx))
+    if not rnorm <= tol:
+        raise NonConvergenceError(
+            f"eigen residual {rnorm:.3g} above tol={tol}",
+            {"iterations": len(solves), "residual": rnorm, "value": value})
     full = np.zeros(nv)
     full[idx] = x
     if np.sum(full) < 0:
         full = -full
-    return EigenResult(value=value, vector=full, iterations=it,
+    return EigenResult(value=value, vector=full, iterations=len(solves),
                        residual=rnorm, n=n)
 
 
@@ -432,6 +434,8 @@ class ConstantEstimate:
     fit: dict | None
     collar_report: dict
     warnings: list
+    mesh: Mesh                    # finest truncation level
+    vector: np.ndarray            # its eigenvector, on mesh.vertices
 
 
 def _aitken(values: list[float]) -> float | None:
@@ -475,21 +479,12 @@ def extrapolate_constant(dom: DomainSpec, schedule, target_h: float = 0.02,
     collars fixed by the first schedule point (the escape-signature windows).
     """
     sched = TruncationSchedule(tuple(schedule), R=dom.R)
-    threads = int(os.environ.get("HARDY_THREADS", "0") or (os.cpu_count() or 1))
-
-    def run(n):
-        return solve_truncated(dom, n, target_h, tol, angular_density)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(run, sched.n_values))
-    else:
-        solved = [run(n) for n in sched.n_values]
-
     n_first = sched.n_values[0]
     per_n, values, windows = [], [], []
     warnings = []
-    for (res, mesh, wmass), n in zip(solved, sched.n_values):
+    for n in sched.n_values:
+        res, mesh, wmass = solve_truncated(dom, n, target_h, tol,
+                                           angular_density)
         c_in, c_out = _mass_fractions(mesh, wmass, res.vector,
                                       2.0 / n, 2.0 / n, dom.R)
         a_in, a_out = _mass_fractions(mesh, wmass, res.vector,
@@ -533,4 +528,4 @@ def extrapolate_constant(dom: DomainSpec, schedule, target_h: float = 0.02,
     }
     return ConstantEstimate(estimate=estimate, method=method, per_n=per_n,
                             aitken=aitken, fit=fit, collar_report=collar,
-                            warnings=warnings)
+                            warnings=warnings, mesh=mesh, vector=res.vector)

@@ -19,7 +19,8 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import least_squares
 
-from ._errors import DegenerateInputError, DomainRangeError, NumericalError
+from ._errors import (DegenerateInputError, DomainRangeError,
+                      NonConvergenceError, NumericalError)
 
 _GAUSS8_X, _GAUSS8_W = np.polynomial.legendre.leggauss(8)
 _GAUSS16_X, _GAUSS16_W = np.polynomial.legendre.leggauss(16)
@@ -206,12 +207,13 @@ def invert_angular_eigenvalue(target: float, a_lo: float,
     """Find a in (a_lo, pi/2) with eigenvalue(a) = target by a bracketed secant.
 
     Relies on the eigenvalue being non-decreasing in ``a``; terminates when the
-    eigenvalue matches within ``value_tol`` or the bracket is exhausted.  The
-    secant runs on ``1/sqrt(E)``, which is nearly linear in ``a`` and vanishes
-    at ``pi/2`` (E grows like the Dirichlet eigenvalue ``(pi/(pi-2a))^2``), so
-    the upper end of the bracket needs no solve.  A step that leaves the
-    bracket, or a secant step that fails to halve the error, is followed by a
-    bisection step.
+    eigenvalue matches within ``value_tol`` and raises `NonConvergenceError`
+    if the bracket shrinks below 1e-14 first.  The secant runs on
+    ``1/sqrt(E)``, which is nearly linear in ``a`` and vanishes at ``pi/2``
+    (E grows like the Dirichlet eigenvalue ``(pi/(pi-2a))^2``), so the upper
+    end of the bracket needs no solve.  A step that leaves the bracket, or a
+    secant step that fails to halve the error, is followed by a bisection
+    step.
     """
     lo = a_lo
     hi = math.pi / 2 - 1e-9
@@ -224,6 +226,7 @@ def invert_angular_eigenvalue(target: float, a_lo: float,
     x0, u0 = hi, 0.0
     x1, u1 = lo, 1.0 / math.sqrt(f_lo)
     bisect = False
+    x, f = lo, f_lo
     while hi - lo > 1e-14:
         secant = not bisect and u1 != u0
         x = x1 + (u_target - u1) * (x1 - x0) / (u1 - u0) if secant else math.nan
@@ -240,7 +243,9 @@ def invert_angular_eigenvalue(target: float, a_lo: float,
         u = 1.0 / math.sqrt(f)
         bisect = secant and abs(u - u_target) > 0.5 * abs(u1 - u_target)
         x0, u0, x1, u1 = x1, u1, x, u
-    return 0.5 * (lo + hi)
+    raise NonConvergenceError(
+        f"bracket exhausted before eigenvalue matched target {target}",
+        {"target": target, "a": x, "gap": f - target, "bracket": hi - lo})
 
 
 def extrapolate_angular_zero_limit(

@@ -85,20 +85,33 @@ class TestCommands:
         assert doc["checks"]["equimeasurable"] is True
         assert doc["checks"]["polya_szego_margin"] >= -1e-9
 
-    def test_constant_and_vtk(self, tmp_path, capsys):
-        from crithardy import DomainSpec
+    def test_constant_and_vtk(self, tmp_path, capsys, monkeypatch):
+        from crithardy import DomainSpec, fem2d
         dpath = tmp_path / "ball.json"
         dpath.write_text(json.dumps(DomainSpec.ball(1.0).to_json()))
         vtk = tmp_path / "eig.vtk"
+        levels = []
+        solve = fem2d.solve_truncated
+
+        def counted(dom, n, *args, **kwargs):
+            levels.append(n)
+            return solve(dom, n, *args, **kwargs)
+
+        monkeypatch.setattr(fem2d, "solve_truncated", counted)
         code, out = run_cli(["constant", "--domain", str(dpath),
                              "--schedule", "4,8", "--h", "0.05",
                              "--emit-vtk", str(vtk)], capsys)
         doc = json.loads(out)
         assert code == 0
         assert len(doc["per_n"]) == 2
+        # the VTK is the finest level's own solve, not a second one
+        assert levels == [4, 8]
         text = vtk.read_text()
         assert text.startswith("# vtk DataFile")
         assert "SCALARS eigenvector" in text
+        points = next(ln for ln in text.splitlines()
+                      if ln.startswith("POINTS "))
+        assert int(points.split()[1]) == doc["per_n"][-1]["vertices"]
 
     def test_deterministic_output(self, tmp_path, capsys):
         from crithardy import DomainSpec
@@ -113,7 +126,6 @@ class TestCommands:
             assert code == 0
             # hash-relevant config excludes the output path
             doc = json.loads(opath.read_text())
-            doc["meta"].pop("config_hash")
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] == outs[1]
 

@@ -5,9 +5,9 @@ import pytest
 from scipy import sparse
 
 from crithardy import (AssemblyError, ConstructionError, DomainSpec,
-                       TruncationSchedule, WeightParams, assemble,
-                       extrapolate_constant, mesh_truncated, refine_mesh,
-                       smallest_eigen, solve_truncated)
+                       NonConvergenceError, TruncationSchedule, WeightParams,
+                       assemble, extrapolate_constant, mesh_truncated,
+                       refine_mesh, smallest_eigen, solve_truncated)
 from crithardy.fem2d import _boundary_from_edges
 
 WP = WeightParams(R=1.0, N=2)
@@ -102,8 +102,61 @@ class TestSmallestEigen:
         M = sparse.identity(2, format="csr")
         res = smallest_eigen(K, M, shift=1.9)
         assert res.value == pytest.approx(2.0, abs=1e-10)
-        # contraction factor (2-1.9)/(3-1.9) per step toward 1e-10
         assert res.iterations <= 12
+
+    def test_one_factor_counted_solves(self, ball, monkeypatch):
+        from crithardy import fem2d
+        mesh = mesh_truncated(ball, 8, target_h=0.05)
+        K, M = assemble(mesh, WP)
+        factors, solves = [], []
+
+        class Counting:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                solves.append(1)
+                return self.lu.solve(b)
+
+        real_splu = fem2d.splu
+
+        def splu(a):
+            factors.append(a.shape)
+            return Counting(real_splu(a))
+
+        monkeypatch.setattr(fem2d, "splu", splu)
+        res = smallest_eigen(K, M, interior=~mesh.boundary)
+        assert len(factors) == 1
+        assert res.iterations == len(solves) > 0
+        assert res.residual <= 1e-10
+
+    def test_residual_above_tol_raises(self):
+        # the 2-norm residual cannot fall below rounding
+        K = sparse.diags([2.0, 3.0]).tocsr()
+        M = sparse.identity(2, format="csr")
+        with pytest.raises(NonConvergenceError) as info:
+            smallest_eigen(K, M, tol=1e-300)
+        assert info.value.diagnostics["iterations"] > 0
+
+    def test_no_free_unknowns_raises(self):
+        # R = 0.67, n = 3: the truncated annulus is one radial cell thick,
+        # so every vertex lies on a truncation circle
+        with pytest.raises(NonConvergenceError):
+            solve_truncated(DomainSpec.ball(0.67), 3, target_h=0.05)
+
+    def test_arpack_failure_raises(self, monkeypatch):
+        from scipy.sparse.linalg import ArpackNoConvergence
+        from crithardy import fem2d
+
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(fem2d, "eigsh", fail)
+        K = sparse.diags([2.0, 3.0, 4.0]).tocsr()
+        M = sparse.identity(3, format="csr")
+        with pytest.raises(NonConvergenceError) as info:
+            smallest_eigen(K, M)
+        assert "iterations" in info.value.diagnostics
 
     def test_ball_matches_log_window_oracle(self, ball):
         # independent oracle: the radial problem reduces exactly to the 1-D
@@ -161,16 +214,22 @@ class TestExtrapolation:
         ea = calibrated_cusp.cusp.eigenvalue
         assert abs(est.estimate - ea) / ea <= 0.05
 
-    @pytest.mark.parametrize("a", [0.85, 1.0])
-    def test_cusp_cross_validation_other_angles(self, a):
+    @pytest.mark.parametrize("a, schedule", [
+        pytest.param(0.85, [16, 64, 256, 1024], id="0.85"),
+        pytest.param(1.0, [16, 64, 256, 1024], id="1.0"),
+        pytest.param(1.05, [16, 64, 256, 1024, 4096, 16384], id="1.05"),
+    ])
+    def test_cusp_cross_validation_other_angles(self, a, schedule):
         dom = DomainSpec.calibrated_cusp(a)
-        est = extrapolate_constant(dom, [16, 64, 256, 1024])
+        est = extrapolate_constant(dom, schedule)
         ea = dom.cusp.eigenvalue
         assert abs(est.estimate - ea) / ea <= 0.05
 
     def test_collar_paths_reported(self, ball):
         est = extrapolate_constant(ball, [4, 16], target_h=0.04)
         assert len(est.collar_report["anchor_outer_path"]) == 2
+        assert est.mesh.num_vertices == est.per_n[-1]["vertices"]
+        assert est.vector.shape == (est.mesh.num_vertices,)
         for row in est.per_n:
             assert 0.0 <= row["collar_outer"] <= 1.0
             assert 0.0 <= row["anchor_outer"] <= 1.0

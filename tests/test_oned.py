@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crithardy import (AngularEigenProblem, DomainRangeError,
-                       angular_eigenvalue, angular_identity_residual,
-                       arc_poincare_constant, extrapolate_angular_zero_limit,
-                       hardy_1d_quotient, invert_angular_eigenvalue,
-                       radial_reduction_constant, sin_power_quotient,
-                       solve_angular)
+                       NonConvergenceError, angular_eigenvalue,
+                       angular_identity_residual, arc_poincare_constant,
+                       extrapolate_angular_zero_limit, hardy_1d_quotient,
+                       invert_angular_eigenvalue, radial_reduction_constant,
+                       sin_power_quotient, solve_angular)
 from crithardy.oned import sin_integral
 from conftest import smooth_bump, smooth_bump_d
 
@@ -130,6 +130,16 @@ class TestAngularEigenvalue:
     def test_inversion_target_below_lower_end(self):
         with pytest.raises(DomainRangeError):
             invert_angular_eigenvalue(angular_eigenvalue(0.9, 1024) - 1e-6, 0.9)
+
+    def test_inversion_unresolvable_target_raises(self):
+        # E(a) on the 1024 grid steps by more than 1e-10 per 1e-14 in the
+        # angle near pi/2, so the bracket runs out before value_tol is met
+        with pytest.raises(NonConvergenceError) as info:
+            invert_angular_eigenvalue(1e6, 0.3, 1024)
+        diag = info.value.diagnostics
+        assert diag["target"] == 1e6
+        assert 0.3 < diag["a"] < math.pi / 2
+        assert abs(diag["gap"]) > 1e-10
 
     def test_inversion_steep_target(self):
         # E(1.5) ~ 492 with dE/da ~ 1.4e4: 1e-10 in E is 7e-15 in the angle
