@@ -178,10 +178,11 @@ def cmd_rearrange(args) -> int:
     u = PolarGridFunction(r=np.asarray(doc["r"]), theta=theta,
                           values=np.asarray(doc["values"]), domain=dom)
     star = rearrange.rearrange_function(u)
+    star_dom = rearrange.rearrange_domain(dom, u.r)
     rep = rearrange.rearrangement_report(u)
     out = {"meta": _meta(args), "checks": rep,
            "rearranged_values": star.values.tolist(),
-           "half_widths": star.star_domain.half_widths.tolist()}
+           "half_widths": star_dom.half_widths.tolist()}
     _emit_json(out, args.out)
     return 0
 

@@ -77,10 +77,6 @@ class ArcSet:
     def measure(self) -> float:
         return sum(hi - lo for lo, hi in self.arcs)
 
-    def contains(self, theta: float) -> bool:
-        th = theta % TWO_PI
-        return any(lo <= th < hi for lo, hi in self.arcs)
-
     def __bool__(self) -> bool:
         return bool(self.arcs)
 
@@ -190,12 +186,6 @@ def build_cusp_profile(a: float, r0: float | None = None, n_table: int = 96,
 def tip_to_xy(rho, theta):
     """Map tip-frame polar coordinates (about the point (0, 1)) to the plane."""
     return rho * np.cos(theta), 1.0 - rho * np.sin(theta)
-
-
-def xy_tip_frame(x1, x2):
-    """Inverse of `tip_to_xy`: tip distance and tip-frame angle of a point."""
-    y1, y2 = x1, 1.0 - x2
-    return np.hypot(y1, y2), np.arctan2(y2, y1)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,10 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02,
     h_min = 1.0 / (8.0 * n)
     radii = graded_nodes(r_in, r_out, min(target_h, h_min),
                          min(target_h, h_min), target_h, ratio=1.2)
+    if radii.size < 3:
+        raise ConstructionError(
+            f"truncation n={n} leaves no interior row between radii "
+            f"{r_in:.6g} and {r_out:.6g}")
 
     full = all(dom.profile_arcs(float(r)).measure >= 2 * math.pi - 1e-12
                for r in (radii[0], radii[len(radii) // 2], radii[-1]))

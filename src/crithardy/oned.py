@@ -22,20 +22,29 @@ from scipy.optimize import least_squares
 from ._errors import (DegenerateInputError, DomainRangeError,
                       NonConvergenceError, NumericalError)
 
-_GAUSS8_X, _GAUSS8_W = np.polynomial.legendre.leggauss(8)
-_GAUSS16_X, _GAUSS16_W = np.polynomial.legendre.leggauss(16)
+_GAUSS = {8: np.polynomial.legendre.leggauss(8),
+          16: np.polynomial.legendre.leggauss(16)}
 
 
 # ---------------------------------------------------------------------------
 # 1-D Hardy quotient
 # ---------------------------------------------------------------------------
 
-def _cell_gauss(f, lo: np.ndarray, hi: np.ndarray, x, w) -> np.ndarray:
-    """Gauss-Legendre panel integrals of f over the cells [lo_i, hi_i]."""
+def _cell_gauss(lo: np.ndarray, hi: np.ndarray, order: int, f=None):
+    """Gauss-Legendre panels of ``order`` (8 or 16) points on the cells [lo_i, hi_i].
+
+    Without ``f``, returns the nodes and weights, each of shape
+    ``(cells, order)``.  With ``f``, returns the integral of f over all the
+    cells; f is called once on the whole node array.  This is the package's
+    one panel rule.
+    """
+    x, w = _GAUSS[order]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * x[None, :]
-    return half * (f(pts) @ w)
+    if f is None:
+        return pts, half[:, None] * w[None, :]
+    return float(np.sum(half * (f(pts) @ w)))
 
 
 def hardy_1d_quotient(t, v, p: int = 2, return_parts: bool = False):
@@ -67,7 +76,7 @@ def hardy_1d_quotient(t, v, p: int = 2, return_parts: bool = False):
             # grid is graded down to the float floor
             return (np.abs(vv) / x) ** p
 
-        return float(np.sum(_cell_gauss(integrand, lo, hi, _GAUSS8_X, _GAUSS8_W)))
+        return _cell_gauss(lo, hi, 8, integrand)
 
     # Cell starting at t=0 has |v|^p/t^p = |slope|^p exactly.
     if t[0] == 0.0:
@@ -297,8 +306,7 @@ def angular_identity_residual(u, du, support=(0.0, math.pi),
         s = np.sin(x)
         return du(x) ** 2 - 0.25 * u(x) ** 2 / (s * s)
 
-    lhs = float(np.sum(_cell_gauss(
-        lambda x: lhs_f(x), edges[:-1], edges[1:], _GAUSS16_X, _GAUSS16_W)))
+    lhs = _cell_gauss(edges[:-1], edges[1:], 16, lhs_f)
 
     def dv_sq_sin(x):
         s = np.sin(x)
@@ -337,10 +345,8 @@ def sin_power_quotient(alpha: float, panels: int = 1400) -> float:
     def mass_f(x):
         return np.sin(x) ** (2 * alpha - 2)
 
-    energy = float(np.sum(_cell_gauss(energy_f, edges[:-1], edges[1:],
-                                      _GAUSS16_X, _GAUSS16_W)))
-    mass = float(np.sum(_cell_gauss(mass_f, edges[:-1], edges[1:],
-                                    _GAUSS16_X, _GAUSS16_W)))
+    energy = _cell_gauss(edges[:-1], edges[1:], 16, energy_f)
+    mass = _cell_gauss(edges[:-1], edges[1:], 16, mass_f)
     return energy / mass
 
 

@@ -20,9 +20,8 @@ import numpy as np
 
 from ._errors import DegenerateInputError, DomainRangeError, GridMismatchError
 from .domain import DomainSpec
-from .weight import WeightParams
-
-_GAUSS8_X, _GAUSS8_W = np.polynomial.legendre.leggauss(8)
+from .oned import _cell_gauss
+from .weight import WeightParams, log_R_over
 
 
 def sphere_area(N: int) -> float:
@@ -123,14 +122,6 @@ class LogProfile:
 # Radial quotient
 # ---------------------------------------------------------------------------
 
-def log_radius(p: WeightParams, r: np.ndarray) -> np.ndarray:
-    """t = log(R/r), via log1p near the outer radius for accuracy."""
-    r = np.asarray(r, dtype=float)
-    with np.errstate(divide="ignore"):  # the discarded branch at r = R
-        return np.where(r > 0.7 * p.R, -np.log1p((r - p.R) / p.R),
-                        np.log(p.R / r))
-
-
 def _radial_mass_terms(u: RadialFunction, p: WeightParams):
     """Per-cell weighted-mass integrals in the log coordinate, plus error est.
 
@@ -139,7 +130,7 @@ def _radial_mass_terms(u: RadialFunction, p: WeightParams):
     differences so that grids graded to the float floor at either end stay
     finite.  The error estimate is |Simpson - trapezoid| on the same cells.
     """
-    t_nodes = log_radius(p, u.r)  # decreasing in r
+    t_nodes = log_R_over(p, u.r)  # decreasing in r
     lo_t, hi_t = t_nodes[1:], t_nodes[:-1]
     v0, v1 = u.values[:-1], u.values[1:]  # v0 at larger t (smaller r)
     dv = v1 - v0
@@ -151,10 +142,7 @@ def _radial_mass_terms(u: RadialFunction, p: WeightParams):
         vv = v0[:, None] + dv[:, None] * frac
         return (np.abs(vv) / t) ** p.N
 
-    mid = 0.5 * (lo_t + hi_t)
-    half = 0.5 * (hi_t - lo_t)
-    pts = mid[:, None] + half[:, None] * _GAUSS8_X[None, :]
-    cell_mass = half * (vals_at(pts) @ _GAUSS8_W)
+    mass = _cell_gauss(lo_t, hi_t, 8, vals_at)
 
     # at t = 0 (grid reaching r = R with zero value) the integrand limit is
     # (|u'(R)| * R)^N = (|dv| / expm1(dt))^N
@@ -162,12 +150,13 @@ def _radial_mass_terms(u: RadialFunction, p: WeightParams):
                     (np.abs(v1) / np.where(lo_t > 0.0, lo_t, 1.0)) ** p.N,
                     (np.abs(dv) / denom) ** p.N)
     f_hi = (np.abs(v0) / hi_t) ** p.N
+    mid = 0.5 * (lo_t + hi_t)
+    half = 0.5 * (hi_t - lo_t)
     f_mid = vals_at(mid[:, None])[:, 0]
     trap = (f_lo + f_hi) * half
     simpson = (f_lo + 4.0 * f_mid + f_hi) * half / 3.0
     err = float(np.sum(np.abs(simpson - trap)))
 
-    mass = float(np.sum(cell_mass))
     if u.constant_core:
         t_core = t_nodes[0]  # largest t on the grid
         mass += abs(u.values[0]) ** p.N * t_core ** (1 - p.N) / (p.N - 1)
@@ -190,7 +179,7 @@ def quotient_radial(u: RadialFunction, p: WeightParams) -> QuotientReport:
     # exact cell energy |du|^N (r1^N - r0^N) / (N dr^N); the radius-dependent
     # factor equals expm1(N dt)-over-expm1(dt)^N of the log-coordinate step,
     # which stays finite on grids graded to the float floor
-    dt = np.diff(log_radius(p, u.r)[::-1])  # positive steps, in r-order reversed
+    dt = np.diff(log_R_over(p, u.r)[::-1])  # positive steps, in r-order reversed
     factor = (-np.expm1(-p.N * dt)) / (p.N * (-np.expm1(-dt)) ** p.N)
     cell_en = np.abs(np.diff(u.values[::-1])) ** p.N * factor
     energy = omega * float(np.sum(cell_en))
@@ -230,7 +219,7 @@ def log_coordinate_transport(u: RadialFunction, p: WeightParams) -> LogProfile:
     """
     if u.constant_core:
         raise DomainRangeError("transport requires compact support (no constant core)")
-    t = (-np.log1p((u.r - p.R) / p.R))[::-1]
+    t = log_R_over(p, u.r)[::-1]
     return LogProfile(t=t, values=u.values[::-1].copy(), N=p.N,
                       boundary_zero=u.boundary_zero)
 
@@ -323,8 +312,7 @@ def quotient_polar(u: PolarGridFunction, p: WeightParams) -> QuotientReport:
     dval_t = np.roll(vals, -1, axis=1) - vals
     ang_energy = float(np.sum((dval_t**2).sum(axis=1) * w_r / (u.r * dth)))
     # node-lumped weighted mass
-    log_term = -np.log1p((u.r - p.R) / p.R)
-    w_vals = (u.r * log_term) ** (-2)
+    w_vals = (u.r * log_R_over(p, u.r)) ** (-2)
     row_sq = (vals**2).sum(axis=1)
     mass = float(np.sum(row_sq * w_vals * u.r * w_r) * dth)
     # error estimate: trapezoid vs midpoint-refined row quadrature

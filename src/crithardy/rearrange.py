@@ -19,7 +19,7 @@ import numpy as np
 
 from ._errors import DomainRangeError, GridMismatchError
 from .domain import ArcSet, DomainSpec, profile_measure
-from .quotient import PolarGridFunction, quotient_polar
+from .quotient import PolarGridFunction, _polar_weights, quotient_polar
 from .weight import WeightParams
 
 
@@ -83,11 +83,9 @@ def rearrange_function(u: PolarGridFunction) -> PolarGridFunction:
     counts = u.mask.sum(axis=1)
     for i, k in enumerate(counts):
         new_mask[i, positions[:k]] = True
-    out = PolarGridFunction(r=u.r.copy(), theta=u.theta.copy(), values=new_vals,
-                            domain=u.domain, boundary_zero=u.boundary_zero,
-                            mask=new_mask)
-    out.star_domain = rearrange_domain(u.domain, u.r)
-    return out
+    return PolarGridFunction(r=u.r.copy(), theta=u.theta.copy(), values=new_vals,
+                             domain=u.domain, boundary_zero=u.boundary_zero,
+                             mask=new_mask)
 
 
 def polya_szego_check(u: PolarGridFunction,
@@ -108,12 +106,7 @@ def hardy_littlewood_check(u: PolarGridFunction,
         raise GridMismatchError("functions must share the same grid")
     if np.any(u.values < 0) or np.any(v.values < 0):
         raise DomainRangeError("inequality check requires nonnegative values")
-    dr = np.diff(u.r)
-    w_r = np.empty_like(u.r)
-    w_r[0] = dr[0] / 2
-    w_r[-1] = dr[-1] / 2
-    w_r[1:-1] = (dr[:-1] + dr[1:]) / 2
-    dth = 2 * math.pi / u.theta.size
+    _, w_r, dth = _polar_weights(u)
     area = (u.r * w_r)[:, None] * dth
     u_star = rearrange_function(u)
     v_star = rearrange_function(v)

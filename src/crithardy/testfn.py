@@ -26,19 +26,9 @@ import numpy as np
 from ._errors import ConstructionError, DomainRangeError
 from . import oned
 from .domain import DomainSpec, DomainKind
+from .oned import _cell_gauss
 from .quotient import QuotientReport, sphere_area
 from .weight import WeightParams, weight_eval
-
-_GAUSS8_X, _GAUSS8_W = np.polynomial.legendre.leggauss(8)
-_GAUSS16_X, _GAUSS16_W = np.polynomial.legendre.leggauss(16)
-
-
-def _panel_integral(f, edges: np.ndarray, x=_GAUSS16_X, w=_GAUSS16_W) -> float:
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    return float(np.sum(half * (f(pts) @ w)))
 
 
 def _panel_error_estimate(f, edges: np.ndarray) -> float:
@@ -105,7 +95,7 @@ def phi_alpha_quotient(p: PhiAlphaParams) -> QuotientReport:
         return np.abs(u) ** N * weight_eval(wp, r) * r ** (N - 1)
 
     edges = np.linspace(r_lo, r_hi, 33)
-    mass_bridge = omega * _panel_integral(bridge_mass, edges)
+    mass_bridge = omega * _cell_gauss(edges[:-1], edges[1:], 16, bridge_mass)
     err = omega * _panel_error_estimate(bridge_mass, edges)
 
     energy = energy_core + energy_bridge
@@ -179,8 +169,9 @@ def psi_beta_quotient(p: PsiBetaParams, panels: int = 600) -> QuotientReport:
     def mass_f(t):
         return np.where(t > 0, t ** (N * (beta - 1.0)), 0.0)
 
-    q_energy = omega * _panel_integral(energy_f, edges)
-    q_mass = omega * (_panel_integral(mass_f, edges) + 1.0 / (N - 1.0))
+    lo, hi = edges[:-1], edges[1:]
+    q_energy = omega * _cell_gauss(lo, hi, 16, energy_f)
+    q_mass = omega * (_cell_gauss(lo, hi, 16, mass_f) + 1.0 / (N - 1.0))
     err = abs(q_energy / q_mass - energy / mass)
     return QuotientReport(
         dirichlet_energy=energy, weighted_mass=mass, ratio=energy / mass,
@@ -247,14 +238,11 @@ class HalfSpaceFamilyParams:
 def _halfspace_grid(A: float, B: float, n_y2: int = 160):
     """Gauss nodes/weights over the parabolic support {y1^2 < A y2, y2 < B}."""
     edges = np.concatenate([[0.0], np.geomspace(B * 1e-8, B, n_y2)])
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    y2 = (mid[:, None] + half[:, None] * _GAUSS8_X[None, :]).ravel()
-    w2 = (half[:, None] * _GAUSS8_W[None, :]).ravel()
+    y2, w2 = _cell_gauss(edges[:-1], edges[1:], 8)
+    y2, w2 = y2.ravel(), w2.ravel()
     width = np.sqrt(A * y2)
-    y1 = width[:, None] * _GAUSS16_X[None, :]
-    w = w2[:, None] * (width[:, None] * _GAUSS16_W[None, :])
+    y1, w1 = _cell_gauss(-width, width, 16)
+    w = w2[:, None] * w1
     y2 = np.broadcast_to(y2[:, None], y1.shape)
     return y1.ravel(), y2.ravel(), w.ravel()
 
@@ -379,16 +367,14 @@ def cusp_upper_bound(params: CuspFamilyParams, dom: DomainSpec) -> QuotientRepor
     def psi2_over_rho(rho):
         return _plateau(rho, eps, delta) ** 2 / rho
 
-    radial_factor = _panel_integral(dpsi2_rho, edges)
-    log_factor = _panel_integral(psi2_over_rho, edges)
+    lo, hi = edges[:-1], edges[1:]
+    radial_factor = _cell_gauss(lo, hi, 16, dpsi2_rho)
+    log_factor = _cell_gauss(lo, hi, 16, psi2_over_rho)
     energy = radial_factor * int_phi2 + log_factor * int_dphi2
 
     # weighted mass: (y2^2 / weight normalizer) * (phi/sin)^2 * psi^2 / rho
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half_w = 0.5 * (hi - lo)
-    rho_pts = (mid[:, None] + half_w[:, None] * _GAUSS8_X[None, :]).ravel()
-    rho_wts = (half_w[:, None] * _GAUSS8_W[None, :]).ravel()
+    rho_pts, rho_wts = _cell_gauss(lo, hi, 8)
+    rho_pts, rho_wts = rho_pts.ravel(), rho_wts.ravel()
     th_mid = 0.5 * (theta[:-1] + theta[1:])
     th_w = np.diff(theta)
     phi_mid = 0.5 * (phi[:-1] + phi[1:])

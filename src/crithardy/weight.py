@@ -40,9 +40,19 @@ class WeightParams:
             raise DomainRangeError(f"N must be an integer >= 2, got {self.N}")
 
 
-def log_R_over(p: WeightParams, x_norm: float) -> float:
-    """log(R/|x|) evaluated stably near |x| = R via log1p."""
-    return -math.log1p((x_norm - p.R) / p.R)
+def log_R_over(p: WeightParams, x_norm):
+    """log(R/|x|) for a scalar or ndarray radius.
+
+    Above 0.7R it is ``-log1p((|x| - R)/R)``, which stays accurate as |x| -> R.
+    Below, it is ``log(R/|x|)``: there the log1p argument rounds to -1 once
+    |x| < eps R, and the log1p form returns inf.
+    """
+    x = np.asarray(x_norm, dtype=float)
+    with np.errstate(divide="ignore"):  # the discarded log1p(-1) below eps R
+        t = np.where(x > 0.7 * p.R, -np.log1p((x - p.R) / p.R), np.log(p.R / x))
+    if np.ndim(x_norm) == 0:
+        return float(t)
+    return t
 
 
 def weight_eval(p: WeightParams, x_norm) -> float:
@@ -54,8 +64,7 @@ def weight_eval(p: WeightParams, x_norm) -> float:
     x = np.asarray(x_norm, dtype=float)
     if np.any(x <= 0.0) or np.any(x >= p.R):
         raise DomainRangeError(f"|x| must lie in (0, {p.R}); got {x_norm}")
-    log_term = -np.log1p((x - p.R) / p.R)
-    w = (x * log_term) ** (-p.N)
+    w = (x * log_R_over(p, x)) ** (-p.N)
     if np.ndim(x_norm) == 0:
         return float(w)
     return w
@@ -66,8 +75,7 @@ def boundary_taylor_gap(p: WeightParams, x_norm) -> float:
     x = np.asarray(x_norm, dtype=float)
     if np.any(x <= 0.0) or np.any(x >= p.R):
         raise DomainRangeError(f"|x| must lie in (0, {p.R}); got {x_norm}")
-    log_term = -np.log1p((x - p.R) / p.R)
-    gap = (x * log_term / (p.R - x)) ** p.N - 1.0
+    gap = (x * log_R_over(p, x) / (p.R - x)) ** p.N - 1.0
     if np.ndim(x_norm) == 0:
         return float(gap)
     return gap

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -84,6 +85,8 @@ class TestCommands:
         assert code == 0
         assert doc["checks"]["equimeasurable"] is True
         assert doc["checks"]["polya_szego_margin"] >= -1e-9
+        np.testing.assert_allclose(doc["half_widths"], [math.pi / 2] * nr,
+                                   rtol=1e-12)
 
     def test_constant_and_vtk(self, tmp_path, capsys, monkeypatch):
         from crithardy import DomainSpec, fem2d

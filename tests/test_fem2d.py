@@ -52,6 +52,14 @@ class TestMesh:
         with pytest.raises(Exception):
             TruncationSchedule((4, 4))
 
+    def test_no_interior_row_raises(self):
+        # R = 0.67, n = 3: the truncated annulus is one radial cell thick,
+        # so every vertex would lie on a truncation circle
+        with pytest.raises(ConstructionError, match="no interior row"):
+            mesh_truncated(DomainSpec.ball(0.67), 3, target_h=0.05)
+        with pytest.raises(ConstructionError):
+            solve_truncated(DomainSpec.ball(0.67), 3, target_h=0.05)
+
     def test_boundary_flags(self, ball):
         mesh = mesh_truncated(ball, 4, target_h=0.05)
         radii = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
@@ -139,10 +147,12 @@ class TestSmallestEigen:
         assert info.value.diagnostics["iterations"] > 0
 
     def test_no_free_unknowns_raises(self):
-        # R = 0.67, n = 3: the truncated annulus is one radial cell thick,
-        # so every vertex lies on a truncation circle
-        with pytest.raises(NonConvergenceError):
-            solve_truncated(DomainSpec.ball(0.67), 3, target_h=0.05)
+        # meshing rejects such truncations; the guard serves direct callers
+        K = sparse.diags([2.0, 3.0, 4.0]).tocsr()
+        M = sparse.identity(3, format="csr")
+        with pytest.raises(NonConvergenceError) as info:
+            smallest_eigen(K, M, interior=np.array([False, True, False]))
+        assert info.value.diagnostics["unknowns"] == 1
 
     def test_arpack_failure_raises(self, monkeypatch):
         from scipy.sparse.linalg import ArpackNoConvergence

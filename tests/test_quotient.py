@@ -110,6 +110,14 @@ class TestLogTransport:
         t_supp = lp.t[lp.values > 0]
         assert t_supp.max() < 1.0
 
+    def test_grid_to_float_floor(self):
+        r = np.geomspace(1e-200, 0.9, 60)
+        v = np.sin(np.linspace(0.0, math.pi, 60))
+        v[0] = v[-1] = 0.0
+        lp = log_coordinate_transport(RadialFunction(r=r, values=v), WP)
+        assert np.all(np.isfinite(lp.t))
+        np.testing.assert_allclose(lp.t, np.log(1.0 / r)[::-1], rtol=1e-12)
+
     def test_quotient_equality_random_bumps(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

@@ -104,6 +104,20 @@ class TestRearrangeFunction:
                 rhs = star.values[i, (center - s) % nt]
                 assert abs(lhs - rhs) <= gap + 1e-15
 
+    def test_pure_permutation(self, half_disk, monkeypatch):
+        # the domain is read once, when the source function is built
+        u = polar_random_bumps(half_disk, np.random.default_rng(5), nr=48)
+        calls = []
+        arcs = DomainSpec.profile_arcs
+
+        def counted(self, r):
+            calls.append(r)
+            return arcs(self, r)
+
+        monkeypatch.setattr(DomainSpec, "profile_arcs", counted)
+        rearrange_function(u)
+        assert calls == []
+
     def test_negative_rejected(self, ball):
         r = np.linspace(0.3, 0.7, 3)
         theta = np.arange(8) * (2 * math.pi / 8)

@@ -28,6 +28,13 @@ class TestWeightEval:
         with pytest.raises(DomainRangeError):
             weight_eval(WeightParams(R=1.0, N=2), x)
 
+    def test_below_float_resolution_of_R(self):
+        # 1 + (r - R)/R rounds to 0 here; log(R/r) must not
+        r = 1e-17
+        expected = (r * math.log(1.0 / r)) ** -2
+        assert weight_eval(WeightParams(R=1.0), r) == pytest.approx(
+            expected, rel=1e-12)
+
     def test_blows_up_at_both_ends(self):
         p = WeightParams(R=1.0, N=2)
         assert weight_eval(p, 1e-9) > 1e6
