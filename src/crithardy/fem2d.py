@@ -74,18 +74,6 @@ class EigenResult:
     n: int
 
 
-def _boundary_from_edges(triangles: np.ndarray, nv: int) -> np.ndarray:
-    """Vertices incident to an edge owned by exactly one triangle."""
-    edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                            triangles[:, [2, 0]]])
-    edges.sort(axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    bnd_edges = uniq[counts == 1]
-    flags = np.zeros(nv, dtype=bool)
-    flags[bnd_edges.ravel()] = True
-    return flags
-
-
 def _min_angle(vertices: np.ndarray, triangles: np.ndarray) -> float:
     p0 = vertices[triangles[:, 0]]
     p1 = vertices[triangles[:, 1]]
@@ -99,29 +87,31 @@ def _min_angle(vertices: np.ndarray, triangles: np.ndarray) -> float:
     return float(np.min(np.stack(angs)))
 
 
-def _strip_triangles(n_rows: int, n_cols: int, wrap: bool) -> np.ndarray:
-    """Triangulated structured grid of n_rows x n_cols vertices."""
-    cols = n_cols if wrap else n_cols - 1
-    tris = []
-    for i in range(n_rows - 1):
-        base0 = i * n_cols
-        base1 = (i + 1) * n_cols
-        j = np.arange(cols)
-        jn = (j + 1) % n_cols if wrap else j + 1
-        a, b = base0 + j, base0 + jn
-        c, d = base1 + j, base1 + jn
-        tris.append(np.stack([a, b, d], axis=1))
-        tris.append(np.stack([a, d, c], axis=1))
-    return np.concatenate(tris)
+def _strip_mesh(x: np.ndarray, y: np.ndarray, wrap: bool, meta: dict) -> Mesh:
+    """Structured mesh on the ``(n_rows, n_cols)`` vertex grid ``(x, y)``.
 
-
-def _single_arc(dom: DomainSpec, r: float):
-    arcs = dom.profile_arcs(r).arcs
-    if len(arcs) != 1:
-        raise ConstructionError(
-            "structured meshing needs a single arc per radius "
-            f"(got {len(arcs)} at r={r})")
-    return arcs[0]
+    Cell ``(i, j)`` joins rows ``i, i+1`` and columns ``j, j+1`` (modulo
+    ``n_cols`` when the strip wraps) and splits into ``(a, b, d)`` and
+    ``(a, d, c)``; each row lists all its ``(a, b, d)`` first.  The Dirichlet
+    boundary is the first and last row, plus the first and last column when
+    the strip does not wrap.
+    """
+    n_rows, n_cols = x.shape
+    j = np.arange(n_cols if wrap else n_cols - 1)
+    base = np.arange(n_rows - 1)[:, None] * n_cols
+    a, b = base + j, base + (j + 1) % n_cols
+    c, d = a + n_cols, b + n_cols
+    tris = np.stack([np.stack([a, b, d], axis=-1), np.stack([a, d, c], axis=-1)],
+                    axis=1).reshape(-1, 3)
+    verts = np.stack([x.ravel(), y.ravel()], axis=1)
+    boundary = np.zeros((n_rows, n_cols), dtype=bool)
+    boundary[[0, -1]] = True
+    if not wrap:
+        boundary[:, [0, -1]] = True
+    meta = {**meta, "min_angle_deg": _min_angle(verts, tris),
+            "n_radii": n_rows, "n_cols": n_cols}
+    return Mesh(vertices=verts, triangles=tris, boundary=boundary.ravel(),
+                meta=meta)
 
 
 def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02,
@@ -130,8 +120,10 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02,
 
     Element size shrinks geometrically (ratio 1.2) toward the truncation
     circles, resolved to ``h_min = (R - r_outer)/8``; boundary vertices are
-    placed exactly on the bounding arcs.  The mesh records the log-window
-    length used by the extrapolation fit and the minimal angle quality.
+    placed exactly on the bounding arcs.  A domain whose interior rows are
+    full circles is meshed as a full annulus from its innermost radius.  The
+    mesh records the log-window length used by the extrapolation fit and the
+    minimal angle quality.
     """
     R = dom.R
     if not (1.0 / n < R - 1.0 / n):
@@ -151,39 +143,33 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02,
             f"truncation n={n} leaves no interior row between radii "
             f"{r_in:.6g} and {r_out:.6g}")
 
-    full = all(dom.profile_arcs(float(r)).measure >= 2 * math.pi - 1e-12
-               for r in (radii[0], radii[len(radii) // 2], radii[-1]))
-    if full:
+    # interior rows only: the slice at the inner radius of a core cutoff is
+    # empty, though the annulus above it is full
+    wrap = all(dom.profile_arcs(float(r)).measure >= 2 * math.pi - 1e-12
+               for r in (radii[1], radii[len(radii) // 2], radii[-2]))
+    if wrap:
         n_cols = max(16, int(math.ceil(2 * math.pi * R / target_h)))
         theta = np.arange(n_cols) * (2 * math.pi / n_cols)
-        rr, tt = np.meshgrid(radii, theta, indexing="ij")
-        verts = np.stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()],
-                         axis=1)
-        tris = _strip_triangles(len(radii), n_cols, wrap=True)
     else:
-        widths = []
-        rows = []
+        arcs = []
         for r in radii:
-            lo, hi = _single_arc(dom, float(r))
-            widths.append(hi - lo)
-            rows.append((lo, hi))
-        max_arc = max(w * r for w, r in zip(widths, [float(x) for x in radii]))
+            row = dom.profile_arcs(float(r)).arcs
+            if len(row) != 1:
+                raise ConstructionError(
+                    "structured meshing needs a single arc per radius "
+                    f"(got {len(row)} at r={float(r)})")
+            arcs.append(row[0])
+        lo, hi = np.array(arcs).T
+        max_arc = float(np.max((hi - lo) * radii))
         n_cols = max(9, int(math.ceil(angular_density * max_arc / target_h)) + 1)
-        verts = np.empty((len(radii) * n_cols, 2))
-        for i, (r, (lo, hi)) in enumerate(zip(radii, rows)):
-            th = np.linspace(lo, hi, n_cols)
-            verts[i * n_cols:(i + 1) * n_cols, 0] = r * np.cos(th)
-            verts[i * n_cols:(i + 1) * n_cols, 1] = r * np.sin(th)
-        tris = _strip_triangles(len(radii), n_cols, wrap=False)
+        theta = np.linspace(lo, hi, n_cols, axis=1)
 
-    boundary = _boundary_from_edges(tris, verts.shape[0])
     t_in = math.log(R / r_in)
     t_out = -math.log1p(-1.0 / (n * R))
     meta = {"kind": dom.kind.value, "n": n, "target_h": target_h,
-            "window_length": math.log(t_in / t_out),
-            "min_angle_deg": _min_angle(verts, tris),
-            "n_radii": len(radii), "n_cols": verts.shape[0] // len(radii)}
-    return Mesh(vertices=verts, triangles=tris, boundary=boundary, meta=meta)
+            "window_length": math.log(t_in / t_out)}
+    return _strip_mesh(radii[:, None] * np.cos(theta),
+                       radii[:, None] * np.sin(theta), wrap, meta)
 
 
 def _mesh_cusp_tip(dom: DomainSpec, n: int, target_h: float,
@@ -206,46 +192,41 @@ def _mesh_cusp_tip(dom: DomainSpec, n: int, target_h: float,
     rho = np.geomspace(rho_c, prof.r0, n_rows)
     n_cols = max(33, int(math.ceil(
         angular_density * (math.pi - 2 * prof.a) / (2.0 * target_h))) + 1)
-    verts = np.empty((n_rows * n_cols, 2))
-    for i, p in enumerate(rho):
-        a_p = prof.a_of_r(float(p))
-        th = np.linspace(a_p, math.pi - a_p, n_cols)
-        x1, x2 = tip_to_xy(p, th)
-        verts[i * n_cols:(i + 1) * n_cols, 0] = x1
-        verts[i * n_cols:(i + 1) * n_cols, 1] = x2
-    tris = _strip_triangles(n_rows, n_cols, wrap=False)
-    boundary = _boundary_from_edges(tris, verts.shape[0])
+    a_rho = np.array([prof.a_of_r(float(p)) for p in rho])
+    x, y = tip_to_xy(rho[:, None],
+                     np.linspace(a_rho, math.pi - a_rho, n_cols, axis=1))
     meta = {"kind": "cusp_section5", "n": n, "target_h": target_h,
-            "window_length": math.log(prof.r0 / rho_c),
-            "min_angle_deg": _min_angle(verts, tris),
-            "n_radii": n_rows, "n_cols": n_cols}
-    return Mesh(vertices=verts, triangles=tris, boundary=boundary, meta=meta)
+            "window_length": math.log(prof.r0 / rho_c)}
+    return _strip_mesh(x, y, False, meta)
 
 
 def refine_mesh(mesh: Mesh) -> Mesh:
-    """Red refinement: each triangle splits into four; nested, conforming."""
-    verts = mesh.vertices
-    tris = mesh.triangles
-    edge_mid: dict[tuple[int, int], int] = {}
-    new_verts = [verts]
-    next_id = verts.shape[0]
+    """Red refinement: each triangle splits into four; nested, conforming.
 
-    def midpoint(a: int, b: int) -> int:
-        nonlocal next_id
-        key = (a, b) if a < b else (b, a)
-        if key not in edge_mid:
-            edge_mid[key] = next_id
-            new_verts.append(0.5 * (verts[a] + verts[b])[None, :])
-            next_id += 1
-        return edge_mid[key]
-
-    new_tris = np.empty((4 * tris.shape[0], 3), dtype=tris.dtype)
-    for k, (a, b, c) in enumerate(tris):
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        new_tris[4 * k:4 * k + 4] = [(a, ab, ca), (ab, b, bc),
-                                     (ca, bc, c), (ab, bc, ca)]
-    all_verts = np.concatenate(new_verts)
-    boundary = _boundary_from_edges(new_tris, all_verts.shape[0])
+    Midpoints are numbered after the coarse vertices in order of first
+    appearance (triangle by triangle, edges ``ab, bc, ca``).  The boundary is
+    the endpoints and midpoints of the edges owned by one triangle.
+    """
+    verts, tris = mesh.vertices, mesh.triangles
+    nv = verts.shape[0]
+    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    uniq, first, inverse, counts = np.unique(
+        edges, axis=0, return_index=True, return_inverse=True,
+        return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    ab, bc, ca = (nv + rank[inverse]).reshape(-1, 3).T
+    a, b, c = tris.T
+    new_tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
+                        axis=1).reshape(-1, 3)
+    ends = uniq[order]
+    all_verts = np.concatenate([verts, 0.5 * (verts[ends[:, 0]]
+                                              + verts[ends[:, 1]])])
+    boundary = np.zeros(all_verts.shape[0], dtype=bool)
+    single = counts == 1
+    boundary[uniq[single].ravel()] = True
+    boundary[nv + rank[single]] = True
     meta = dict(mesh.meta)
     meta["refined"] = meta.get("refined", 0) + 1
     meta["min_angle_deg"] = _min_angle(all_verts, new_tris)
@@ -258,25 +239,35 @@ def refine_mesh(mesh: Mesh) -> Mesh:
 # ---------------------------------------------------------------------------
 
 _QUAD_MID = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+# mid-edge points of the four red sub-triangles, in barycentric coordinates
+# of the parent
+_QUAD_SUB = _QUAD_MID @ np.array([
+    [[1, 0, 0], [0.5, 0.5, 0], [0.5, 0, 0.5]],
+    [[0.5, 0.5, 0], [0, 1, 0], [0, 0.5, 0.5]],
+    [[0.5, 0, 0.5], [0, 0.5, 0.5], [0, 0, 1]],
+    [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]],
+])
 
 
-def _mass_quadrature(pts: np.ndarray, wp: WeightParams):
-    """Mid-edge values of the weight on each triangle; (ntri, 3)."""
-    # pts: (ntri, 3, 2); quadrature points are the edge midpoints
-    qp = np.einsum("qi,tid->tqd", _QUAD_MID, pts)
+def _weight_at(bary: np.ndarray, pts: np.ndarray, wp: WeightParams
+               ) -> np.ndarray:
+    """Weight at barycentric points ``bary`` (q, 3) of triangles ``pts``
+    (nt, 3, 2); (nt, q)."""
+    qp = np.einsum("qi,tid->tqd", bary, pts)
     radii = np.hypot(qp[..., 0], qp[..., 1])
     if np.any(radii <= 0.0) or np.any(radii >= wp.R):
         raise AssemblyError("element crosses a singular circle of the weight")
-    return weight_eval(wp, radii), qp
+    return weight_eval(wp, radii)
 
 
 def assemble(mesh: Mesh, wp: WeightParams
              ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     """Stiffness and weighted-mass matrices for P1 elements.
 
-    The stiffness is exact per triangle; the weighted mass uses the mid-edge
-    (degree-2) rule, with one extra subdivision level on elements touching the
-    truncation rows where the weight varies fastest.
+    Triangles may have either orientation.  The stiffness is exact per
+    triangle; the weighted mass uses the mid-edge (degree-2) rule, with one
+    extra subdivision level on elements touching the truncation rows where
+    the weight varies fastest.
     """
     if wp.N != 2:
         raise DomainRangeError("assembly implements the planar case N = 2")
@@ -288,47 +279,23 @@ def assemble(mesh: Mesh, wp: WeightParams
     area2 = e2[:, 0] * (-e1[:, 1]) - e2[:, 1] * (-e1[:, 0])
     if np.any(area2 == 0.0):
         raise AssemblyError("degenerate triangle")
-    neg = area2 < 0
-    if np.any(neg):  # normalize orientation
-        tris = tris.copy()
-        tris[neg, 1], tris[neg, 2] = tris[neg, 2], tris[neg, 1].copy()
-        p = verts[tris]
-        e0 = p[:, 2] - p[:, 1]
-        e1 = p[:, 0] - p[:, 2]
-        e2 = p[:, 1] - p[:, 0]
-        area2 = e2[:, 0] * (-e1[:, 1]) - e2[:, 1] * (-e1[:, 0])
-    area = 0.5 * area2
+    area = 0.5 * np.abs(area2)
 
     edges = np.stack([e0, e1, e2], axis=1)     # (nt, 3, 2)
     k_local = np.einsum("tid,tjd->tij", edges, edges) / (4.0 * area)[:, None, None]
 
-    w_mid, _ = _mass_quadrature(p, wp)
+    w_mid = _weight_at(_QUAD_MID, p, wp)
     # refine quadrature (4 sub-triangles) on elements whose mid-edge weights
     # vary strongly -- these sit against the truncation circles
-    spread = w_mid.max(axis=1) / w_mid.min(axis=1)
-    refine = spread > 1.02
-    phi = _QUAD_MID                            # phi_i at quadrature point q
-    m_local = np.einsum("tq,qi,qj->tij", w_mid, phi, phi) * (
+    refine = w_mid.max(axis=1) / w_mid.min(axis=1) > 1.02
+    m_local = np.einsum("tq,qi,qj->tij", w_mid, _QUAD_MID, _QUAD_MID) * (
         area[:, None, None] / 3.0)
     if np.any(refine):
         idx = np.where(refine)[0]
         sub_p = p[idx]
-        mid = np.einsum("qi,tid->tqd", _QUAD_MID, sub_p)  # edge midpoints
         m_ref = np.zeros((idx.size, 3, 3))
-        # sub-triangle vertices in barycentric coordinates of the parent
-        bary = [
-            np.array([[1, 0, 0], [0.5, 0.5, 0], [0.5, 0, 0.5]], dtype=float),
-            np.array([[0.5, 0.5, 0], [0, 1, 0], [0, 0.5, 0.5]], dtype=float),
-            np.array([[0.5, 0, 0.5], [0, 0.5, 0.5], [0, 0, 1]], dtype=float),
-            np.array([[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]], dtype=float),
-        ]
-        for bc in bary:
-            qb = _QUAD_MID @ bc                # quad points in parent coords
-            qp = np.einsum("qi,tid->tqd", qb, sub_p)
-            radii = np.hypot(qp[..., 0], qp[..., 1])
-            if np.any(radii <= 0.0) or np.any(radii >= wp.R):
-                raise AssemblyError("element crosses a singular circle")
-            wq = weight_eval(wp, radii)
+        for qb in _QUAD_SUB:
+            wq = _weight_at(qb, sub_p, wp)
             m_ref += np.einsum("tq,qi,qj->tij", wq, qb, qb) * (
                 area[idx, None, None] / 12.0)
         m_local[idx] = m_ref
@@ -417,16 +384,14 @@ def solve_truncated(dom: DomainSpec, n: int, target_h: float = 0.02,
 # ---------------------------------------------------------------------------
 
 def _mass_fractions(mesh: Mesh, weighted_mass: sparse.spmatrix,
-                    vector: np.ndarray, r_lo: float, r_hi: float,
-                    R: float) -> tuple[float, float]:
-    """Weighted-mass fractions in {|x| < r_lo} and {|x| > R - r_hi}."""
+                    vector: np.ndarray, widths: tuple, R: float
+                    ) -> list[tuple[float, float]]:
+    """Weighted-mass fractions in {|x| < w} and {|x| > R - w}, per width w."""
     radii = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    mv = weighted_mass @ vector
-    contrib = vector * mv
+    contrib = vector * (weighted_mass @ vector)
     total = float(np.sum(contrib))
-    inner = float(np.sum(contrib[radii < r_lo])) / total
-    outer = float(np.sum(contrib[radii > R - r_hi])) / total
-    return inner, outer
+    return [(float(np.sum(contrib[radii < w])) / total,
+             float(np.sum(contrib[radii > R - w])) / total) for w in widths]
 
 
 @dataclass
@@ -489,10 +454,8 @@ def extrapolate_constant(dom: DomainSpec, schedule, target_h: float = 0.02,
     for n in sched.n_values:
         res, mesh, wmass = solve_truncated(dom, n, target_h, tol,
                                            angular_density)
-        c_in, c_out = _mass_fractions(mesh, wmass, res.vector,
-                                      2.0 / n, 2.0 / n, dom.R)
-        a_in, a_out = _mass_fractions(mesh, wmass, res.vector,
-                                      2.0 / n_first, 2.0 / n_first, dom.R)
+        (c_in, c_out), (a_in, a_out) = _mass_fractions(
+            mesh, wmass, res.vector, (2.0 / n, 2.0 / n_first), dom.R)
         per_n.append({
             "n": n, "d_n": res.value, "window": mesh.meta["window_length"],
             "iterations": res.iterations, "residual": res.residual,

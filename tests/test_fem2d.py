@@ -7,19 +7,85 @@ from scipy import sparse
 from crithardy import (AssemblyError, ConstructionError, DomainSpec,
                        NonConvergenceError, TruncationSchedule, WeightParams,
                        assemble, extrapolate_constant, mesh_truncated,
-                       refine_mesh, smallest_eigen, solve_truncated)
-from crithardy.fem2d import _boundary_from_edges
+                       refine_mesh, smallest_eigen, solve_truncated,
+                       weight_eval)
+from crithardy.fem2d import Mesh
 
 WP = WeightParams(R=1.0, N=2)
 
 
-def euler_characteristic(mesh):
+def mesh_edges(mesh):
+    """Unique undirected edges and the number of triangles owning each."""
     edges = np.concatenate([mesh.triangles[:, [0, 1]],
                             mesh.triangles[:, [1, 2]],
                             mesh.triangles[:, [2, 0]]])
     edges.sort(axis=1)
-    n_edges = np.unique(edges, axis=0).shape[0]
+    return np.unique(edges, axis=0, return_counts=True)
+
+
+def euler_characteristic(mesh):
+    n_edges = mesh_edges(mesh)[0].shape[0]
     return mesh.num_vertices - n_edges + mesh.num_triangles
+
+
+def edge_boundary(mesh):
+    """Reference boundary: vertices of edges owned by exactly one triangle."""
+    edges, counts = mesh_edges(mesh)
+    flags = np.zeros(mesh.num_vertices, dtype=bool)
+    flags[edges[counts == 1].ravel()] = True
+    return flags
+
+
+def loop_refine(mesh):
+    """Reference red refinement: one dict of edge midpoints, filled in
+    triangle order."""
+    verts, mid = list(mesh.vertices), {}
+
+    def midpoint(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in mid:
+            mid[key] = len(verts)
+            verts.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
+        return mid[key]
+
+    tris = []
+    for a, b, c in mesh.triangles:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        tris += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+    return np.array(verts), np.array(tris)
+
+
+# (domain, n) for every structured-strip path: full circle, single arc,
+# cusp tip frame, and the core cutoff meshed as a full annulus
+STRIP_CASES = {
+    "ball": (lambda: DomainSpec.ball(1.0), 8),
+    "half_disk": (lambda: DomainSpec.half_disk(1.0), 8),
+    "cone": (lambda: DomainSpec.cone(0.7), 8),
+    "quadratic_cusp": (lambda: DomainSpec.quadratic_cusp(0.5), 8),
+    "calibrated_cusp": (None, 16),
+    "core_cutoff": (lambda: DomainSpec.ball_with_core_cutoff(0.5), 8),
+}
+
+
+@pytest.fixture(params=list(STRIP_CASES))
+def strip_mesh(request):
+    make, n = STRIP_CASES[request.param]
+    dom = (request.getfixturevalue("calibrated_cusp") if make is None
+           else make())
+    return mesh_truncated(dom, n, target_h=0.05)
+
+
+def duffy_integral(f, tri, order=24):
+    """Integral of f over a triangle by a Duffy-mapped tensor Gauss rule."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = 0.5 * (x + 1), 0.5 * w
+    u, v = np.meshgrid(x, x, indexing="ij")
+    v0, v1, v2 = tri
+    pts = (v0 + u[..., None] * (v1 - v0)
+           + (u * v)[..., None] * (v2 - v1))
+    e1, e2 = v1 - v0, v2 - v0
+    jac = abs(e1[0] * e2[1] - e1[1] * e2[0]) * u
+    return float(np.sum(np.outer(w, w) * jac * f(pts)))
 
 
 class TestMesh:
@@ -66,22 +132,85 @@ class TestMesh:
         on_circle = (np.abs(radii - 0.25) < 1e-9) | (np.abs(radii - 0.75) < 1e-9)
         assert np.array_equal(mesh.boundary, on_circle)
 
+    def test_boundary_matches_edge_count(self, strip_mesh):
+        assert strip_mesh.boundary.any() and not strip_mesh.boundary.all()
+        assert np.array_equal(strip_mesh.boundary, edge_boundary(strip_mesh))
+
+    def test_core_cutoff_meshes_full_annulus(self):
+        # the slice at the inner radius r = cR is empty; the rows above it
+        # are full circles, so the mesh is the annulus cR < |x| < R - 1/n
+        dom = DomainSpec.ball_with_core_cutoff(0.5)
+        mesh = mesh_truncated(dom, 8, target_h=0.05)
+        assert euler_characteristic(mesh) == 0
+        radii = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+        on_circle = ((np.abs(radii - 0.5) < 1e-9)
+                     | (np.abs(radii - 0.875) < 1e-9))
+        assert np.array_equal(mesh.boundary, on_circle)
+        est = extrapolate_constant(dom, [4, 8, 16, 32], target_h=0.02)
+        assert 0.24 <= est.estimate <= 0.26
+
+    @pytest.mark.parametrize("make, n", [
+        pytest.param(lambda: DomainSpec.half_disk(1.0), 8, id="half_disk"),
+        pytest.param(lambda: DomainSpec.ball(1.0), 4, id="ball"),
+    ])
+    def test_refine_mesh_structure(self, make, n):
+        coarse = mesh_truncated(make(), n, target_h=0.08)
+        fine = refine_mesh(coarse)
+        nv = coarse.num_vertices
+        assert np.array_equal(fine.vertices[:nv], coarse.vertices)
+        # the centre child of each coarse triangle joins its edge midpoints
+        # (ab, bc, ca), and every coarse edge gets its own new vertex
+        p = coarse.vertices[coarse.triangles]
+        mids = fine.vertices[fine.triangles[3::4]]
+        assert np.array_equal(mids, 0.5 * (p + np.roll(p, -1, axis=1)))
+        n_edges = mesh_edges(coarse)[0].shape[0]
+        assert np.array_equal(np.unique(fine.triangles[3::4]),
+                              np.arange(nv, nv + n_edges))
+        assert fine.num_vertices == nv + n_edges
+        assert np.array_equal(fine.boundary, edge_boundary(fine))
+        assert euler_characteristic(fine) == euler_characteristic(coarse)
+        ref_verts, ref_tris = loop_refine(coarse)
+        assert np.array_equal(fine.vertices, ref_verts)
+        assert np.array_equal(fine.triangles, ref_tris)
+
 
 class TestAssemble:
     def test_hand_stiffness_right_triangle(self):
         # unit-leg right triangle away from the singular circles; oracle is
         # the hand-computed P1 element matrix (scale invariant)
-        from crithardy.fem2d import Mesh
         verts = np.array([[0.3, 0.1], [0.4, 0.1], [0.3, 0.2]])
         tris = np.array([[0, 1, 2]])
         mesh = Mesh(vertices=verts, triangles=tris,
-                    boundary=_boundary_from_edges(tris, 3))
+                    boundary=np.ones(3, dtype=bool))
         K, M = assemble(mesh, WP)
         expect = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0],
                            [-0.5, 0.0, 0.5]])
         assert np.allclose(K.toarray(), expect, atol=1e-14)
-        assert M.toarray().min() >= 0 or True
-        assert np.all(np.isfinite(M.toarray()))
+        m = M.toarray()
+        assert np.all(np.isfinite(m))
+        assert np.array_equal(m, m.T)
+        assert m.min() >= 0
+        # the P1 basis sums to one, so the entries sum to the weight integral
+        exact = duffy_integral(
+            lambda x: weight_eval(WP, np.hypot(x[..., 0], x[..., 1])), verts)
+        assert m.sum() == pytest.approx(exact, rel=1e-3)
+
+    @pytest.mark.parametrize("kind", ["ball", "cusp_tip"])
+    def test_either_orientation(self, kind, ball, calibrated_cusp):
+        if kind == "ball":
+            mesh = mesh_truncated(ball, 4, target_h=0.05)
+        else:
+            mesh = mesh_truncated(calibrated_cusp, 16, target_h=0.05)
+        p = mesh.vertices[mesh.triangles]
+        d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        sign = np.sign(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        # the plane strips run clockwise, the tip frame counter-clockwise
+        assert np.all(sign == (-1 if kind == "ball" else 1))
+        flipped = Mesh(vertices=mesh.vertices,
+                       triangles=mesh.triangles[:, [0, 2, 1]],
+                       boundary=mesh.boundary)
+        for a, b in zip(assemble(mesh, WP), assemble(flipped, WP)):
+            assert abs(a - b).max() <= 1e-14 * abs(a).max()
 
     def test_constant_annihilated(self, ball):
         mesh = mesh_truncated(ball, 4, target_h=0.05)
@@ -95,7 +224,6 @@ class TestAssemble:
         assert np.max(np.abs(np.asarray(K.sum(axis=1)).ravel())) < 1e-10
 
     def test_element_crossing_circle_raises(self):
-        from crithardy.fem2d import Mesh
         verts = np.array([[0.9, 0.0], [1.2, 0.0], [1.0, 0.3]])
         tris = np.array([[0, 1, 2]])
         mesh = Mesh(vertices=verts, triangles=tris,
