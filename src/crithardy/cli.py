@@ -179,7 +179,7 @@ def cmd_rearrange(args) -> int:
                           values=np.asarray(doc["values"]), domain=dom)
     star = rearrange.rearrange_function(u)
     star_dom = rearrange.rearrange_domain(dom, u.r)
-    rep = rearrange.rearrangement_report(u)
+    rep = rearrange._report(u, star, WeightParams(R=dom.R, N=2))
     out = {"meta": _meta(args), "checks": rep,
            "rearranged_values": star.values.tolist(),
            "half_widths": star_dom.half_widths.tolist()}

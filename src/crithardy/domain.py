@@ -91,6 +91,15 @@ FULL_CIRCLE = ArcSet([(0.0, TWO_PI)])
 EMPTY_ARCS = ArcSet()
 
 
+def _centered_arcs(s: float) -> ArcSet:
+    """The arc of half-width ``s`` centered on the top direction."""
+    if s <= 0.0:
+        return EMPTY_ARCS
+    if s >= math.pi:
+        return FULL_CIRCLE
+    return ArcSet([(math.pi / 2 - s, math.pi / 2 + s)])
+
+
 # ---------------------------------------------------------------------------
 # Calibrated cusp profile
 # ---------------------------------------------------------------------------
@@ -124,12 +133,17 @@ class CuspProfile:
             raise DomainRangeError(f"rho={rho} beyond profile extent {self.r0}")
         return float(self._g_interp(rho))
 
-    def a_of_r(self, rho: float) -> float:
-        if rho <= self.rho_table[0]:
-            return self.a
-        if rho > self.r0 * (1 + 1e-12):
-            raise DomainRangeError(f"rho={rho} beyond profile extent {self.r0}")
-        return min(float(self._a_interp(min(rho, self.r0))), math.pi / 2 - 1e-12)
+    def a_of_r(self, rho):
+        """Half-angle at tip distance ``rho``: a float for a float, an array
+        for an array (one interpolator call either way)."""
+        rho = np.asarray(rho, dtype=float)
+        if np.any(rho > self.r0 * (1 + 1e-12)):
+            raise DomainRangeError(
+                f"rho={rho.max()} beyond profile extent {self.r0}")
+        opening = np.minimum(self._a_interp(np.minimum(rho, self.r0)),
+                             math.pi / 2 - 1e-12)
+        out = np.where(rho <= self.rho_table[0], self.a, opening)
+        return float(out) if out.ndim == 0 else out
 
     def min_g(self, delta: float) -> float:
         """Infimum of g over (0, delta], using the table plus the limit 1 at 0."""
@@ -186,6 +200,32 @@ def build_cusp_profile(a: float, r0: float | None = None, n_table: int = 96,
 def tip_to_xy(rho, theta):
     """Map tip-frame polar coordinates (about the point (0, 1)) to the plane."""
     return rho * np.cos(theta), 1.0 - rho * np.sin(theta)
+
+
+def _tip_half_widths(prof: CuspProfile, r: np.ndarray) -> np.ndarray:
+    """Calibrated-cusp slice half-widths on all radii at once.
+
+    The point at angular offset ``s`` from the top direction lies in the cusp
+    when its tip-frame angle exceeds the opening at its tip distance (exact
+    shifted-frame membership); ``s`` is bisected 64 times on [0, pi].
+    """
+
+    def inside(s):
+        cos_s = np.cos(s)
+        rho = np.sqrt(r * r - 2.0 * r * cos_s + 1.0)
+        ang = np.arctan2(1.0 - r * cos_s, r * np.sin(s))
+        return (rho < prof.r0) & (ang > prof.a_of_r(np.minimum(rho, prof.r0)))
+
+    lo, hi = np.zeros_like(r), np.full_like(r, math.pi)
+    found = (0.0 < 1.0 - r) & (1.0 - r < prof.r0)
+    if not found.any():
+        return lo
+    found &= inside(lo)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        ok = inside(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return np.where(found, 0.5 * (lo + hi), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,59 +351,68 @@ class DomainSpec:
 
     # -- profile ------------------------------------------------------------
 
-    def _cusp_half_width(self, r: float) -> float:
-        """Half-width of the centered arc at radius r for cusp flavors."""
+    def half_widths(self, r) -> np.ndarray:
+        """Half-width of the slice arc centered on the top direction, per
+        radius in ``r`` (strictly inside (0, R)).
+
+        Every kind but the angular profile has one such arc per slice: pi on
+        the full slices of the ball and the core cutoff, 0 on empty ones.
+        """
+        r = np.asarray(r, dtype=float)
+        if not np.all((r > 0.0) & (r < self.R)):
+            raise DomainRangeError(f"r must lie in (0, {self.R}), got {r}")
+        if self.kind is DomainKind.BALL:
+            return np.full(r.shape, math.pi)
+        if self.kind is DomainKind.CORE_CUTOFF:
+            return np.where(r > self.params["c"] * self.R, math.pi, 0.0)
+        if self.kind is DomainKind.ANGULAR_PROFILE:
+            raise DomainRangeError("angular profiles have no centered arc")
         flavor = self.params["flavor"]
         if flavor == "cone":
-            return (math.pi - 2.0 * self.params["a"]) / 2.0
+            return np.full(r.shape, (math.pi - 2.0 * self.params["a"]) / 2.0)
         if flavor == "quadratic":
-            beta0 = self.params["beta0"]
-            return min(beta0, 0.5 * ((self.R - r) / self.R) ** 2 * self.R / r)
-        # calibrated tip cusp: exact shifted-frame membership, bisected in the
-        # angular offset from the top direction
-        prof = self.cusp
-        rho_top = 1.0 - r
-        if not (0.0 < rho_top < prof.r0):
-            return 0.0
+            return np.minimum(self.params["beta0"],
+                              0.5 * ((self.R - r) / self.R) ** 2 * self.R / r)
+        return _tip_half_widths(self.cusp, r)
 
-        def inside(s: float) -> bool:
-            h = r * r - 2.0 * r * math.cos(s) + 1.0
-            rho = math.sqrt(h)
-            if rho >= prof.r0:
-                return False
-            ang = math.atan2(1.0 - r * math.cos(s), r * math.sin(s))
-            return ang > prof.a_of_r(rho)
+    def slice_arcs(self, r) -> tuple[np.ndarray, np.ndarray]:
+        """Ends ``(lo, hi)`` of the slice arcs at the radii ``r``, as `ArcSet`
+        stores them, each of shape ``(len(r), k)``; unused entries have
+        ``lo == hi``.
 
-        lo, hi = 0.0, math.pi
-        if not inside(lo):
-            return 0.0
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            if inside(mid):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        Centered arcs come from one `half_widths` call; one over the cut at 0
+        is stored as ``[0, hi - 2 pi)`` and ``[lo, 2 pi)``.  Angular profiles
+        are evaluated one radius at a time.
+        """
+        r = np.asarray(r, dtype=float)
+        if self.kind is DomainKind.ANGULAR_PROFILE:
+            rows = [self.profile_arcs(float(x)).arcs for x in r]
+            ends = np.zeros((r.size, max([1] + [len(row) for row in rows]), 2))
+            for i, row in enumerate(rows):
+                ends[i, :len(row)] = row
+            return ends[..., 0], ends[..., 1]
+        s = self.half_widths(r)
+        lo = math.pi / 2 - s
+        width = (math.pi / 2 + s) - lo
+        full = (s >= math.pi) | (width >= TWO_PI)
+        lo = np.where(full, 0.0, np.mod(lo, TWO_PI))
+        hi = np.where(full, TWO_PI, np.maximum(lo + width, lo))
+        wraps = hi > TWO_PI
+        return (np.stack([np.where(wraps, 0.0, lo),
+                          np.where(wraps, lo, 0.0)], axis=1),
+                np.stack([np.where(wraps, hi - TWO_PI, hi),
+                          np.where(wraps, TWO_PI, 0.0)], axis=1))
 
     def profile_arcs(self, r: float) -> ArcSet:
         """Arc set of the slice at radius r (r strictly inside (0, R))."""
         if not (0.0 < r < self.R):
             raise DomainRangeError(f"r must lie in (0, {self.R}), got {r}")
-        if self.kind is DomainKind.BALL:
-            return FULL_CIRCLE
-        if self.kind is DomainKind.CORE_CUTOFF:
-            return FULL_CIRCLE if r > self.params["c"] * self.R else EMPTY_ARCS
         if self.kind is DomainKind.ANGULAR_PROFILE:
             arcs = self._profile_fn(r)
             if not isinstance(arcs, ArcSet):
                 arcs = ArcSet(arcs)
             return arcs
-        s = self._cusp_half_width(r)
-        if s <= 0.0:
-            return EMPTY_ARCS
-        if s >= math.pi:
-            return FULL_CIRCLE
-        return ArcSet([(math.pi / 2 - s, math.pi / 2 + s)])
+        return _centered_arcs(float(self.half_widths(r)))
 
     # -- serialization ------------------------------------------------------
 
@@ -399,9 +448,13 @@ class DomainSpec:
 # Slice measures and classification
 # ---------------------------------------------------------------------------
 
-def profile_measure(dom: DomainSpec, r: float) -> float:
-    """1-D measure of the slice at radius r: arc width times r."""
-    return r * dom.profile_arcs(r).measure
+def profile_measure(dom: DomainSpec, r):
+    """1-D measure of the slice at radius r (a float or an array of radii):
+    arc width times r."""
+    r = np.asarray(r, dtype=float)
+    lo, hi = dom.slice_arcs(r.reshape(-1))
+    m = r * (hi - lo).sum(axis=1).reshape(r.shape)
+    return float(m) if m.ndim == 0 else m
 
 
 @dataclass
@@ -422,12 +475,13 @@ def limsup_m0(dom: DomainSpec, k_min: int = 5, k_max: int = 20,
     The reported value is the sup over the last ``window`` grid points (the
     tail of the tail), alongside the full schedule.
     """
-    radii = [dom.R * 2.0 ** (-k) for k in range(k_min, k_max + 1)]
-    ratios = [profile_measure(dom, r) / r for r in radii]
+    radii = dom.R * 2.0 ** -np.arange(k_min, k_max + 1.0)
+    ratios = (profile_measure(dom, radii) / radii).tolist()
     if not all(math.isfinite(v) for v in ratios):
         raise NumericalError("profile not evaluable near 0")
     value = max(ratios[-window:])
-    return LimsupReport(value=value, radii=radii, ratios=ratios, window=window)
+    return LimsupReport(value=value, radii=radii.tolist(), ratios=ratios,
+                        window=window)
 
 
 def limsup_mR(dom: DomainSpec, k_min: int = 5, k_max: int = 20,
@@ -436,14 +490,15 @@ def limsup_mR(dom: DomainSpec, k_min: int = 5, k_max: int = 20,
 
     Returns ``inf`` when the tail exceeds the configured cap.
     """
-    radii = [dom.R * (1.0 - 2.0 ** (-k)) for k in range(k_min, k_max + 1)]
-    ratios = [profile_measure(dom, r) / (dom.R - r) for r in radii]
+    radii = dom.R * (1.0 - 2.0 ** -np.arange(k_min, k_max + 1.0))
+    ratios = (profile_measure(dom, radii) / (dom.R - radii)).tolist()
     if not all(math.isfinite(v) for v in ratios):
         raise NumericalError("profile not evaluable near R")
     value = max(ratios[-window:])
     if value > cap:
         value = math.inf
-    return LimsupReport(value=value, radii=radii, ratios=ratios, window=window)
+    return LimsupReport(value=value, radii=radii.tolist(), ratios=ratios,
+                        window=window)
 
 
 def _touches_outer_sphere(dom: DomainSpec, k_range=range(5, 13)) -> bool:
@@ -453,28 +508,16 @@ def _touches_outer_sphere(dom: DomainSpec, k_range=range(5, 13)) -> bool:
     their width is still above threshold: the common-arc measure must not decay
     along the schedule.
     """
-    if dom.kind in (DomainKind.BALL, DomainKind.CORE_CUTOFF):
-        return True
-    common: ArcSet | None = None
-    measures = []
-    for k in k_range:
-        arcs = dom.profile_arcs(dom.R * (1.0 - 2.0 ** (-k)))
-        if not arcs:
-            return False
-        if common is None:
-            common = arcs
-        else:
-            merged = []
-            for lo1, hi1 in common.arcs:
-                for lo2, hi2 in arcs.arcs:
-                    lo, hi = max(lo1, lo2), min(hi1, hi2)
-                    if hi > lo:
-                        merged.append((lo, hi))
-            common = ArcSet(merged)
+    common, measures = FULL_CIRCLE, []
+    for lo, hi in zip(*dom.slice_arcs([dom.R * (1.0 - 2.0 ** (-k))
+                                       for k in k_range])):
+        common = ArcSet([(max(lo1, lo2), min(hi1, hi2))
+                         for lo1, hi1 in common.arcs
+                         for lo2, hi2 in zip(lo, hi)])
         measures.append(common.measure)
         if common.measure < 1e-6:
             return False
-    return measures[-1] >= 0.8 * measures[0]
+    return bool(measures[-1] >= 0.8 * measures[0])
 
 
 def classify(dom: DomainSpec, mR_zero_tol: float = 1e-3) -> GeometryClassification:

@@ -114,8 +114,7 @@ def _strip_mesh(x: np.ndarray, y: np.ndarray, wrap: bool, meta: dict) -> Mesh:
                 meta=meta)
 
 
-def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02,
-                   angular_density: float = 1.0) -> Mesh:
+def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
     """Graded structured mesh of the truncated domain.
 
     Element size shrinks geometrically (ratio 1.2) toward the truncation
@@ -129,7 +128,7 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02,
     if not (1.0 / n < R - 1.0 / n):
         raise ConstructionError(f"truncation n={n} empties the domain")
     if dom.kind is DomainKind.CUSP and dom.params.get("flavor") == "section5":
-        return _mesh_cusp_tip(dom, n, target_h, angular_density)
+        return _mesh_cusp_tip(dom, n, target_h)
 
     r_in = 1.0 / n
     if dom.kind is DomainKind.CORE_CUTOFF:
@@ -143,25 +142,24 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02,
             f"truncation n={n} leaves no interior row between radii "
             f"{r_in:.6g} and {r_out:.6g}")
 
+    lo, hi = dom.slice_arcs(radii)
     # interior rows only: the slice at the inner radius of a core cutoff is
     # empty, though the annulus above it is full
-    wrap = all(dom.profile_arcs(float(r)).measure >= 2 * math.pi - 1e-12
-               for r in (radii[1], radii[len(radii) // 2], radii[-2]))
+    wrap = bool(np.all((hi - lo).sum(axis=1)[[1, radii.size // 2, -2]]
+                       >= 2 * math.pi - 1e-12))
     if wrap:
         n_cols = max(16, int(math.ceil(2 * math.pi * R / target_h)))
         theta = np.arange(n_cols) * (2 * math.pi / n_cols)
     else:
-        arcs = []
-        for r in radii:
-            row = dom.profile_arcs(float(r)).arcs
-            if len(row) != 1:
-                raise ConstructionError(
-                    "structured meshing needs a single arc per radius "
-                    f"(got {len(row)} at r={float(r)})")
-            arcs.append(row[0])
-        lo, hi = np.array(arcs).T
+        counts = (hi > lo).sum(axis=1)
+        if np.any(counts != 1):
+            i = int(np.argmax(counts != 1))
+            raise ConstructionError(
+                "structured meshing needs a single arc per radius "
+                f"(got {counts[i]} at r={float(radii[i])})")
+        lo, hi = lo[:, 0], hi[:, 0]
         max_arc = float(np.max((hi - lo) * radii))
-        n_cols = max(9, int(math.ceil(angular_density * max_arc / target_h)) + 1)
+        n_cols = max(9, int(math.ceil(max_arc / target_h)) + 1)
         theta = np.linspace(lo, hi, n_cols, axis=1)
 
     t_in = math.log(R / r_in)
@@ -172,8 +170,7 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02,
                        radii[:, None] * np.sin(theta), wrap, meta)
 
 
-def _mesh_cusp_tip(dom: DomainSpec, n: int, target_h: float,
-                   angular_density: float) -> Mesh:
+def _mesh_cusp_tip(dom: DomainSpec, n: int, target_h: float) -> Mesh:
     """Tip-frame mesh of the calibrated cusp.
 
     The outer truncation |x| <= 1 - 1/n is realized by the radial cut
@@ -191,8 +188,8 @@ def _mesh_cusp_tip(dom: DomainSpec, n: int, target_h: float,
     n_rows = max(12, int(math.ceil(math.log(prof.r0 / rho_c) / math.log(1.15))))
     rho = np.geomspace(rho_c, prof.r0, n_rows)
     n_cols = max(33, int(math.ceil(
-        angular_density * (math.pi - 2 * prof.a) / (2.0 * target_h))) + 1)
-    a_rho = np.array([prof.a_of_r(float(p)) for p in rho])
+        (math.pi - 2 * prof.a) / (2.0 * target_h))) + 1)
+    a_rho = prof.a_of_r(rho)
     x, y = tip_to_xy(rho[:, None],
                      np.linspace(a_rho, math.pi - a_rho, n_cols, axis=1))
     meta = {"kind": "cusp_section5", "n": n, "target_h": target_h,
@@ -368,10 +365,10 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
 
 
 def solve_truncated(dom: DomainSpec, n: int, target_h: float = 0.02,
-                    tol: float = 1e-10, angular_density: float = 1.0
+                    tol: float = 1e-10
                     ) -> tuple[EigenResult, Mesh, sparse.csr_matrix]:
     """Mesh, assemble, and solve one truncation level."""
-    mesh = mesh_truncated(dom, n, target_h, angular_density)
+    mesh = mesh_truncated(dom, n, target_h)
     wp = WeightParams(R=dom.R, N=2)
     stiffness, weighted_mass = assemble(mesh, wp)
     res = smallest_eigen(stiffness, weighted_mass, tol=tol,
@@ -438,8 +435,7 @@ def _window_fit(windows: np.ndarray, values: np.ndarray) -> dict | None:
 
 
 def extrapolate_constant(dom: DomainSpec, schedule, target_h: float = 0.02,
-                         tol: float = 1e-10, angular_density: float = 1.0
-                         ) -> ConstantEstimate:
+                         tol: float = 1e-10) -> ConstantEstimate:
     """Solve the truncation schedule and extrapolate the best constant.
 
     Reports the raw non-increasing sequence d_n, Aitken extrapolation of the
@@ -452,8 +448,7 @@ def extrapolate_constant(dom: DomainSpec, schedule, target_h: float = 0.02,
     per_n, values, windows = [], [], []
     warnings = []
     for n in sched.n_values:
-        res, mesh, wmass = solve_truncated(dom, n, target_h, tol,
-                                           angular_density)
+        res, mesh, wmass = solve_truncated(dom, n, target_h, tol)
         (c_in, c_out), (a_in, a_out) = _mass_fractions(
             mesh, wmass, res.vector, (2.0 / n, 2.0 / n_first), dom.R)
         per_n.append({

@@ -257,12 +257,9 @@ class PolarGridFunction:
         if nt < 4 or not np.allclose(dth, 2 * math.pi / nt, rtol=1e-12, atol=1e-12):
             raise DomainRangeError("theta must be a uniform full-circle grid")
         if self.mask is None:
-            mask = np.zeros((nr, nt), dtype=bool)
-            for i, ri in enumerate(self.r):
-                arcs = self.domain.profile_arcs(float(ri))
-                for lo, hi in arcs.arcs:
-                    mask[i] |= (self.theta >= lo) & (self.theta < hi)
-            self.mask = mask
+            lo, hi = self.domain.slice_arcs(self.r)
+            th = self.theta
+            self.mask = ((th >= lo[..., None]) & (th < hi[..., None])).any(axis=1)
         self.values = np.where(self.mask, self.values, 0.0)
 
     @classmethod

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DomainRangeError, GridMismatchError
-from .domain import ArcSet, DomainSpec, profile_measure
+from .domain import ArcSet, DomainSpec, _centered_arcs, profile_measure
 from .quotient import PolarGridFunction, _polar_weights, quotient_polar
 from .weight import WeightParams
 
@@ -32,18 +32,13 @@ class RearrangedDomain:
     source: DomainSpec
 
     def profile_arcs(self, i: int) -> ArcSet:
-        s = self.half_widths[i]
-        if s <= 0:
-            return ArcSet()
-        if s >= math.pi:
-            return ArcSet([(0.0, 2 * math.pi)])
-        return ArcSet([(math.pi / 2 - s, math.pi / 2 + s)])
+        return _centered_arcs(float(self.half_widths[i]))
 
 
 def rearrange_domain(dom: DomainSpec, radii) -> RearrangedDomain:
     """Per-radius centered arcs of the same measure as the source slices."""
     radii = np.asarray(radii, dtype=float)
-    half = np.array([profile_measure(dom, float(r)) / (2.0 * r) for r in radii])
+    half = profile_measure(dom, radii) / (2.0 * radii)
     return RearrangedDomain(radii=radii, half_widths=half, source=dom)
 
 
@@ -117,8 +112,13 @@ def hardy_littlewood_check(u: PolarGridFunction,
 
 def rearrangement_report(u: PolarGridFunction, p: WeightParams | None = None) -> dict:
     """Full check bundle: equimeasurability, mass preservation, energy margin."""
-    p = p or WeightParams(R=u.domain.R, N=2)
-    star = rearrange_function(u)
+    return _report(u, rearrange_function(u),
+                   p or WeightParams(R=u.domain.R, N=2))
+
+
+def _report(u: PolarGridFunction, star: PolarGridFunction,
+            p: WeightParams) -> dict:
+    """`rearrangement_report` of ``u`` against its rearrangement ``star``."""
     perm_ok = all(
         np.array_equal(np.sort(u.values[i]), np.sort(star.values[i]))
         for i in range(u.r.size))

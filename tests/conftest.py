@@ -27,6 +27,13 @@ def smooth_bump_d(x, lo, hi):
     return out / (hi - lo)
 
 
+def scalar_opening(prof, rho: float) -> float:
+    """Reference for `CuspProfile.a_of_r`, one tip distance at a time."""
+    if rho <= prof.rho_table[0]:
+        return prof.a
+    return min(float(prof._a_interp(min(rho, prof.r0))), math.pi / 2 - 1e-12)
+
+
 def polar_random_bumps(dom, rng, nr=60, ntheta=64, n_bumps=4,
                        r_lo=0.05, r_hi=0.95):
     """Random nonnegative boundary-tapered polar-grid function."""

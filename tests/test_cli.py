@@ -88,6 +88,31 @@ class TestCommands:
         np.testing.assert_allclose(doc["half_widths"], [math.pi / 2] * nr,
                                    rtol=1e-12)
 
+    def test_rearrange_once(self, tmp_path, capsys, monkeypatch):
+        # the report reuses the rearranged function the command writes out
+        from crithardy import DomainSpec, rearrange
+        dpath = tmp_path / "half.json"
+        dpath.write_text(json.dumps(DomainSpec.half_disk().to_json()))
+        fpath = tmp_path / "fn.json"
+        vals = np.random.default_rng(1).uniform(0, 1, (6, 8))
+        fpath.write_text(json.dumps({"r": np.linspace(0.2, 0.8, 6).tolist(),
+                                     "theta_count": 8,
+                                     "values": vals.tolist()}))
+        calls = []
+        rearrange_function = rearrange.rearrange_function
+
+        def counted(u):
+            calls.append(u)
+            return rearrange_function(u)
+
+        monkeypatch.setattr(rearrange, "rearrange_function", counted)
+        code, out = run_cli(["rearrange", "--domain", str(dpath),
+                             "--fn", str(fpath)], capsys)
+        assert code == 0 and len(calls) == 1
+        doc = json.loads(out)
+        assert doc["rearranged_values"] == \
+            rearrange_function(calls[0]).values.tolist()
+
     def test_constant_and_vtk(self, tmp_path, capsys, monkeypatch):
         from crithardy import DomainSpec, fem2d
         dpath = tmp_path / "ball.json"

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from crithardy import (ArcSet, DomainRangeError, DomainSpec, Regime, classify,
                        limsup_m0, limsup_mR, oned, profile_measure)
 from crithardy.domain import build_cusp_profile
+from conftest import scalar_opening
 
 
 class TestArcSet:
@@ -120,6 +121,28 @@ class TestClassify:
         cls = classify(dom)
         assert cls.regime is Regime.STRICT_INEQUALITY
 
+    def test_calibrated_cusp_matches_per_radius_arcs(self, calibrated_cusp):
+        # reference: one `profile_arcs` call per radius, as `m(r) = r |arcs|`
+        dom = calibrated_cusp
+        cls = classify(dom)
+
+        def m(r):
+            return r * dom.profile_arcs(r).measure
+
+        r0, rR = cls.m0_table["radii"], cls.mR_table["radii"]
+        ref0 = [m(r) / r for r in r0]
+        refR = [m(r) / (dom.R - r) for r in rR]
+        np.testing.assert_allclose(cls.m0_table["ratios"], ref0, rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(cls.mR_table["ratios"], refR, rtol=0,
+                                   atol=1e-15)
+        assert abs(cls.m0 - max(ref0[-4:])) <= 1e-15
+        assert abs(cls.mR - max(refR[-4:])) <= 1e-15
+        # the common arc of the slices near R shrinks: no interior sphere
+        widths = [dom.profile_arcs(r).measure for r in rR[:8]]
+        assert min(widths) < 0.8 * widths[0]
+        assert cls.regime is Regime.CUSP_NONATTAINED
+
     def test_deterministic(self, ball):
         assert classify(ball).regime is classify(ball).regime
 
@@ -184,3 +207,67 @@ class TestCalibratedProfile:
         assert len(arcs.arcs) == 1
         lo, hi = arcs.arcs[0]
         assert (lo + hi) / 2 == pytest.approx(math.pi / 2, abs=1e-9)
+
+
+def _tip_inside(prof, r, s):
+    """Independent membership of the point at angular offset s from the top
+    direction on the circle of radius r: its tip-frame polar coordinates
+    about (0, 1), with ``1 - r cos s`` summed without cancellation."""
+    x = r * math.sin(s)
+    below = (1.0 - r) + 2.0 * r * math.sin(0.5 * s) ** 2
+    rho = math.hypot(x, below)
+    return rho < prof.r0 and math.atan2(below, x) > prof.a_of_r(rho)
+
+
+class TestHalfWidths:
+    def test_closed_forms(self):
+        r = np.linspace(0.01, 0.99, 25)
+        cone = DomainSpec.cone(0.7)
+        assert np.array_equal(cone.half_widths(r),
+                              np.full(r.size, (math.pi - 1.4) / 2))
+        quad = DomainSpec.quadratic_cusp(0.5, R=1.3)
+        rq = 1.3 * r
+        expect = [min(0.5, 0.5 * ((1.3 - x) / 1.3) ** 2 * 1.3 / x) for x in rq]
+        assert np.array_equal(quad.half_widths(rq), expect)
+        assert np.array_equal(DomainSpec.ball().half_widths(r),
+                              np.full(r.size, math.pi))
+        core = DomainSpec.ball_with_core_cutoff(0.5).half_widths(r)
+        assert np.array_equal(core, np.where(r > 0.5, math.pi, 0.0))
+
+    def test_rejects_angular_profiles_and_range(self, half_disk, ball):
+        with pytest.raises(DomainRangeError):
+            half_disk.half_widths([0.5])
+        with pytest.raises(DomainRangeError):
+            ball.half_widths([0.5, 1.0])
+
+    @pytest.mark.parametrize("a", [0.85, 1.05])
+    def test_calibrated_cusp_oracle(self, a):
+        dom = DomainSpec.calibrated_cusp(a)
+        prof = dom.cusp
+        tail = 1.0 - 2.0 ** -np.arange(5, 21)
+        bulk = np.linspace(1.0 - prof.r0, 1.0, 26)[1:-1]
+        radii = np.concatenate([bulk, tail])
+        s = dom.half_widths(radii)
+        assert np.all(s > 0.0)
+        for r, si in zip(radii, s):
+            assert _tip_inside(prof, r, si * (1 - 1e-9)), r
+            assert not _tip_inside(prof, r, si * (1 + 1e-9)), r
+        # radii below the cusp's reach meet an empty slice
+        outside = np.linspace(0.05, 0.98 * (1.0 - prof.r0), 6)
+        assert np.array_equal(dom.half_widths(outside), np.zeros(6))
+        assert not any(_tip_inside(prof, r, 1e-9) for r in outside)
+
+    def test_profile_arcs_wraps_half_widths(self, calibrated_cusp):
+        for r in (0.8, 0.9, 0.99):
+            s = float(calibrated_cusp.half_widths(r))
+            assert calibrated_cusp.profile_arcs(r) == ArcSet(
+                [(math.pi / 2 - s, math.pi / 2 + s)])
+
+    def test_array_opening_matches_scalar(self, calibrated_cusp):
+        prof = calibrated_cusp.cusp
+        rho = np.concatenate([[0.0, 1e-8], np.geomspace(1e-7, prof.r0, 200)])
+        assert np.array_equal(prof.a_of_r(rho),
+                              [scalar_opening(prof, p) for p in rho])
+        assert isinstance(prof.a_of_r(0.01), float)
+        with pytest.raises(DomainRangeError):
+            prof.a_of_r(np.array([0.1, 1.01 * prof.r0]))

@@ -9,7 +9,9 @@ from crithardy import (AssemblyError, ConstructionError, DomainSpec,
                        assemble, extrapolate_constant, mesh_truncated,
                        refine_mesh, smallest_eigen, solve_truncated,
                        weight_eval)
+from crithardy.domain import tip_to_xy
 from crithardy.fem2d import Mesh
+from conftest import scalar_opening
 
 WP = WeightParams(R=1.0, N=2)
 
@@ -100,6 +102,20 @@ class TestMesh:
         assert radii.min() >= 1 / 8 - 1e-12
         assert radii.max() <= 7 / 8 + 1e-12
         assert mesh.vertices[:, 1].min() >= -1e-12  # theta in [0, pi]
+
+    @pytest.mark.parametrize("n", [16, 1024, 16384])
+    def test_cusp_tip_rows_match_scalar_opening(self, n):
+        dom = DomainSpec.calibrated_cusp(0.95)
+        prof = dom.cusp
+        mesh = mesh_truncated(dom, n)
+        sa = math.sin(prof.a)
+        rho_c = sa - math.sqrt(sa * sa - 2.0 / n + 1.0 / (n * n))
+        rho = np.geomspace(rho_c, prof.r0, mesh.meta["n_radii"])
+        th = np.array([np.linspace(a, math.pi - a, mesh.meta["n_cols"])
+                       for a in (scalar_opening(prof, p) for p in rho)])
+        x, y = tip_to_xy(rho[:, None], th)
+        assert np.array_equal(mesh.vertices,
+                              np.stack([x.ravel(), y.ravel()], axis=1))
 
     def test_refinement_quadruples(self, half_disk):
         coarse = mesh_truncated(half_disk, 8, target_h=0.08)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crithardy import (DegenerateInputError, PolarGridFunction, RadialFunction,
+from crithardy import (DegenerateInputError, DomainSpec, PolarGridFunction,
+                       RadialFunction,
                        WeightParams, hardy_1d_quotient, hardy_scale,
                        log_coordinate_transport, quotient_polar,
                        quotient_radial)
@@ -203,3 +204,53 @@ class TestQuotientPolar:
         u2 = PolarGridFunction(r=r, theta=theta, values=c * base, domain=ball)
         assert quotient_polar(u1, WP).ratio == pytest.approx(
             quotient_polar(u2, WP).ratio, rel=1e-12)
+
+
+def loop_mask(dom, r, theta):
+    """Reference mask: one `DomainSpec.profile_arcs` call per radius."""
+    mask = np.zeros((r.size, theta.size), dtype=bool)
+    for i, ri in enumerate(r):
+        for lo, hi in dom.profile_arcs(float(ri)).arcs:
+            mask[i] |= (theta >= lo) & (theta < hi)
+    return mask
+
+
+class TestSliceMask:
+    @pytest.mark.parametrize("make", [
+        DomainSpec.ball, lambda: DomainSpec.ball_with_core_cutoff(0.4),
+        lambda: DomainSpec.cone(0.3), lambda: DomainSpec.quadratic_cusp(0.5),
+        lambda: DomainSpec.quadratic_cusp(2.5), DomainSpec.half_disk,
+        lambda: DomainSpec.calibrated_cusp(0.9)],
+        ids=["ball", "core", "cone", "quadratic", "quadratic_wraps", "half_disk",
+             "calibrated"])
+    @pytest.mark.parametrize("nr, nt", [(48, 64), (128, 256)])
+    def test_matches_per_radius_arcs(self, make, nr, nt):
+        dom = make()
+        u = PolarGridFunction.sample(dom, lambda r, t: 1.0 + 0 * r * t, nr, nt)
+        assert np.array_equal(u.mask, loop_mask(dom, u.r, u.theta))
+
+    def test_calibrated_cusp_call_count(self, calibrated_cusp, monkeypatch):
+        # one vectorized bisection: 1 + 64 profile evaluations in all, where
+        # a per-radius bisection makes about 3000 on 48 radii
+        r = np.linspace(0.05, 0.95, 48)
+        theta = np.arange(64) * (2 * math.pi / 64)
+        arcs_calls, interp_calls = [], []
+        arcs = DomainSpec.profile_arcs
+        prof = calibrated_cusp.cusp
+        interp = prof._a_interp
+
+        def counted_arcs(self, x):
+            arcs_calls.append(x)
+            return arcs(self, x)
+
+        def counted_interp(x):
+            interp_calls.append(np.size(x))
+            return interp(x)
+
+        monkeypatch.setattr(DomainSpec, "profile_arcs", counted_arcs)
+        monkeypatch.setattr(prof, "_a_interp", counted_interp)
+        u = PolarGridFunction(r=r, theta=theta, values=np.ones((48, 64)),
+                              domain=calibrated_cusp)
+        assert arcs_calls == []
+        assert len(interp_calls) <= 65
+        assert u.mask.any()
