@@ -164,6 +164,25 @@ class CuspProfile:
         return float(self.rho_table[first_bad - 1])
 
 
+def _extrapolate(xs: list, ys: list, x: float) -> float:
+    """Value at ``x`` of the polynomial through the points ``(xs, ys)``.
+
+    Lagrange form, since the nodes can agree to many digits (``np.polyfit``
+    then loses rank); the nodes must be distinct.  A scipy
+    ``BarycentricInterpolator`` gives the same roots, but building one per
+    row takes about 0.1 ms on a 2-CPU host: 7% of a cold
+    ``upperbound --family cusp``.
+    """
+    total = 0.0
+    for j, (xj, yj) in enumerate(zip(xs, ys)):
+        basis = 1.0
+        for m, xm in enumerate(xs):
+            if m != j:
+                basis *= (x - xm) / (xj - xm)
+        total += yj * basis
+    return total
+
+
 @lru_cache(maxsize=16)
 def build_cusp_profile(a: float, r0: float | None = None, n_table: int = 96,
                        grid_size: int = 512) -> CuspProfile:
@@ -174,7 +193,9 @@ def build_cusp_profile(a: float, r0: float | None = None, n_table: int = 96,
     eigenvalue at each tip distance (`oned.invert_angular_eigenvalue`, a
     bracketed secant).  The rows are solved in order of increasing target
     ``E(a) / g``, each bracketed from below by the previous root, since E is
-    non-decreasing in the angle.
+    non-decreasing in the angle.  Each row starts from a predicted root: the
+    polynomial in ``u = 1/sqrt(E)`` through the last four distinct roots
+    (``a`` itself first), evaluated at the row's target.
     """
     if not (math.pi / 4 < a < math.pi / 2):
         raise DomainRangeError(f"limit angle must lie in (pi/4, pi/2), got {a}")
@@ -190,9 +211,20 @@ def build_cusp_profile(a: float, r0: float | None = None, n_table: int = 96,
     targets = e_a / g_vals
     a_vals = np.empty_like(rho)
     a_lo = a
+    u_done, a_done = [1.0 / math.sqrt(e_a)], [a]
     for i in np.argsort(targets, kind="stable"):
+        u = 1.0 / math.sqrt(targets[i])
+        guess = (_extrapolate(u_done[-4:], a_done[-4:], u)
+                 if len(u_done) > 1 else None)
         a_lo = a_vals[i] = oned.invert_angular_eigenvalue(
-            targets[i], a_lo, grid_size=grid_size)
+            targets[i], a_lo, grid_size=grid_size, guess=guess)
+        if a_lo != a_done[-1]:
+            # u at the root's own eigenvalue (a cache hit), not at its target:
+            # the tolerance band scatters the targets, and extrapolation
+            # amplifies the scatter past the tolerance
+            u_done.append(
+                1.0 / math.sqrt(oned.angular_eigenvalue(a_lo, grid_size)))
+            a_done.append(a_lo)
     return CuspProfile(a=a, r0=float(r0), eigenvalue=e_a, rho_table=rho,
                        g_table=g_vals, a_table=a_vals)
 
@@ -211,9 +243,11 @@ def _tip_half_widths(prof: CuspProfile, r: np.ndarray) -> np.ndarray:
     """
 
     def inside(s):
-        cos_s = np.cos(s)
-        rho = np.sqrt(r * r - 2.0 * r * cos_s + 1.0)
-        ang = np.arctan2(1.0 - r * cos_s, r * np.sin(s))
+        # 1 - r cos s and rho^2 = r^2 - 2 r cos s + 1, written through
+        # sin(s/2) so that neither cancels as r -> 1
+        h = 2.0 * r * np.sin(0.5 * s) ** 2
+        rho = np.sqrt((1.0 - r) ** 2 + 2.0 * h)
+        ang = np.arctan2((1.0 - r) + h, r * np.sin(s))
         return (rho < prof.r0) & (ang > prof.a_of_r(np.minimum(rho, prof.r0)))
 
     lo, hi = np.zeros_like(r), np.full_like(r, math.pi)

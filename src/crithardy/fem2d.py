@@ -152,12 +152,18 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
         theta = np.arange(n_cols) * (2 * math.pi / n_cols)
     else:
         counts = (hi > lo).sum(axis=1)
-        if np.any(counts != 1):
-            i = int(np.argmax(counts != 1))
+        # an arc over the cut at angle 0 is stored as [0, h) and [l, 2 pi):
+        # one strip [l - 2 pi, h]
+        over_cut = ((counts == 2) & (lo[:, 0] == 0.0)
+                    & (hi.max(axis=1) == 2 * math.pi))
+        bad = (counts != 1) & ~over_cut
+        if np.any(bad):
+            i = int(np.argmax(bad))
             raise ConstructionError(
                 "structured meshing needs a single arc per radius "
                 f"(got {counts[i]} at r={float(radii[i])})")
-        lo, hi = lo[:, 0], hi[:, 0]
+        lo = np.where(over_cut, lo.max(axis=1) - 2 * math.pi, lo[:, 0])
+        hi = hi[:, 0]
         max_arc = float(np.max((hi - lo) * radii))
         n_cols = max(9, int(math.ceil(max_arc / target_h)) + 1)
         theta = np.linspace(lo, hi, n_cols, axis=1)

@@ -212,7 +212,8 @@ def angular_eigenvalue(a: float, grid_size: int = 2048) -> float:
 
 def invert_angular_eigenvalue(target: float, a_lo: float,
                               grid_size: int = 1024,
-                              value_tol: float = 1e-10) -> float:
+                              value_tol: float = 1e-10,
+                              guess: float | None = None) -> float:
     """Find a in (a_lo, pi/2) with eigenvalue(a) = target by a bracketed secant.
 
     Relies on the eigenvalue being non-decreasing in ``a``; terminates when the
@@ -222,7 +223,8 @@ def invert_angular_eigenvalue(target: float, a_lo: float,
     (E grows like the Dirichlet eigenvalue ``(pi/(pi-2a))^2``), so the upper
     end of the bracket needs no solve.  A step that leaves the bracket, or a
     secant step that fails to halve the error, is followed by a bisection
-    step.
+    step.  A ``guess`` of the root is tried as the first secant point, and
+    counts as such: outside the bracket it is replaced by a bisection step.
     """
     lo = a_lo
     hi = math.pi / 2 - 1e-9
@@ -237,8 +239,12 @@ def invert_angular_eigenvalue(target: float, a_lo: float,
     bisect = False
     x, f = lo, f_lo
     while hi - lo > 1e-14:
-        secant = not bisect and u1 != u0
-        x = x1 + (u_target - u1) * (x1 - x0) / (u1 - u0) if secant else math.nan
+        if guess is not None:
+            secant, x, guess = True, guess, None
+        else:
+            secant = not bisect and u1 != u0
+            x = (x1 + (u_target - u1) * (x1 - x0) / (u1 - u0) if secant
+                 else math.nan)
         if not lo < x < hi:
             secant = False
             x = 0.5 * (lo + hi)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -326,6 +327,36 @@ def _plateau(rho, eps: float, delta: float):
     return np.where((rho <= eps) | (rho >= delta), 0.0, np.minimum(up, down))
 
 
+@lru_cache(maxsize=8)
+def _angular_mode(a_prime: float) -> oned.AngularEigenResult:
+    """The angular eigenpair at ``a_prime`` on the 2048 grid, solved once per
+    angle; callers share the arrays and must not write to them."""
+    return oned.solve_angular(oned.AngularEigenProblem(a=a_prime,
+                                                       grid_size=2048))
+
+
+def _tip_mass_rows(rho_pts: np.ndarray, theta: np.ndarray,
+                   phi: np.ndarray) -> np.ndarray:
+    """Angular sums of the tip-family mass integrand, one per radial node.
+
+    ``rho_pts`` holds one Gauss panel per row.  The ``(rows, angles)`` grid of
+    weight ratio times ``(phi/sin)^2`` is formed one panel at a time, which
+    keeps it in cache; each element and row sum is computed as on the whole
+    grid, so the sums are bit-identical to it.
+    """
+    th_mid = 0.5 * (theta[:-1] + theta[1:])
+    th_w = np.diff(theta)
+    sin_th = np.sin(th_mid)
+    phi_sin2 = (0.5 * (phi[:-1] + phi[1:]) / sin_th) ** 2
+    out = np.empty(rho_pts.shape)
+    for i, r in enumerate(rho_pts[:, :, None]):
+        hh = r**2 - 2 * r * sin_th + 1.0
+        log_h = np.log(hh)
+        ratio_w = 4.0 * (r * sin_th) ** 2 / (hh * log_h**2)
+        out[i] = (ratio_w * phi_sin2 * th_w).sum(axis=1)
+    return out.ravel()
+
+
 def cusp_upper_bound(params: CuspFamilyParams, dom: DomainSpec) -> QuotientReport:
     """Quotient of the separated tip profile and its certified bound.
 
@@ -344,7 +375,7 @@ def cusp_upper_bound(params: CuspFamilyParams, dom: DomainSpec) -> QuotientRepor
         raise ConstructionError(
             f"delta={delta} exceeds the cone-fit extent {fit:.4g} for a'={a_p}")
 
-    eig = oned.solve_angular(oned.AngularEigenProblem(a=a_p, grid_size=2048))
+    eig = _angular_mode(a_p)
     theta, phi = eig.theta, eig.phi
     int_phi2 = float(np.trapezoid(phi**2, theta))
     dphi = np.gradient(phi, theta)
@@ -374,18 +405,9 @@ def cusp_upper_bound(params: CuspFamilyParams, dom: DomainSpec) -> QuotientRepor
 
     # weighted mass: (y2^2 / weight normalizer) * (phi/sin)^2 * psi^2 / rho
     rho_pts, rho_wts = _cell_gauss(lo, hi, 8)
-    rho_pts, rho_wts = rho_pts.ravel(), rho_wts.ravel()
-    th_mid = 0.5 * (theta[:-1] + theta[1:])
-    th_w = np.diff(theta)
-    phi_mid = 0.5 * (phi[:-1] + phi[1:])
-    hh = (rho_pts[:, None] ** 2 - 2 * rho_pts[:, None] * np.sin(th_mid)[None, :]
-          + 1.0)
-    log_h = np.log(hh)
-    ratio_w = 4.0 * (rho_pts[:, None] * np.sin(th_mid)[None, :]) ** 2 / (
-        hh * log_h**2)
     psi2 = _plateau(rho_pts, eps, delta) ** 2 / rho_pts
-    integ = ratio_w * (phi_mid[None, :] / np.sin(th_mid)[None, :]) ** 2
-    mass = float(np.sum((integ * th_w[None, :]).sum(axis=1) * psi2 * rho_wts))
+    mass = float(np.sum(_tip_mass_rows(rho_pts, theta, phi) * psi2.ravel()
+                        * rho_wts.ravel()))
 
     min_g = prof.min_g(delta)
     certified = eig.value / min_g

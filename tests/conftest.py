@@ -66,5 +66,5 @@ def half_disk():
 @pytest.fixture(scope="session")
 def calibrated_cusp():
     # built once per session; the profile construction inverts the angular
-    # eigenvalue on each of its 96 rows (about 250 angular solves in all)
+    # eigenvalue on each of its 96 rows (about 110 angular solves in all)
     return DomainSpec.calibrated_cusp(0.9)

@@ -181,8 +181,11 @@ class TestCalibratedProfile:
     def test_opening_nondecreasing(self, calibrated_cusp):
         assert np.all(np.diff(calibrated_cusp.cusp.a_table) >= 0.0)
 
-    def test_cold_build_solve_count(self, monkeypatch):
-        # plain bisection on E makes 2093 angular solves for this profile
+    @pytest.mark.parametrize("a", [0.82, 0.9, 1.08])
+    def test_cold_build_solve_count(self, a, monkeypatch):
+        # plain bisection on E makes 2093 angular solves at a = 0.9, the
+        # secant from the bracket ends about 250; a predicted start makes
+        # most rows one solve
         calls = []
         solve = oned.solve_angular
 
@@ -193,9 +196,21 @@ class TestCalibratedProfile:
         monkeypatch.setattr(oned, "solve_angular", counted)
         oned.angular_eigenvalue.cache_clear()
         build_cusp_profile.cache_clear()
-        prof = build_cusp_profile(0.9)
+        prof = build_cusp_profile(a)
         assert prof.a_table.size == 96
-        assert len(calls) <= 600
+        assert len(calls) <= 130
+
+    @pytest.mark.parametrize("a", [0.82, 1.08])
+    def test_predicted_starts_match_plain_secant(self, a):
+        # reference: every row inverted from its bracket alone
+        prof = build_cusp_profile(a)
+        targets = prof.eigenvalue / prof.g_table
+        ref = np.empty_like(targets)
+        a_lo = a
+        for i in np.argsort(targets, kind="stable"):
+            a_lo = ref[i] = oned.invert_angular_eigenvalue(
+                targets[i], a_lo, grid_size=512)
+        np.testing.assert_allclose(prof.a_table, ref, rtol=0, atol=1e-10)
 
     def test_opening_tends_to_limit(self, calibrated_cusp):
         prof = calibrated_cusp.cusp
@@ -242,16 +257,18 @@ class TestHalfWidths:
 
     @pytest.mark.parametrize("a", [0.85, 1.05])
     def test_calibrated_cusp_oracle(self, a):
+        # toward r = 1, forming rho^2 as r^2 - 2 r cos s + 1 puts the
+        # half-width off by 1e-10 at 1 - 2^-23 and 2e-9 at 1 - 2^-25 (a = 0.9)
         dom = DomainSpec.calibrated_cusp(a)
         prof = dom.cusp
-        tail = 1.0 - 2.0 ** -np.arange(5, 21)
+        tail = 1.0 - 2.0 ** -np.arange(5, 27)
         bulk = np.linspace(1.0 - prof.r0, 1.0, 26)[1:-1]
         radii = np.concatenate([bulk, tail])
         s = dom.half_widths(radii)
         assert np.all(s > 0.0)
         for r, si in zip(radii, s):
-            assert _tip_inside(prof, r, si * (1 - 1e-9)), r
-            assert not _tip_inside(prof, r, si * (1 + 1e-9)), r
+            assert _tip_inside(prof, r, si * (1 - 5e-11)), r
+            assert not _tip_inside(prof, r, si * (1 + 5e-11)), r
         # radii below the cusp's reach meet an empty slice
         outside = np.linspace(0.05, 0.98 * (1.0 - prof.r0), 6)
         assert np.array_equal(dom.half_widths(outside), np.zeros(6))

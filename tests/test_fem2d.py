@@ -165,6 +165,27 @@ class TestMesh:
         est = extrapolate_constant(dom, [4, 8, 16, 32], target_h=0.02)
         assert 0.24 <= est.estimate <= 0.26
 
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_arc_over_angle_zero_is_one_strip(self, n):
+        # beta0 > pi/2: the inner rows' arc crosses angle 0, so the slice
+        # arcs store it as two pieces
+        dom = DomainSpec.quadratic_cusp(1.6)
+        mesh = mesh_truncated(dom, n)
+        assert euler_characteristic(mesh) == 1
+        assert np.array_equal(mesh.boundary, edge_boundary(mesh))
+        xy = mesh.vertices.reshape(mesh.meta["n_radii"], mesh.meta["n_cols"], 2)
+        s = dom.half_widths(np.hypot(xy[:, 0, 0], xy[:, 0, 1]))
+        assert np.any(s > math.pi / 2) and np.any(s < math.pi / 2)
+        # the end columns sit on the arc ends pi/2 -+ s
+        ends = np.arctan2(xy[:, [0, -1], 1], xy[:, [0, -1], 0])
+        gap = ends - (math.pi / 2 + np.stack([-s, s], axis=1))
+        np.testing.assert_allclose(np.angle(np.exp(1j * gap)), 0.0, atol=1e-12)
+        # no triangle folds over: all have the same orientation
+        p = mesh.vertices[mesh.triangles]
+        e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        assert np.all(cross > 0) or np.all(cross < 0)
+
     @pytest.mark.parametrize("make, n", [
         pytest.param(lambda: DomainSpec.half_disk(1.0), 8, id="half_disk"),
         pytest.param(lambda: DomainSpec.ball(1.0), 4, id="ball"),

@@ -124,6 +124,15 @@ class TestAngularEigenvalue:
         assert angular_eigenvalue(a_r, 1024) == pytest.approx(target, abs=1e-9)
         assert a_r > 0.9
 
+    @pytest.mark.parametrize("guess", [1.0, 1.2, 1.5, 0.5, 0.9, math.pi / 2])
+    def test_inversion_any_guess_converges(self, guess):
+        # 1.0 is the root; 1.2 and 1.5 lie in the bracket on the wrong side
+        # of it, 0.5, 0.9 (= a_lo) and pi/2 outside the open bracket
+        target = angular_eigenvalue(1.0, 1024)
+        a_r = invert_angular_eigenvalue(target, 0.9, guess=guess)
+        assert abs(angular_eigenvalue(a_r, 1024) - target) <= 1e-10
+        assert a_r == pytest.approx(1.0, abs=1e-10)
+
     def test_inversion_target_at_lower_end(self):
         assert invert_angular_eigenvalue(angular_eigenvalue(0.9, 1024), 0.9) == 0.9
 

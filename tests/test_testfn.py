@@ -1,12 +1,14 @@
+import numpy as np
 import pytest
 
 from crithardy import (ConstructionError, CuspFamilyParams, DomainRangeError,
                        DomainSpec, HalfSpaceFamilyParams,
                        HalfSpaceProfileDefault, PhiAlphaParams, PsiBetaParams,
                        cusp_upper_bound, halfspace_quotient,
-                       phi_alpha_quotient, phi_alpha_schedule,
+                       oned, phi_alpha_quotient, phi_alpha_schedule,
                        psi_beta_quotient, psi_beta_schedule)
-from crithardy.testfn import halfspace_profile_quotient
+from crithardy.oned import _cell_gauss
+from crithardy.testfn import _plateau, halfspace_profile_quotient
 
 
 class TestPhiAlpha:
@@ -106,7 +108,39 @@ class TestHalfSpace:
             halfspace_quotient(None, HalfSpaceFamilyParams(l=1, A=3.0), ball)
 
 
+def unblocked_tip_mass(params):
+    """Tip-family weighted mass on the whole (radial nodes, angles) grid at
+    once: the reference for the panel-blocked evaluation."""
+    eps, delta = params.eps, params.delta
+    eig = oned.solve_angular(oned.AngularEigenProblem(a=params.a_prime,
+                                                      grid_size=2048))
+    theta, phi = eig.theta, eig.phi
+    edges = np.unique(np.concatenate([np.linspace(eps, 2 * eps, 9),
+                                      np.geomspace(2 * eps, delta / 2, 65),
+                                      np.linspace(delta / 2, delta, 9)]))
+    rho_pts, rho_wts = _cell_gauss(edges[:-1], edges[1:], 8)
+    rho_pts, rho_wts = rho_pts.ravel(), rho_wts.ravel()
+    th_mid = 0.5 * (theta[:-1] + theta[1:])
+    th_w = np.diff(theta)
+    phi_mid = 0.5 * (phi[:-1] + phi[1:])
+    hh = (rho_pts[:, None] ** 2 - 2 * rho_pts[:, None] * np.sin(th_mid)[None, :]
+          + 1.0)
+    log_h = np.log(hh)
+    ratio_w = 4.0 * (rho_pts[:, None] * np.sin(th_mid)[None, :]) ** 2 / (
+        hh * log_h**2)
+    psi2 = _plateau(rho_pts, eps, delta) ** 2 / rho_pts
+    integ = ratio_w * (phi_mid[None, :] / np.sin(th_mid)[None, :]) ** 2
+    return float(np.sum((integ * th_w[None, :]).sum(axis=1) * psi2 * rho_wts))
+
+
 class TestCuspFamily:
+    @pytest.mark.parametrize("k", [6, 8, 10])
+    def test_blocked_mass_bit_identical(self, k, calibrated_cusp):
+        params = CuspFamilyParams(a_prime=0.95, eps=0.05 * 2.0 ** (-k),
+                                  delta=0.05)
+        rep = cusp_upper_bound(params, calibrated_cusp)
+        assert rep.weighted_mass == unblocked_tip_mass(params)
+
     def test_radial_part_identity(self, calibrated_cusp):
         params = CuspFamilyParams(a_prime=0.95, eps=0.05 * 2.0 ** (-8),
                                   delta=0.05)
