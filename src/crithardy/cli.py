@@ -35,13 +35,17 @@ def _meta(args: argparse.Namespace) -> dict:
             "seed": getattr(args, "seed", None)}
 
 
-def _emit_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, default=float)
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` and a newline to ``path``, or to stdout."""
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit_json(doc: dict, path: str | None) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True, default=float), path)
 
 
 def _emit_csv(header: list[str], rows: list, meta: dict,
@@ -51,12 +55,7 @@ def _emit_csv(header: list[str], rows: list, meta: dict,
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
                               for v in row))
-    text = "\n".join(lines)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines), path)
 
 
 def _load_domain(path: str) -> dm.DomainSpec:
@@ -120,11 +119,9 @@ def cmd_upperbound(args) -> int:
     ks = _parse_schedule(args.schedule) if args.schedule else list(range(3, 11))
     rows: list[tuple] = []
     if args.family == "phi_alpha":
-        for a, r, e in testfn.phi_alpha_schedule(ks, c=args.c, R=args.R, N=args.N):
-            rows.append((a, r, e))
+        rows = list(testfn.phi_alpha_schedule(ks, c=args.c, R=args.R, N=args.N))
     elif args.family == "psi_beta":
-        for b, r, e in testfn.psi_beta_schedule(ks, R=args.R, N=args.N):
-            rows.append((b, r, e))
+        rows = list(testfn.psi_beta_schedule(ks, R=args.R, N=args.N))
     elif args.family == "halfspace":
         ball = dm.DomainSpec.ball(args.R)
         for l in (ks if args.schedule else (4, 16, 64)):

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -34,6 +34,12 @@ from ._errors import DomainRangeError, NumericalError
 from . import oned, weight
 
 TWO_PI = 2.0 * math.pi
+# angular solves of the cusp profile table run on this grid
+_PROFILE_GRID = 512
+# the limsups are sampled at 2^-k, k = 5..20, from the origin and from R, and
+# report the sup over the last 4 samples
+_TAIL_K = np.arange(5, 21.0)
+_TAIL_WINDOW = 4
 
 
 # ---------------------------------------------------------------------------
@@ -184,25 +190,26 @@ def _extrapolate(xs: list, ys: list, x: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def build_cusp_profile(a: float, r0: float | None = None, n_table: int = 96,
-                       grid_size: int = 512) -> CuspProfile:
+def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
     """Construct the calibrated cusp profile for limit angle ``a``.
 
     ``r0`` defaults to the scanned radius below which the weight-ratio infimum
-    stays below 1.  The half-angle table is obtained by inverting the angular
-    eigenvalue at each tip distance (`oned.invert_angular_eigenvalue`, a
-    bracketed secant).  The rows are solved in order of increasing target
-    ``E(a) / g``, each bracketed from below by the previous root, since E is
-    non-decreasing in the angle.  Each row starts from a predicted root: the
-    polynomial in ``u = 1/sqrt(E)`` through the last four distinct roots
-    (``a`` itself first), evaluated at the row's target.
+    stays below 1.  The 96-row half-angle table, geometric in the tip
+    distance from 1e-7 to ``r0``, is obtained by inverting the angular
+    eigenvalue on the 512 grid at each tip distance
+    (`oned.invert_angular_eigenvalue`, a bracketed secant).  The rows are
+    solved in order of increasing target ``E(a) / g``, each bracketed from
+    below by the previous root, since E is non-decreasing in the angle.
+    Each row starts from a predicted root: the polynomial in
+    ``u = 1/sqrt(E)`` through the last four distinct roots (``a`` itself
+    first), evaluated at the row's target.
     """
     if not (math.pi / 4 < a < math.pi / 2):
         raise DomainRangeError(f"limit angle must lie in (pi/4, pi/2), got {a}")
     if r0 is None:
-        r0 = weight.cusp_flat_radius(a, scan_step=1e-2)
-    e_a = oned.angular_eigenvalue(a, grid_size)
-    rho = np.geomspace(1e-7, r0, n_table)
+        r0 = weight.cusp_flat_radius(a)
+    e_a = oned.angular_eigenvalue(a, _PROFILE_GRID)
+    rho = np.geomspace(1e-7, r0, 96)
     rho[-1] = r0
     g_vals = np.array([weight.cusp_ratio_infimum(float(p), a) for p in rho])
     if np.any(g_vals >= 1.0):
@@ -217,13 +224,13 @@ def build_cusp_profile(a: float, r0: float | None = None, n_table: int = 96,
         guess = (_extrapolate(u_done[-4:], a_done[-4:], u)
                  if len(u_done) > 1 else None)
         a_lo = a_vals[i] = oned.invert_angular_eigenvalue(
-            targets[i], a_lo, grid_size=grid_size, guess=guess)
+            targets[i], a_lo, grid_size=_PROFILE_GRID, guess=guess)
         if a_lo != a_done[-1]:
             # u at the root's own eigenvalue (a cache hit), not at its target:
             # the tolerance band scatters the targets, and extrapolation
             # amplifies the scatter past the tolerance
             u_done.append(
-                1.0 / math.sqrt(oned.angular_eigenvalue(a_lo, grid_size)))
+                1.0 / math.sqrt(oned.angular_eigenvalue(a_lo, _PROFILE_GRID)))
             a_done.append(a_lo)
     return CuspProfile(a=a, r0=float(r0), eigenvalue=e_a, rho_table=rho,
                        g_table=g_vals, a_table=a_vals)
@@ -299,16 +306,13 @@ class DomainSpec:
     """
 
     def __init__(self, kind: DomainKind, R: float, contains_origin: bool,
-                 params: dict | None = None,
-                 profile_fn: Callable[[float], ArcSet] | None = None,
-                 cusp: CuspProfile | None = None):
+                 params: dict | None = None, cusp: CuspProfile | None = None):
         if not (R > 0):
             raise DomainRangeError(f"R must be positive, got {R}")
         self.kind = kind
         self.R = float(R)
         self.contains_origin = bool(contains_origin)
         self.params = dict(params or {})
-        self._profile_fn = profile_fn
         self.cusp = cusp
 
     # -- constructors -------------------------------------------------------
@@ -325,28 +329,29 @@ class DomainSpec:
                    params={"c": c})
 
     @classmethod
-    def angular_profile(cls, profile, R: float = 1.0,
+    def angular_profile(cls, bands, R: float = 1.0,
                         contains_origin: bool = False) -> "DomainSpec":
-        """Domain from ``r -> ArcSet`` (callable) or a band table.
+        """Domain from a band table: a list of ``(r_lo, r_hi, [(lo, hi), ...])``
+        triples with piecewise-constant arcs on ``r_lo <= r < r_hi``.
 
-        A band table is a list of ``(r_lo, r_hi, [(lo, hi), ...])`` triples with
-        piecewise-constant arcs; only band tables serialize.
+        A radius takes the arcs of the first band that holds it; a radius in
+        no band has an empty slice.
         """
-        if callable(profile):
-            return cls(DomainKind.ANGULAR_PROFILE, R, contains_origin,
-                       profile_fn=profile)
-        bands = [(float(lo), float(hi), ArcSet(arcs)) for lo, hi, arcs in profile]
-        params = {"bands": [(lo, hi, [list(arc) for arc in aset.arcs])
-                            for lo, hi, aset in bands]}
-
-        def fn(r: float) -> ArcSet:
-            for lo, hi, aset in bands:
-                if lo <= r < hi:
-                    return aset
-            return EMPTY_ARCS
-
-        return cls(DomainKind.ANGULAR_PROFILE, R, contains_origin,
-                   params=params, profile_fn=fn)
+        bands = [(float(lo), float(hi), ArcSet(arcs)) for lo, hi, arcs in bands]
+        dom = cls(DomainKind.ANGULAR_PROFILE, R, contains_origin, params={
+            "bands": [(lo, hi, [list(arc) for arc in aset.arcs])
+                      for lo, hi, aset in bands]})
+        # per band: its radial range, its arcs, and their ends padded with
+        # empty arcs (lo == hi == 0); an empty band that holds every radius
+        # closes the table
+        dom._band_r = np.array([(lo, hi) for lo, hi, _ in bands]
+                               + [(-math.inf, math.inf)])
+        dom._band_arcs = [aset for *_, aset in bands] + [EMPTY_ARCS]
+        width = max([1] + [len(aset.arcs) for aset in dom._band_arcs])
+        dom._band_ends = np.zeros((len(dom._band_arcs), width, 2))
+        for i, aset in enumerate(dom._band_arcs):
+            dom._band_ends[i, :len(aset.arcs)] = np.reshape(aset.arcs, (-1, 2))
+        return dom
 
     @classmethod
     def half_disk(cls, R: float = 1.0) -> "DomainSpec":
@@ -385,6 +390,19 @@ class DomainSpec:
 
     # -- profile ------------------------------------------------------------
 
+    def _radii(self, r) -> np.ndarray:
+        """``r`` as an array, checked to lie strictly inside (0, R)."""
+        r = np.asarray(r, dtype=float)
+        if not np.all((r > 0.0) & (r < self.R)):
+            raise DomainRangeError(f"r must lie in (0, {self.R}), got {r}")
+        return r
+
+    def _band(self, r) -> np.ndarray:
+        """Index of the first band that holds each radius of ``r``."""
+        r = np.asarray(r)[..., None]
+        return np.argmax((self._band_r[:, 0] <= r) & (r < self._band_r[:, 1]),
+                         axis=-1)
+
     def half_widths(self, r) -> np.ndarray:
         """Half-width of the slice arc centered on the top direction, per
         radius in ``r`` (strictly inside (0, R)).
@@ -392,9 +410,7 @@ class DomainSpec:
         Every kind but the angular profile has one such arc per slice: pi on
         the full slices of the ball and the core cutoff, 0 on empty ones.
         """
-        r = np.asarray(r, dtype=float)
-        if not np.all((r > 0.0) & (r < self.R)):
-            raise DomainRangeError(f"r must lie in (0, {self.R}), got {r}")
+        r = self._radii(r)
         if self.kind is DomainKind.BALL:
             return np.full(r.shape, math.pi)
         if self.kind is DomainKind.CORE_CUTOFF:
@@ -416,14 +432,10 @@ class DomainSpec:
 
         Centered arcs come from one `half_widths` call; one over the cut at 0
         is stored as ``[0, hi - 2 pi)`` and ``[lo, 2 pi)``.  Angular profiles
-        are evaluated one radius at a time.
+        look up the band of every radius in one array comparison.
         """
-        r = np.asarray(r, dtype=float)
         if self.kind is DomainKind.ANGULAR_PROFILE:
-            rows = [self.profile_arcs(float(x)).arcs for x in r]
-            ends = np.zeros((r.size, max([1] + [len(row) for row in rows]), 2))
-            for i, row in enumerate(rows):
-                ends[i, :len(row)] = row
+            ends = self._band_ends[self._band(self._radii(r))]
             return ends[..., 0], ends[..., 1]
         s = self.half_widths(r)
         lo = math.pi / 2 - s
@@ -442,20 +454,15 @@ class DomainSpec:
         if not (0.0 < r < self.R):
             raise DomainRangeError(f"r must lie in (0, {self.R}), got {r}")
         if self.kind is DomainKind.ANGULAR_PROFILE:
-            arcs = self._profile_fn(r)
-            if not isinstance(arcs, ArcSet):
-                arcs = ArcSet(arcs)
-            return arcs
+            return self._band_arcs[int(self._band(r))]
         return _centered_arcs(float(self.half_widths(r)))
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.kind is DomainKind.ANGULAR_PROFILE and "bands" not in self.params:
-            raise DomainRangeError("callable angular profiles do not serialize")
-        params = {k: v for k, v in self.params.items()}
         return {"kind": self.kind.value, "R": self.R,
-                "contains_origin": self.contains_origin, "params": params}
+                "contains_origin": self.contains_origin,
+                "params": dict(self.params)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "DomainSpec":
@@ -496,55 +503,53 @@ class LimsupReport:
     value: float
     radii: list
     ratios: list
-    window: int
 
     def __float__(self) -> float:
         return self.value
 
 
-def limsup_m0(dom: DomainSpec, k_min: int = 5, k_max: int = 20,
-              window: int = 4) -> LimsupReport:
-    """Numerical limsup of m(r)/r on the geometric tail r_k = R 2^{-k}.
+def limsup_m0(dom: DomainSpec) -> LimsupReport:
+    """Numerical limsup of m(r)/r on the geometric tail r_k = R 2^{-k},
+    k = 5..20.
 
-    The reported value is the sup over the last ``window`` grid points (the
-    tail of the tail), alongside the full schedule.
+    The reported value is the sup over the last 4 grid points (the tail of
+    the tail), alongside the full schedule.
     """
-    radii = dom.R * 2.0 ** -np.arange(k_min, k_max + 1.0)
+    radii = dom.R * 2.0 ** -_TAIL_K
     ratios = (profile_measure(dom, radii) / radii).tolist()
     if not all(math.isfinite(v) for v in ratios):
         raise NumericalError("profile not evaluable near 0")
-    value = max(ratios[-window:])
-    return LimsupReport(value=value, radii=radii.tolist(), ratios=ratios,
-                        window=window)
+    return LimsupReport(value=max(ratios[-_TAIL_WINDOW:]),
+                        radii=radii.tolist(), ratios=ratios)
 
 
-def limsup_mR(dom: DomainSpec, k_min: int = 5, k_max: int = 20,
-              window: int = 4, cap: float = 1e6) -> LimsupReport:
-    """Numerical limsup of m(r)/(R - r) on r_k = R (1 - 2^{-k}).
+def limsup_mR(dom: DomainSpec) -> LimsupReport:
+    """Numerical limsup of m(r)/(R - r) on r_k = R (1 - 2^{-k}), k = 5..20,
+    over the last 4 grid points.
 
-    Returns ``inf`` when the tail exceeds the configured cap.
+    Returns ``inf`` when the tail exceeds 1e6.
     """
-    radii = dom.R * (1.0 - 2.0 ** -np.arange(k_min, k_max + 1.0))
+    radii = dom.R * (1.0 - 2.0 ** -_TAIL_K)
     ratios = (profile_measure(dom, radii) / (dom.R - radii)).tolist()
     if not all(math.isfinite(v) for v in ratios):
         raise NumericalError("profile not evaluable near R")
-    value = max(ratios[-window:])
-    if value > cap:
+    value = max(ratios[-_TAIL_WINDOW:])
+    if value > 1e6:
         value = math.inf
-    return LimsupReport(value=value, radii=radii.tolist(), ratios=ratios,
-                        window=window)
+    return LimsupReport(value=value, radii=radii.tolist(), ratios=ratios)
 
 
-def _touches_outer_sphere(dom: DomainSpec, k_range=range(5, 13)) -> bool:
+def _touches_outer_sphere(dom: DomainSpec) -> bool:
     """Structural interior-sphere test: a common sub-arc persists as r -> R.
 
-    Shrinking arcs (cusps pinching at the outer circle) are rejected even while
-    their width is still above threshold: the common-arc measure must not decay
-    along the schedule.
+    The slices are taken at r_k = R (1 - 2^{-k}), k = 5..12.  Shrinking arcs
+    (cusps pinching at the outer circle) are rejected even while their width
+    is still above threshold: the common-arc measure must not decay along the
+    schedule.
     """
     common, measures = FULL_CIRCLE, []
     for lo, hi in zip(*dom.slice_arcs([dom.R * (1.0 - 2.0 ** (-k))
-                                       for k in k_range])):
+                                       for k in range(5, 13)])):
         common = ArcSet([(max(lo1, lo2), min(hi1, hi2))
                          for lo1, hi1 in common.arcs
                          for lo2, hi2 in zip(lo, hi)])
@@ -554,11 +559,12 @@ def _touches_outer_sphere(dom: DomainSpec, k_range=range(5, 13)) -> bool:
     return bool(measures[-1] >= 0.8 * measures[0])
 
 
-def classify(dom: DomainSpec, mR_zero_tol: float = 1e-3) -> GeometryClassification:
+def classify(dom: DomainSpec) -> GeometryClassification:
     """Regime of the domain per the first matching hypothesis.
 
     Order: origin interior; interior-sphere contact with the outer circle;
-    the calibrated cusp construction; then the slice-limsup regimes.  The
+    the calibrated cusp construction; then the slice-limsup regimes, where
+    ``m_R <= 1e-3`` counts as a vanishing outer limsup.  The
     calibrated cusp is tested before the limsup rules because it satisfies the
     strict-inequality hypotheses (finite mR) while being non-attained.
     """
@@ -573,7 +579,7 @@ def classify(dom: DomainSpec, mR_zero_tol: float = 1e-3) -> GeometryClassificati
         regime = Regime.INTERIOR_SPHERE
     elif dom.kind is DomainKind.CUSP and dom.params.get("flavor") == "section5":
         regime = Regime.CUSP_NONATTAINED
-    elif m0 < TWO_PI - 1e-9 and mR <= mR_zero_tol:
+    elif m0 < TWO_PI - 1e-9 and mR <= 1e-3:
         regime = Regime.ATTAINED
     elif m0 < TWO_PI - 1e-9 and math.isfinite(mR):
         regime = Regime.STRICT_INEQUALITY

@@ -31,6 +31,9 @@ from .domain import DomainKind, DomainSpec, tip_to_xy
 from .quotient import graded_nodes
 from .weight import WeightParams, weight_eval
 
+# relative residual the eigen solve must reach, read at call time
+_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class TruncationSchedule:
@@ -71,7 +74,6 @@ class EigenResult:
     vector: np.ndarray
     iterations: int
     residual: float
-    n: int
 
 
 def _min_angle(vertices: np.ndarray, triangles: np.ndarray) -> float:
@@ -135,8 +137,7 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
         r_in = max(r_in, dom.params["c"] * R)
     r_out = R - 1.0 / n
     h_min = 1.0 / (8.0 * n)
-    radii = graded_nodes(r_in, r_out, min(target_h, h_min),
-                         min(target_h, h_min), target_h, ratio=1.2)
+    radii = graded_nodes(r_in, r_out, min(target_h, h_min), target_h)
     if radii.size < 3:
         raise ConstructionError(
             f"truncation n={n} leaves no interior row between radii "
@@ -320,25 +321,29 @@ def assemble(mesh: Mesh, wp: WeightParams
 # ---------------------------------------------------------------------------
 
 def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
-                   tol: float = 1e-10, interior: np.ndarray | None = None,
-                   shift: float = 0.0, n: int = 0) -> EigenResult:
+                   interior: np.ndarray | None = None) -> EigenResult:
     """Smallest generalized eigenpair by shift-invert Lanczos (ARPACK).
 
-    ``K - shift*M`` is factored once; ``iterations`` counts the solves with
-    that factor.  The start vector is fixed, so results are deterministic.
-    ``interior`` masks the free (non-Dirichlet) unknowns; the returned vector
-    is embedded with zeros elsewhere, normalized to unit weighted mass and
-    sign-normalized to nonnegative mean.  The residual is the relative
-    2-norm ``|Kx - d Mx| / |Kx|`` at the Rayleigh quotient ``d``.
+    The shift is 0: ``K`` is factored once; ``iterations`` counts the solves
+    with that factor.  The start vector is fixed, so results are
+    deterministic.  ``interior`` masks the free (non-Dirichlet) unknowns; the
+    returned vector is embedded with zeros elsewhere, normalized to unit
+    weighted mass and sign-normalized to nonnegative mean.  The residual is
+    the relative 2-norm ``|Kx - d Mx| / |Kx|`` at the Rayleigh quotient
+    ``d``; it must reach ``_TOL`` (1e-10).
     """
+    tol = _TOL
     nv = stiffness.shape[0]
     idx = np.arange(nv) if interior is None else np.where(interior)[0]
     if idx.size < 2:
         raise NonConvergenceError("eigen solve needs two free unknowns",
                                   {"iterations": 0, "unknowns": int(idx.size)})
     K = stiffness[np.ix_(idx, idx)].tocsc()
+    # entries that cancel in assembly are stored zeros; the factor is taken
+    # on the pattern of the nonzeros
+    K.eliminate_zeros()
     M = weighted_mass[np.ix_(idx, idx)].tocsc()
-    lu = splu((K - shift * M).tocsc())
+    lu = splu(K)
     solves = []
 
     def solve(b):
@@ -347,7 +352,7 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
 
     op_inv = LinearOperator(K.shape, matvec=solve, dtype=float)
     try:
-        _, vecs = eigsh(K, k=1, M=M, sigma=shift, OPinv=op_inv, tol=tol,
+        _, vecs = eigsh(K, k=1, M=M, sigma=0.0, OPinv=op_inv, tol=tol,
                         v0=np.ones(idx.size))
     except ArpackNoConvergence as exc:
         raise NonConvergenceError(
@@ -367,18 +372,16 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
     if np.sum(full) < 0:
         full = -full
     return EigenResult(value=value, vector=full, iterations=len(solves),
-                       residual=rnorm, n=n)
+                       residual=rnorm)
 
 
-def solve_truncated(dom: DomainSpec, n: int, target_h: float = 0.02,
-                    tol: float = 1e-10
+def solve_truncated(dom: DomainSpec, n: int, target_h: float = 0.02
                     ) -> tuple[EigenResult, Mesh, sparse.csr_matrix]:
     """Mesh, assemble, and solve one truncation level."""
     mesh = mesh_truncated(dom, n, target_h)
     wp = WeightParams(R=dom.R, N=2)
     stiffness, weighted_mass = assemble(mesh, wp)
-    res = smallest_eigen(stiffness, weighted_mass, tol=tol,
-                         interior=~mesh.boundary, n=n)
+    res = smallest_eigen(stiffness, weighted_mass, interior=~mesh.boundary)
     return res, mesh, weighted_mass
 
 
@@ -440,8 +443,8 @@ def _window_fit(windows: np.ndarray, values: np.ndarray) -> dict | None:
             "residual": float(np.max(np.abs(fit.fun)))}
 
 
-def extrapolate_constant(dom: DomainSpec, schedule, target_h: float = 0.02,
-                         tol: float = 1e-10) -> ConstantEstimate:
+def extrapolate_constant(dom: DomainSpec, schedule,
+                         target_h: float = 0.02) -> ConstantEstimate:
     """Solve the truncation schedule and extrapolate the best constant.
 
     Reports the raw non-increasing sequence d_n, Aitken extrapolation of the
@@ -454,7 +457,7 @@ def extrapolate_constant(dom: DomainSpec, schedule, target_h: float = 0.02,
     per_n, values, windows = [], [], []
     warnings = []
     for n in sched.n_values:
-        res, mesh, wmass = solve_truncated(dom, n, target_h, tol)
+        res, mesh, wmass = solve_truncated(dom, n, target_h)
         (c_in, c_out), (a_in, a_out) = _mass_fractions(
             mesh, wmass, res.vector, (2.0 / n, 2.0 / n_first), dom.R)
         per_n.append({
@@ -468,7 +471,7 @@ def extrapolate_constant(dom: DomainSpec, schedule, target_h: float = 0.02,
         values.append(res.value)
         windows.append(mesh.meta["window_length"])
     for a, b in zip(values, values[1:]):
-        if b > a + 100 * tol + 1e-9:
+        if b > a + 100 * _TOL + 1e-9:
             warnings.append(
                 f"d_n not non-increasing ({a:.6g} -> {b:.6g}); mesh too coarse")
             break
@@ -479,7 +482,7 @@ def extrapolate_constant(dom: DomainSpec, schedule, target_h: float = 0.02,
     # whenever it reproduces the sequence tightly, otherwise fall back to
     # Aitken (fast geometric sequences fit equally well with tiny beta)
     estimate, method = values[-1], "last"
-    fit_ok = (fit is not None and 0.0 < fit["C"] <= values[-1] + tol
+    fit_ok = (fit is not None and 0.0 < fit["C"] <= values[-1] + _TOL
               and fit["residual"] <= max(1e-3, 0.02 * values[-1]))
     if fit_ok:
         estimate, method = fit["C"], "window_fit"

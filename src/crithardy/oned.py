@@ -24,6 +24,9 @@ from ._errors import (DegenerateInputError, DomainRangeError,
 
 _GAUSS = {8: np.polynomial.legendre.leggauss(8),
           16: np.polynomial.legendre.leggauss(16)}
+# `invert_angular_eigenvalue` stops once the eigenvalue is this close to its
+# target
+_VALUE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +50,7 @@ def _cell_gauss(lo: np.ndarray, hi: np.ndarray, order: int, f=None):
     return float(np.sum(half * (f(pts) @ w)))
 
 
-def hardy_1d_quotient(t, v, p: int = 2, return_parts: bool = False):
+def hardy_1d_quotient(t, v, p: int = 2) -> float:
     """Quotient of ``int |v'|^p dt`` against ``int |v|^p / t^p dt``.
 
     ``v`` is piecewise linear between the samples, zero outside the grid
@@ -85,8 +88,6 @@ def hardy_1d_quotient(t, v, p: int = 2, return_parts: bool = False):
         mass = mass_on(slice(None))
     if mass <= 0.0 or not math.isfinite(mass):
         raise DegenerateInputError("zero or non-finite Hardy mass")
-    if return_parts:
-        return energy / mass, energy, mass
     return energy / mass
 
 
@@ -115,8 +116,6 @@ class AngularEigenResult:
     phi: np.ndarray
     residual: float
     grid_size: int
-    coarse_value: float = 0.0
-    fine_value: float = 0.0
 
 
 def _angular_nodes(a: float, m: int) -> np.ndarray:
@@ -201,7 +200,7 @@ def solve_angular(prob: AngularEigenProblem) -> AngularEigenResult:
     nrm = math.sqrt(np.trapezoid(phi**2, theta))
     return AngularEigenResult(
         value=value, theta=theta, phi=phi / nrm, residual=rnorm,
-        grid_size=prob.grid_size, coarse_value=mu_c, fine_value=mu_f)
+        grid_size=prob.grid_size)
 
 
 @lru_cache(maxsize=4096)
@@ -212,12 +211,11 @@ def angular_eigenvalue(a: float, grid_size: int = 2048) -> float:
 
 def invert_angular_eigenvalue(target: float, a_lo: float,
                               grid_size: int = 1024,
-                              value_tol: float = 1e-10,
                               guess: float | None = None) -> float:
     """Find a in (a_lo, pi/2) with eigenvalue(a) = target by a bracketed secant.
 
     Relies on the eigenvalue being non-decreasing in ``a``; terminates when the
-    eigenvalue matches within ``value_tol`` and raises `NonConvergenceError`
+    eigenvalue matches within 1e-10 and raises `NonConvergenceError`
     if the bracket shrinks below 1e-14 first.  The secant runs on
     ``1/sqrt(E)``, which is nearly linear in ``a`` and vanishes at ``pi/2``
     (E grows like the Dirichlet eigenvalue ``(pi/(pi-2a))^2``), so the upper
@@ -229,9 +227,9 @@ def invert_angular_eigenvalue(target: float, a_lo: float,
     lo = a_lo
     hi = math.pi / 2 - 1e-9
     f_lo = angular_eigenvalue(lo, grid_size)
-    if target < f_lo - value_tol:
+    if target < f_lo - _VALUE_TOL:
         raise DomainRangeError(f"target {target} below eigenvalue({a_lo})={f_lo}")
-    if target <= f_lo + value_tol:
+    if target <= f_lo + _VALUE_TOL:
         return lo
     u_target = 1.0 / math.sqrt(target)
     x0, u0 = hi, 0.0
@@ -249,7 +247,7 @@ def invert_angular_eigenvalue(target: float, a_lo: float,
             secant = False
             x = 0.5 * (lo + hi)
         f = angular_eigenvalue(x, grid_size)
-        if abs(f - target) <= value_tol:
+        if abs(f - target) <= _VALUE_TOL:
             return x
         if f < target:
             lo = x
@@ -263,18 +261,16 @@ def invert_angular_eigenvalue(target: float, a_lo: float,
         {"target": target, "a": x, "gap": f - target, "bracket": hi - lo})
 
 
-def extrapolate_angular_zero_limit(
-        a_values=None, grid_size: int = 1024) -> tuple[float, dict]:
+def extrapolate_angular_zero_limit() -> tuple[float, dict]:
     """Limit of the angular eigenvalue as a -> 0+ by a known-rate fit.
 
     The eigenvalue approaches its infimum like C + beta/(log(1/a)+gamma)^2
-    (both endpoint channels are logarithmic); fitting that model over a
-    geometric a-grid extrapolates the unattained limit.
+    (both endpoint channels are logarithmic); fitting that model over the
+    geometric grid a = 1e-4, ..., 1e-11 (eigenvalues on the 1024 grid)
+    extrapolates the unattained limit.
     """
-    if a_values is None:
-        a_values = [10.0 ** (-k) for k in range(4, 12)]
-    a_arr = np.asarray(sorted(a_values, reverse=True), dtype=float)
-    e_arr = np.array([angular_eigenvalue(float(a), grid_size) for a in a_arr])
+    a_arr = np.array([10.0 ** (-k) for k in range(4, 12)])
+    e_arr = np.array([angular_eigenvalue(float(a), 1024) for a in a_arr])
     ell = np.log(1.0 / a_arr)
 
     def resid(par):
@@ -293,20 +289,19 @@ def extrapolate_angular_zero_limit(
 # Endpoint identity and sin^alpha tests
 # ---------------------------------------------------------------------------
 
-def angular_identity_residual(u, du, support=(0.0, math.pi),
-                              panels: int = 512) -> float:
+def angular_identity_residual(u, du, support=(0.0, math.pi)) -> float:
     """LHS - RHS of the substitution identity for the angular quotient.
 
     With v = u / sqrt(sin), integrating ``(u')^2 - u^2/(4 sin^2)`` over (0, pi)
-    equals ``int u^2/4 + int (v')^2 sin``.  The left side uses composite
-    16-point Gauss panels, the right side adaptive quadrature, so the two sides
-    are computed by independent rules.
+    equals ``int u^2/4 + int (v')^2 sin``.  The left side uses 512 composite
+    16-point Gauss panels, the right side adaptive quadrature, so the two
+    sides are computed by independent rules.
     """
     lo, hi = support
     if not (0.0 <= lo < hi <= math.pi):
         raise DomainRangeError("support must lie inside [0, pi]")
 
-    edges = np.linspace(lo, hi, panels + 1)
+    edges = np.linspace(lo, hi, 513)
 
     def lhs_f(x):
         s = np.sin(x)
@@ -330,8 +325,9 @@ def sin_integral(s: float) -> float:
     return math.sqrt(math.pi) * math.gamma((s + 1.0) / 2.0) / math.gamma(s / 2.0 + 1.0)
 
 
-def sin_power_quotient(alpha: float, panels: int = 1400) -> float:
-    """Angular quotient of ``sin(theta)^alpha`` computed by graded quadrature.
+def sin_power_quotient(alpha: float) -> float:
+    """Angular quotient of ``sin(theta)^alpha`` computed by graded quadrature
+    (1399 geometric 16-point Gauss panels).
 
     Requires alpha > 1/2 (finite energy).  The exact value is alpha/2, which
     tests can cross-check through `sin_integral`.
@@ -343,7 +339,7 @@ def sin_power_quotient(alpha: float, panels: int = 1400) -> float:
     # exponent 2 alpha - 2 is near -1 and almost all mass sits at tiny theta,
     # so the grading must run down to the float floor (theta near pi cannot be
     # resolved in absolute coordinates at all).
-    edges = np.geomspace(1e-290, math.pi / 2, panels)
+    edges = np.geomspace(1e-290, math.pi / 2, 1400)
 
     def energy_f(x):
         return (alpha * np.cos(x)) ** 2 * np.sin(x) ** (2 * alpha - 2)
@@ -363,7 +359,6 @@ def sin_power_quotient(alpha: float, panels: int = 1400) -> float:
 @dataclass(frozen=True)
 class ArcPoincare:
     eigenvalue: float
-    faber_krahn_bound: float
 
 
 def _pi_p(p: float) -> float:
@@ -382,33 +377,30 @@ def arc_poincare_constant(arc_length: float, p: int = 2) -> ArcPoincare:
     if p < 1:
         raise DomainRangeError("p must be >= 1")
     c = 2.0 if p == 1 else (p - 1.0) * _pi_p(p) ** p  # p=1: Cheeger constant
-    return ArcPoincare(eigenvalue=c / arc_length**p, faber_krahn_bound=c / arc_length**p)
+    return ArcPoincare(eigenvalue=c / arc_length**p)
 
 
-def _alpha_profile_grid(alpha: float, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled ``t^alpha (1 - t/t_cap)`` on a grid graded into the origin."""
-    head = np.geomspace(1e-180, 0.05 * t_cap, 1400)
-    tail = np.linspace(0.05 * t_cap, t_cap, 260)
+def _alpha_profile_grid(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled ``t^alpha (1 - t)`` on a grid of [0, 1] graded into the origin."""
+    head = np.geomspace(1e-180, 0.05, 1400)
+    tail = np.linspace(0.05, 1.0, 260)
     t = np.unique(np.concatenate([[0.0], head, tail]))
-    v = t**alpha * (1.0 - t / t_cap)
+    v = t**alpha * (1.0 - t)
     v[-1] = 0.0
     return t, v
 
 
-def radial_reduction_constant(N: int, ks=range(3, 11), t_cap: float = 1.0) -> float:
+def radial_reduction_constant(N: int) -> float:
     """Infimum estimate of the 1-D Hardy quotient with p = N over the exponent family.
 
-    Minimizes over v = t^alpha (1 - t/T) with alpha = (N-1)/N + 2^{-k}; the
-    infimum tends to ((N-1)/N)^N.
+    Minimizes over v = t^alpha (1 - t) with alpha = (N-1)/N + 2^{-k},
+    k = 3..10; the infimum tends to ((N-1)/N)^N.
     """
     if N < 2:
         raise DomainRangeError("N must be >= 2")
-    ks = list(ks)
-    if not ks:
-        raise DegenerateInputError("empty exponent schedule")
     best = math.inf
-    for k in ks:
+    for k in range(3, 11):
         alpha = (N - 1.0) / N + 2.0 ** (-k)
-        t, v = _alpha_profile_grid(alpha, t_cap)
+        t, v = _alpha_profile_grid(alpha)
         best = min(best, hardy_1d_quotient(t, v, p=N))
     return best

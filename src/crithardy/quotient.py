@@ -29,32 +29,28 @@ def sphere_area(N: int) -> float:
     return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
-def graded_nodes(lo: float, hi: float, h_lo: float, h_hi: float,
-                 h_max: float, ratio: float = 1.15) -> np.ndarray:
+def graded_nodes(lo: float, hi: float, h_end: float,
+                 h_max: float) -> np.ndarray:
     """Node ladder on [lo, hi] with geometric growth away from both ends.
 
-    Cell sizes start at ``h_lo``/``h_hi`` at the respective ends, grow by
-    ``ratio`` and are capped at ``h_max``.
+    Cell sizes start at ``h_end`` at both ends, grow by 1.2 and are capped
+    at ``h_max``.
     """
     if not (lo < hi):
         raise DomainRangeError("empty interval")
-    left, s, x = [lo], h_lo, lo
-    while x + s < hi:
-        x += s
-        left.append(x)
-        s = min(s * ratio, h_max)
-    right, s, x = [hi], h_hi, hi
-    while x - s > lo:
-        x -= s
-        right.append(x)
-        s = min(s * ratio, h_max)
-    right.reverse()
+
+    def ladder(x: float, sign: float) -> list[float]:
+        nodes, s = [x], h_end
+        while lo < x + sign * s < hi:
+            x += sign * s
+            nodes.append(x)
+            s = min(s * 1.2, h_max)
+        return nodes
+
     # splice the two ladders where they meet
     mid = 0.5 * (lo + hi)
-    la = np.asarray([v for v in left if v <= mid])
-    rb = np.asarray([v for v in right if v > mid])
-    nodes = np.concatenate([la, rb])
-    return np.unique(nodes)
+    return np.unique([v for v in ladder(lo, 1.0) if v <= mid]
+                     + [v for v in ladder(hi, -1.0) if v > mid])
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +259,11 @@ class PolarGridFunction:
         self.values = np.where(self.mask, self.values, 0.0)
 
     @classmethod
-    def sample(cls, dom: DomainSpec, f, nr: int = 128, ntheta: int = 256,
-               r_lo: float | None = None, r_hi: float | None = None
+    def sample(cls, dom: DomainSpec, f, nr: int = 128, ntheta: int = 256
                ) -> "PolarGridFunction":
-        """Sample ``f(r, theta)`` on a fresh grid over the domain."""
-        r_lo = r_lo if r_lo is not None else dom.R * 1e-3
-        r_hi = r_hi if r_hi is not None else dom.R * (1 - 1e-3)
-        r = np.linspace(r_lo, r_hi, nr)
+        """Sample ``f(r, theta)`` on a fresh grid over the domain: ``nr``
+        radii from ``R/1000`` to ``R (1 - 1/1000)``, ``ntheta`` angles."""
+        r = np.linspace(dom.R * 1e-3, dom.R * (1 - 1e-3), nr)
         theta = np.arange(ntheta) * (2 * math.pi / ntheta)
         vals = np.asarray(f(r[:, None], theta[None, :]), dtype=float)
         vals = np.broadcast_to(vals, (nr, ntheta)).copy()

@@ -83,10 +83,9 @@ def rearrange_function(u: PolarGridFunction) -> PolarGridFunction:
                              mask=new_mask)
 
 
-def polya_szego_check(u: PolarGridFunction,
-                      p: WeightParams | None = None) -> tuple[float, float, float]:
+def polya_szego_check(u: PolarGridFunction) -> tuple[float, float, float]:
     """(energy, rearranged energy, margin); margin >= 0 up to roundoff."""
-    p = p or WeightParams(R=u.domain.R, N=2)
+    p = WeightParams(R=u.domain.R, N=2)
     star = rearrange_function(u)
     e = quotient_polar(u, p).dirichlet_energy
     e_star = quotient_polar(star, p).dirichlet_energy

@@ -147,22 +147,23 @@ def psi_beta_closed_form(p: PsiBetaParams) -> float:
     return p.beta ** (p.N - 1) * (p.N - 1.0) / p.N
 
 
-def psi_beta_quotient(p: PsiBetaParams, panels: int = 600) -> QuotientReport:
+def psi_beta_quotient(p: PsiBetaParams) -> QuotientReport:
     """Quotient of the boundary family; integrals in closed form.
 
     All pieces are power-rule integrals in the log coordinate: energy
     ``beta^N/(N(beta-1)+1)`` on (0, 1), the same without ``beta^N`` for the
     mass, plus the constant-part tail ``1/(N-1)``.  A Gauss-panel evaluation
-    of the same quantities is recorded as the cross-check; near the borderline
-    exponent most of the integral hides below any representable grid, and the
-    gap between the two is reported as the quadrature error estimate.
+    of the same quantities (600 panels, geometric from 1e-12) is recorded as
+    the cross-check; near the borderline exponent most of the integral hides
+    below any representable grid, and the gap between the two is reported as
+    the quadrature error estimate.
     """
     N, beta = p.N, p.beta
     omega = sphere_area(N)
     m1 = N * (beta - 1.0) + 1.0  # > 0
     energy = omega * beta**N / m1
     mass = omega * (1.0 / m1 + 1.0 / (N - 1.0))
-    edges = np.concatenate([[0.0], np.geomspace(1e-12, 1.0, panels)])
+    edges = np.concatenate([[0.0], np.geomspace(1e-12, 1.0, 600)])
 
     def energy_f(t):
         return (beta * t ** (beta - 1.0) * (t > 0)) ** N
@@ -226,7 +227,6 @@ class HalfSpaceProfileDefault:
 class HalfSpaceFamilyParams:
     """Shrink index l and support aperture constants of the contact family."""
 
-    epsilon: float = 0.05
     l: int = 8
     A: float = 1.0
     B: float = 1.0
@@ -236,9 +236,10 @@ class HalfSpaceFamilyParams:
             raise DomainRangeError("l must be a positive integer")
 
 
-def _halfspace_grid(A: float, B: float, n_y2: int = 160):
-    """Gauss nodes/weights over the parabolic support {y1^2 < A y2, y2 < B}."""
-    edges = np.concatenate([[0.0], np.geomspace(B * 1e-8, B, n_y2)])
+def _halfspace_grid(A: float, B: float):
+    """Gauss nodes/weights over the parabolic support {y1^2 < A y2, y2 < B}:
+    160 geometric panels in y2, one 16-point panel across each y2 row."""
+    edges = np.concatenate([[0.0], np.geomspace(B * 1e-8, B, 160)])
     y2, w2 = _cell_gauss(edges[:-1], edges[1:], 8)
     y2, w2 = y2.ravel(), w2.ravel()
     width = np.sqrt(A * y2)
@@ -295,7 +296,7 @@ def halfspace_quotient(profile, params: HalfSpaceFamilyParams,
     return QuotientReport(
         dirichlet_energy=energy, weighted_mass=mass, ratio=energy / mass,
         quad_error_estimate=err,
-        extras={"halfspace_ratio": half["ratio"], "epsilon": params.epsilon,
+        extras={"halfspace_ratio": half["ratio"],
                 "l": l, "max_support_radius": float(np.max(x_norm)),
                 "support_depth_bound": params.B / l})
 
@@ -342,7 +343,9 @@ def _tip_mass_rows(rho_pts: np.ndarray, theta: np.ndarray,
     ``rho_pts`` holds one Gauss panel per row.  The ``(rows, angles)`` grid of
     weight ratio times ``(phi/sin)^2`` is formed one panel at a time, which
     keeps it in cache; each element and row sum is computed as on the whole
-    grid, so the sums are bit-identical to it.
+    grid, so the sums are bit-identical to it.  The log of the squared
+    distance ``h = 1 + w`` to the origin is ``log1p(w)``, as in
+    `weight.cusp_weight_ratio`: ``log(h)`` cancels as ``rho -> 0``.
     """
     th_mid = 0.5 * (theta[:-1] + theta[1:])
     th_w = np.diff(theta)
@@ -350,8 +353,9 @@ def _tip_mass_rows(rho_pts: np.ndarray, theta: np.ndarray,
     phi_sin2 = (0.5 * (phi[:-1] + phi[1:]) / sin_th) ** 2
     out = np.empty(rho_pts.shape)
     for i, r in enumerate(rho_pts[:, :, None]):
-        hh = r**2 - 2 * r * sin_th + 1.0
-        log_h = np.log(hh)
+        w = r**2 - 2 * r * sin_th
+        hh = w + 1.0
+        log_h = np.log1p(w)
         ratio_w = 4.0 * (r * sin_th) ** 2 / (hh * log_h**2)
         out[i] = (ratio_w * phi_sin2 * th_w).sum(axis=1)
     return out.ravel()

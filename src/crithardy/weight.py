@@ -24,6 +24,9 @@ import numpy as np
 from ._errors import DomainRangeError, NumericalError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# `cusp_flat_radius` scans r = 0.01, 0.02, ... up to 0.5
+_FLAT_STEP = 1e-2
+_FLAT_CAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -124,12 +127,12 @@ def _ratio_in_range(r, theta):
     return 0.25 * (1.0 + w) * log_h * log_h / (y2 * y2)
 
 
-def cusp_ratio_infimum(r: float, a: float, samples: int = 2048,
-                       refine_tol: float = 1e-12) -> float:
+def cusp_ratio_infimum(r: float, a: float, samples: int = 2048) -> float:
     """Minimum of `cusp_weight_ratio` over the cone slice theta in [a, pi - a].
 
-    Dense sampling followed by golden-section refinement of the best bracket;
-    the slice is symmetric about pi/2 so the scan covers [a, pi/2].  The
+    Dense sampling followed by golden-section refinement of the best bracket
+    down to a width of 1e-12; the slice is symmetric about pi/2 so the scan
+    covers [a, pi/2].  The
     refinement stays inside the validated scan range, so it evaluates the
     ratio on single floats without the checks of `cusp_weight_ratio`.
     """
@@ -149,7 +152,7 @@ def cusp_ratio_infimum(r: float, a: float, samples: int = 2048,
     x2 = lo + _GOLDEN * (hi - lo)
     f1 = _ratio_in_range(r, x1)
     f2 = _ratio_in_range(r, x2)
-    while hi - lo > refine_tol:
+    while hi - lo > 1e-12:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
@@ -164,20 +167,20 @@ def cusp_ratio_infimum(r: float, a: float, samples: int = 2048,
     return best
 
 
-def cusp_flat_radius(a: float, scan_step: float = 1e-3, cap: float = 0.5,
-                     samples: int = 512) -> float:
-    """Largest scanned radius <= cap below which the slice infimum stays < 1.
+def cusp_flat_radius(a: float) -> float:
+    """Largest scanned radius <= 0.5 below which the slice infimum stays < 1.
 
-    Scans r = scan_step, 2*scan_step, ... and returns the last grid value before
-    the first violation of ``inf < 1`` (the cap if none occurs).
+    Scans r = 0.01, 0.02, ... (by repeated addition) and returns the last grid
+    value before the first violation of ``inf < 1`` (0.5 if none occurs); each
+    infimum is sampled on 512 angles.
     """
-    r = scan_step
+    r = _FLAT_STEP
     last_good = 0.0
-    while r <= cap + 1e-15:
-        if cusp_ratio_infimum(r, a, samples=samples) >= 1.0:
+    while r <= _FLAT_CAP + 1e-15:
+        if cusp_ratio_infimum(r, a, samples=512) >= 1.0:
             break
         last_good = r
-        r += scan_step
+        r += _FLAT_STEP
     if last_good == 0.0:
         raise NumericalError(f"slice ratio is not < 1 near 0 for a={a}")
-    return min(last_good, cap)
+    return min(last_good, _FLAT_CAP)

@@ -27,6 +27,11 @@ def smooth_bump_d(x, lo, hi):
     return out / (hi - lo)
 
 
+# band tables whose slices are empty below r = 0.3 and on [0.4, 0.6)
+SECTOR = [(0.3, 1.0, [(0.5, 2.0)])]
+GAPPED = [(0.0, 0.4, [(0.2, 1.0)]), (0.6, 1.0, [(5.5, 7.0)])]
+
+
 def scalar_opening(prof, rho: float) -> float:
     """Reference for `CuspProfile.a_of_r`, one tip distance at a time."""
     if rho <= prof.rho_table[0]:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from crithardy import cli
+from conftest import SECTOR
 
 
 def run_cli(args, capsys):
@@ -50,6 +51,16 @@ class TestCommands:
         doc = json.loads(out)
         assert code == 0
         assert doc["regime"] == "Attained"
+
+    def test_domain_classify_empty_slices(self, tmp_path, capsys):
+        # an annular sector: its slices below r = 0.3 are empty
+        path = tmp_path / "sector.json"
+        from crithardy import DomainSpec
+        path.write_text(json.dumps(
+            DomainSpec.angular_profile(SECTOR).to_json()))
+        code, out = run_cli(["domain", "classify", "--domain", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["regime"] == "InteriorSphere"
 
     def test_quotient_eval_radial(self, tmp_path, capsys):
         path = tmp_path / "fn.json"

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from crithardy import (ArcSet, DomainRangeError, DomainSpec, Regime, classify,
-                       limsup_m0, limsup_mR, oned, profile_measure)
+from crithardy import (ArcSet, ConstructionError, DomainRangeError, DomainSpec,
+                       PolarGridFunction, Regime, classify, limsup_m0,
+                       limsup_mR, mesh_truncated, oned, profile_measure)
 from crithardy.domain import build_cusp_profile
-from conftest import scalar_opening
+from conftest import GAPPED, SECTOR, scalar_opening
 
 
 class TestArcSet:
@@ -147,6 +148,46 @@ class TestClassify:
         assert classify(ball).regime is classify(ball).regime
 
 
+class TestEmptySlices:
+    """Band tables with radii in no band: an annular sector, whose slices
+    below r = 0.3 are empty, and a table with a gap on [0.4, 0.6)."""
+
+    @pytest.fixture(params=[GAPPED, SECTOR], ids=["gapped", "sector"])
+    def dom(self, request):
+        return DomainSpec.angular_profile(request.param)
+
+    def test_measure_matches_per_radius_arcs(self, dom):
+        r = np.concatenate([np.linspace(0.01, 0.99, 99),
+                            [0.3, 0.4, 0.6, np.nextafter(0.3, 0.0)]])
+        ref = [x * sum(hi - lo for lo, hi in dom.profile_arcs(float(x)).arcs)
+               for x in r]
+        m = profile_measure(dom, r)
+        assert np.array_equal(m, ref)
+        assert (m == 0.0).any() and (m > 0.0).any()
+
+    def test_classify_matches_per_radius_arcs(self, dom):
+        cls = classify(dom)
+
+        def m(r):
+            return r * dom.profile_arcs(r).measure
+
+        ref0 = [m(r) / r for r in cls.m0_table["radii"]]
+        refR = [m(r) / (dom.R - r) for r in cls.mR_table["radii"]]
+        np.testing.assert_allclose(cls.m0_table["ratios"], ref0, rtol=1e-15)
+        np.testing.assert_allclose(cls.mR_table["ratios"], refR, rtol=1e-15)
+        assert cls.regime is Regime.INTERIOR_SPHERE
+
+    def test_sector_sample_mask(self):
+        dom = DomainSpec.angular_profile(SECTOR)
+        u = PolarGridFunction.sample(dom, lambda r, t: 1.0 + 0 * r * t, 32, 64)
+        assert int(u.mask.sum()) == 330
+        assert not u.mask[u.r < 0.3].any()
+
+    def test_mesh_raises_construction_error(self, dom):
+        with pytest.raises(ConstructionError, match="got 0"):
+            mesh_truncated(dom, 8)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("dom", [
         DomainSpec.ball(2.0),
@@ -162,11 +203,6 @@ class TestSerialization:
         assert profile_measure(back, r) == pytest.approx(
             profile_measure(dom, r), rel=1e-12)
         assert back.kind == dom.kind and back.R == dom.R
-
-    def test_callable_profile_rejects(self):
-        dom = DomainSpec.angular_profile(lambda r: ArcSet([(0, 1)]), 1.0)
-        with pytest.raises(DomainRangeError):
-            dom.to_json()
 
 
 class TestCalibratedProfile:

@@ -153,7 +153,7 @@ class TestAngularEigenvalue:
     def test_inversion_steep_target(self):
         # E(1.5) ~ 492 with dE/da ~ 1.4e4: 1e-10 in E is 7e-15 in the angle
         target = angular_eigenvalue(1.5, 1024)
-        a_r = invert_angular_eigenvalue(target, 0.9, value_tol=1e-10)
+        a_r = invert_angular_eigenvalue(target, 0.9)
         assert abs(angular_eigenvalue(a_r, 1024) - target) <= 1e-10
         assert a_r == pytest.approx(1.5, abs=1e-13)
 

@@ -9,7 +9,7 @@ from crithardy import (DegenerateInputError, DomainSpec, PolarGridFunction,
                        WeightParams, hardy_1d_quotient, hardy_scale,
                        log_coordinate_transport, quotient_polar,
                        quotient_radial)
-from conftest import smooth_bump
+from conftest import GAPPED, SECTOR, smooth_bump
 
 WP = WeightParams(R=1.0, N=2)
 
@@ -220,9 +220,11 @@ class TestSliceMask:
         DomainSpec.ball, lambda: DomainSpec.ball_with_core_cutoff(0.4),
         lambda: DomainSpec.cone(0.3), lambda: DomainSpec.quadratic_cusp(0.5),
         lambda: DomainSpec.quadratic_cusp(2.5), DomainSpec.half_disk,
-        lambda: DomainSpec.calibrated_cusp(0.9)],
+        lambda: DomainSpec.calibrated_cusp(0.9),
+        lambda: DomainSpec.angular_profile(SECTOR),
+        lambda: DomainSpec.angular_profile(GAPPED)],
         ids=["ball", "core", "cone", "quadratic", "quadratic_wraps", "half_disk",
-             "calibrated"])
+             "calibrated", "sector", "gapped"])
     @pytest.mark.parametrize("nr, nt", [(48, 64), (128, 256)])
     def test_matches_per_radius_arcs(self, make, nr, nt):
         dom = make()
@@ -254,3 +256,26 @@ class TestSliceMask:
         assert arcs_calls == []
         assert len(interp_calls) <= 65
         assert u.mask.any()
+
+    def test_band_table_call_count(self, monkeypatch):
+        # every radius is looked up in the band table at once; the reference
+        # reads the bands one radius at a time
+        dom = DomainSpec.angular_profile([
+            (0.0, 0.3, [(0.1, 0.8), (2.0, 2.5), (4.0, 5.9)]),
+            (0.3, 0.7, [(1.0, 1.2), (3.0, 4.5)]),
+            (0.7, 1.0, [(0.3, 0.6), (1.5, 2.9), (6.0, 6.5)])])
+        r = np.linspace(0.05, 0.95, 48)
+        theta = np.arange(64) * (2 * math.pi / 64)
+        ref = loop_mask(dom, r, theta)
+        calls = []
+        arcs = DomainSpec.profile_arcs
+
+        def counted(self, x):
+            calls.append(x)
+            return arcs(self, x)
+
+        monkeypatch.setattr(DomainSpec, "profile_arcs", counted)
+        u = PolarGridFunction(r=r, theta=theta, values=np.ones((48, 64)),
+                              domain=dom)
+        assert calls == []
+        assert np.array_equal(u.mask, ref)

@@ -8,7 +8,8 @@ from crithardy import (ConstructionError, CuspFamilyParams, DomainRangeError,
                        oned, phi_alpha_quotient, phi_alpha_schedule,
                        psi_beta_quotient, psi_beta_schedule)
 from crithardy.oned import _cell_gauss
-from crithardy.testfn import _plateau, halfspace_profile_quotient
+from crithardy.testfn import (_angular_mode, _plateau, _tip_mass_rows,
+                              halfspace_profile_quotient)
 
 
 class TestPhiAlpha:
@@ -123,9 +124,9 @@ def unblocked_tip_mass(params):
     th_mid = 0.5 * (theta[:-1] + theta[1:])
     th_w = np.diff(theta)
     phi_mid = 0.5 * (phi[:-1] + phi[1:])
-    hh = (rho_pts[:, None] ** 2 - 2 * rho_pts[:, None] * np.sin(th_mid)[None, :]
-          + 1.0)
-    log_h = np.log(hh)
+    w = rho_pts[:, None] ** 2 - 2 * rho_pts[:, None] * np.sin(th_mid)[None, :]
+    hh = w + 1.0
+    log_h = np.log1p(w)
     ratio_w = 4.0 * (rho_pts[:, None] * np.sin(th_mid)[None, :]) ** 2 / (
         hh * log_h**2)
     psi2 = _plateau(rho_pts, eps, delta) ** 2 / rho_pts
@@ -140,6 +141,29 @@ class TestCuspFamily:
                                   delta=0.05)
         rep = cusp_upper_bound(params, calibrated_cusp)
         assert rep.weighted_mass == unblocked_tip_mass(params)
+
+    def test_tip_mass_rows_high_precision(self):
+        # the innermost panel at k = 45 sits at rho ~ 1.4e-15, where log(h)
+        # of h = rho^2 - 2 rho sin + 1, rounded, is off by percents;
+        # reference: the same sums in 50-digit arithmetic (every 16th angle)
+        mpmath = pytest.importorskip("mpmath")
+        eps = 0.05 * 2.0 ** (-45)
+        rho_pts, _ = _cell_gauss(np.array([eps]), np.array([2 * eps]), 8)
+        eig = _angular_mode(0.95)
+        theta, phi = eig.theta[::16], eig.phi[::16]
+        rows = _tip_mass_rows(rho_pts, theta, phi)
+        th_mid = 0.5 * (theta[:-1] + theta[1:])
+        sin_th = np.sin(th_mid)
+        coef = (0.5 * (phi[:-1] + phi[1:]) / sin_th) ** 2 * np.diff(theta)
+        with mpmath.workdps(50):
+            ref = []
+            for r in map(mpmath.mpf, rho_pts.ravel()):
+                total = mpmath.mpf(0)
+                for s, c in zip(map(mpmath.mpf, sin_th), coef):
+                    h = r * r - 2 * r * s + 1
+                    total += 4 * (r * s) ** 2 / (h * mpmath.log(h) ** 2) * c
+                ref.append(float(total))
+        np.testing.assert_allclose(rows, ref, rtol=1e-13, atol=0)
 
     def test_radial_part_identity(self, calibrated_cusp):
         params = CuspFamilyParams(a_prime=0.95, eps=0.05 * 2.0 ** (-8),

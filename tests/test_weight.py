@@ -108,7 +108,7 @@ class TestSliceInfimum:
 
     def test_below_one(self):
         a = 0.9
-        r0 = cusp_flat_radius(a, scan_step=1e-2)
+        r0 = cusp_flat_radius(a)
         assert 0 < r0 <= 0.5
         for r in np.linspace(1e-3, r0, 20):
             assert cusp_ratio_infimum(float(r), a) < 1.0
