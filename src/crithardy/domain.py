@@ -34,8 +34,6 @@ from ._errors import DomainRangeError, NumericalError
 from . import oned, weight
 
 TWO_PI = 2.0 * math.pi
-# angular solves of the cusp profile table run on this grid
-_PROFILE_GRID = 512
 # the limsups are sampled at 2^-k, k = 5..20, from the origin and from R, and
 # report the sup over the last 4 samples
 _TAIL_K = np.arange(5, 21.0)
@@ -208,7 +206,8 @@ def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
         raise DomainRangeError(f"limit angle must lie in (pi/4, pi/2), got {a}")
     if r0 is None:
         r0 = weight.cusp_flat_radius(a)
-    e_a = oned.angular_eigenvalue(a, _PROFILE_GRID)
+    grid = 512
+    e_a = oned.angular_eigenvalue(a, grid)
     rho = np.geomspace(1e-7, r0, 96)
     rho[-1] = r0
     g_vals = np.array([weight.cusp_ratio_infimum(float(p), a) for p in rho])
@@ -224,13 +223,13 @@ def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
         guess = (_extrapolate(u_done[-4:], a_done[-4:], u)
                  if len(u_done) > 1 else None)
         a_lo = a_vals[i] = oned.invert_angular_eigenvalue(
-            targets[i], a_lo, grid_size=_PROFILE_GRID, guess=guess)
+            targets[i], a_lo, grid_size=grid, guess=guess)
         if a_lo != a_done[-1]:
             # u at the root's own eigenvalue (a cache hit), not at its target:
             # the tolerance band scatters the targets, and extrapolation
             # amplifies the scatter past the tolerance
             u_done.append(
-                1.0 / math.sqrt(oned.angular_eigenvalue(a_lo, _PROFILE_GRID)))
+                1.0 / math.sqrt(oned.angular_eigenvalue(a_lo, grid)))
             a_done.append(a_lo)
     return CuspProfile(a=a, r0=float(r0), eigenvalue=e_a, rho_table=rho,
                        g_table=g_vals, a_table=a_vals)
@@ -314,6 +313,16 @@ class DomainSpec:
         self.contains_origin = bool(contains_origin)
         self.params = dict(params or {})
         self.cusp = cusp
+        if kind is DomainKind.ANGULAR_PROFILE:
+            # per band: its radial range and its arc ends, padded with empty
+            # arcs (lo == hi == 0); an empty band that holds every radius
+            # closes the table
+            bands = self.params["bands"] + [(-math.inf, math.inf, [])]
+            self._band_r = np.array([(lo, hi) for lo, hi, _ in bands])
+            width = max(len(arcs) for *_, arcs in bands) or 1
+            self._band_ends = np.zeros((len(bands), width, 2))
+            for i, (*_, arcs) in enumerate(bands):
+                self._band_ends[i, :len(arcs)] = np.reshape(arcs, (-1, 2))
 
     # -- constructors -------------------------------------------------------
 
@@ -337,21 +346,10 @@ class DomainSpec:
         A radius takes the arcs of the first band that holds it; a radius in
         no band has an empty slice.
         """
-        bands = [(float(lo), float(hi), ArcSet(arcs)) for lo, hi, arcs in bands]
-        dom = cls(DomainKind.ANGULAR_PROFILE, R, contains_origin, params={
-            "bands": [(lo, hi, [list(arc) for arc in aset.arcs])
-                      for lo, hi, aset in bands]})
-        # per band: its radial range, its arcs, and their ends padded with
-        # empty arcs (lo == hi == 0); an empty band that holds every radius
-        # closes the table
-        dom._band_r = np.array([(lo, hi) for lo, hi, _ in bands]
-                               + [(-math.inf, math.inf)])
-        dom._band_arcs = [aset for *_, aset in bands] + [EMPTY_ARCS]
-        width = max([1] + [len(aset.arcs) for aset in dom._band_arcs])
-        dom._band_ends = np.zeros((len(dom._band_arcs), width, 2))
-        for i, aset in enumerate(dom._band_arcs):
-            dom._band_ends[i, :len(aset.arcs)] = np.reshape(aset.arcs, (-1, 2))
-        return dom
+        bands = [(float(lo), float(hi), [list(a) for a in ArcSet(arcs).arcs])
+                 for lo, hi, arcs in bands]
+        return cls(DomainKind.ANGULAR_PROFILE, R, contains_origin,
+                   params={"bands": bands})
 
     @classmethod
     def half_disk(cls, R: float = 1.0) -> "DomainSpec":
@@ -454,7 +452,8 @@ class DomainSpec:
         if not (0.0 < r < self.R):
             raise DomainRangeError(f"r must lie in (0, {self.R}), got {r}")
         if self.kind is DomainKind.ANGULAR_PROFILE:
-            return self._band_arcs[int(self._band(r))]
+            lo, hi = self._band_ends[int(self._band(r))].T
+            return ArcSet(zip(lo.tolist(), hi.tolist()))
         return _centered_arcs(float(self.half_widths(r)))
 
     # -- serialization ------------------------------------------------------
@@ -542,17 +541,16 @@ def limsup_mR(dom: DomainSpec) -> LimsupReport:
 def _touches_outer_sphere(dom: DomainSpec) -> bool:
     """Structural interior-sphere test: a common sub-arc persists as r -> R.
 
-    The slices are taken at r_k = R (1 - 2^{-k}), k = 5..12.  Shrinking arcs
-    (cusps pinching at the outer circle) are rejected even while their width
-    is still above threshold: the common-arc measure must not decay along the
-    schedule.
+    The slices are taken at r_k = R (1 - 2^{-k}), k = 5..12, one arc set at
+    a time.  Shrinking arcs (cusps pinching at the outer circle) are rejected
+    even while their width is still above threshold: the common-arc measure
+    must not decay along the schedule.
     """
     common, measures = FULL_CIRCLE, []
-    for lo, hi in zip(*dom.slice_arcs([dom.R * (1.0 - 2.0 ** (-k))
-                                       for k in range(5, 13)])):
+    for k in range(5, 13):
+        arcs = dom.profile_arcs(dom.R * (1.0 - 2.0 ** (-k))).arcs
         common = ArcSet([(max(lo1, lo2), min(hi1, hi2))
-                         for lo1, hi1 in common.arcs
-                         for lo2, hi2 in zip(lo, hi)])
+                         for lo1, hi1 in common.arcs for lo2, hi2 in arcs])
         measures.append(common.measure)
         if common.measure < 1e-6:
             return False
@@ -562,10 +560,11 @@ def _touches_outer_sphere(dom: DomainSpec) -> bool:
 def classify(dom: DomainSpec) -> GeometryClassification:
     """Regime of the domain per the first matching hypothesis.
 
-    Order: origin interior; interior-sphere contact with the outer circle;
-    the calibrated cusp construction; then the slice-limsup regimes, where
-    ``m_R <= 1e-3`` counts as a vanishing outer limsup.  The
-    calibrated cusp is tested before the limsup rules because it satisfies the
+    Order: origin interior; the calibrated cusp construction; interior-sphere
+    contact with the outer circle; then the slice-limsup regimes, where
+    ``m_R <= 1e-3`` counts as a vanishing outer limsup.  The calibrated cusp
+    pinches to its tip on the outer circle, so it has no interior-sphere
+    contact; it is tested before the limsup rules because it satisfies the
     strict-inequality hypotheses (finite mR) while being non-attained.
     """
     m0_rep = limsup_m0(dom)
@@ -575,10 +574,10 @@ def classify(dom: DomainSpec) -> GeometryClassification:
               "mR_table": {"radii": mR_rep.radii, "ratios": mR_rep.ratios}}
     if dom.contains_origin:
         regime = Regime.ORIGIN_INTERIOR
-    elif _touches_outer_sphere(dom):
-        regime = Regime.INTERIOR_SPHERE
     elif dom.kind is DomainKind.CUSP and dom.params.get("flavor") == "section5":
         regime = Regime.CUSP_NONATTAINED
+    elif _touches_outer_sphere(dom):
+        regime = Regime.INTERIOR_SPHERE
     elif m0 < TWO_PI - 1e-9 and mR <= 1e-3:
         regime = Regime.ATTAINED
     elif m0 < TWO_PI - 1e-9 and math.isfinite(mR):

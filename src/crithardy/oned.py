@@ -24,9 +24,6 @@ from ._errors import (DegenerateInputError, DomainRangeError,
 
 _GAUSS = {8: np.polynomial.legendre.leggauss(8),
           16: np.polynomial.legendre.leggauss(16)}
-# `invert_angular_eigenvalue` stops once the eigenvalue is this close to its
-# target
-_VALUE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +221,13 @@ def invert_angular_eigenvalue(target: float, a_lo: float,
     step.  A ``guess`` of the root is tried as the first secant point, and
     counts as such: outside the bracket it is replaced by a bisection step.
     """
+    tol = 1e-10
     lo = a_lo
     hi = math.pi / 2 - 1e-9
     f_lo = angular_eigenvalue(lo, grid_size)
-    if target < f_lo - _VALUE_TOL:
+    if target < f_lo - tol:
         raise DomainRangeError(f"target {target} below eigenvalue({a_lo})={f_lo}")
-    if target <= f_lo + _VALUE_TOL:
+    if target <= f_lo + tol:
         return lo
     u_target = 1.0 / math.sqrt(target)
     x0, u0 = hi, 0.0
@@ -247,7 +245,7 @@ def invert_angular_eigenvalue(target: float, a_lo: float,
             secant = False
             x = 0.5 * (lo + hi)
         f = angular_eigenvalue(x, grid_size)
-        if abs(f - target) <= _VALUE_TOL:
+        if abs(f - target) <= tol:
             return x
         if f < target:
             lo = x

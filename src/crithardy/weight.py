@@ -24,9 +24,6 @@ import numpy as np
 from ._errors import DomainRangeError, NumericalError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# `cusp_flat_radius` scans r = 0.01, 0.02, ... up to 0.5
-_FLAT_STEP = 1e-2
-_FLAT_CAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -174,13 +171,14 @@ def cusp_flat_radius(a: float) -> float:
     value before the first violation of ``inf < 1`` (0.5 if none occurs); each
     infimum is sampled on 512 angles.
     """
-    r = _FLAT_STEP
+    step, cap = 1e-2, 0.5
+    r = step
     last_good = 0.0
-    while r <= _FLAT_CAP + 1e-15:
+    while r <= cap + 1e-15:
         if cusp_ratio_infimum(r, a, samples=512) >= 1.0:
             break
         last_good = r
-        r += _FLAT_STEP
+        r += step
     if last_good == 0.0:
         raise NumericalError(f"slice ratio is not < 1 near 0 for a={a}")
-    return min(last_good, _FLAT_CAP)
+    return min(last_good, cap)

@@ -108,13 +108,12 @@ class TestRearrangeFunction:
         # the domain is read once, when the source function is built
         u = polar_random_bumps(half_disk, np.random.default_rng(5), nr=48)
         calls = []
-        arcs = DomainSpec.profile_arcs
+        for name in ("profile_arcs", "slice_arcs"):
+            def counted(self, r, name=name, read=getattr(DomainSpec, name)):
+                calls.append(name)
+                return read(self, r)
 
-        def counted(self, r):
-            calls.append(r)
-            return arcs(self, r)
-
-        monkeypatch.setattr(DomainSpec, "profile_arcs", counted)
+            monkeypatch.setattr(DomainSpec, name, counted)
         rearrange_function(u)
         assert calls == []
 
