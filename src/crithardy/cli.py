@@ -185,22 +185,22 @@ def cmd_rearrange(args) -> int:
 
 
 def _write_vtk(path: str, mesh: fem2d.Mesh, vector: np.ndarray) -> None:
+    """Legacy ASCII VTK of the mesh and a vertex field; floats are written as
+    their shortest round-trip decimal (Python ``repr``)."""
     nv, nt = mesh.num_vertices, mesh.num_triangles
+    sections = [
+        "# vtk DataFile Version 3.0\neigenvector\nASCII\n"
+        f"DATASET UNSTRUCTURED_GRID\nPOINTS {nv} double",
+        "\n".join(f"{x!r} {y!r} 0.0" for x, y in mesh.vertices.tolist()),
+        f"CELLS {nt} {4 * nt}",
+        "\n".join(f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()),
+        f"CELL_TYPES {nt}",
+        "\n".join(["5"] * nt),
+        f"POINT_DATA {nv}\nSCALARS eigenvector double 1\nLOOKUP_TABLE default",
+        "\n".join(map(repr, vector.tolist())),
+    ]
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\neigenvector\nASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {nv} double\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x!r} {y!r} 0.0\n")
-        fh.write(f"CELLS {nt} {4 * nt}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"3 {a} {b} {c}\n")
-        fh.write(f"CELL_TYPES {nt}\n")
-        fh.write("\n".join(["5"] * nt) + "\n")
-        fh.write(f"POINT_DATA {nv}\nSCALARS eigenvector double 1\n")
-        fh.write("LOOKUP_TABLE default\n")
-        for v in vector:
-            fh.write(f"{v!r}\n")
+        fh.writelines(f"{text}\n" for text in sections)
 
 
 def cmd_constant(args) -> int:

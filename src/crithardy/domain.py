@@ -200,7 +200,8 @@ def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
     below by the previous root, since E is non-decreasing in the angle.
     Each row starts from a predicted root: the polynomial in
     ``u = 1/sqrt(E)`` through the last four distinct roots (``a`` itself
-    first), evaluated at the row's target.
+    first), evaluated at the row's target; its slope there steers the next
+    step when the prediction misses.
     """
     if not (math.pi / 4 < a < math.pi / 2):
         raise DomainRangeError(f"limit angle must lie in (pi/4, pi/2), got {a}")
@@ -220,10 +221,14 @@ def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
     u_done, a_done = [1.0 / math.sqrt(e_a)], [a]
     for i in np.argsort(targets, kind="stable"):
         u = 1.0 / math.sqrt(targets[i])
-        guess = (_extrapolate(u_done[-4:], a_done[-4:], u)
-                 if len(u_done) > 1 else None)
+        guess = slope = None
+        if len(u_done) > 1:
+            us, xs = u_done[-4:], a_done[-4:]
+            guess = _extrapolate(us, xs, u)
+            slope = (_extrapolate(us, xs, u + 1e-6)
+                     - _extrapolate(us, xs, u - 1e-6)) / 2e-6
         a_lo = a_vals[i] = oned.invert_angular_eigenvalue(
-            targets[i], a_lo, grid_size=grid, guess=guess)
+            targets[i], a_lo, grid_size=grid, guess=guess, slope=slope)
         if a_lo != a_done[-1]:
             # u at the root's own eigenvalue (a cache hit), not at its target:
             # the tolerance band scatters the targets, and extrapolation

@@ -251,17 +251,25 @@ _QUAD_SUB = _QUAD_MID @ np.array([
     [[0.5, 0, 0.5], [0, 0.5, 0.5], [0, 0, 1]],
     [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]],
 ])
+# products phi_i phi_j at each point of a rule, flattened to (q, 9): an
+# element's weighted mass is its weights (nt, q) times this table
+_OUTER_MID = np.einsum("qi,qj->qij", _QUAD_MID, _QUAD_MID).reshape(3, 9)
+_OUTER_SUB = np.einsum("sqi,sqj->sqij", _QUAD_SUB, _QUAD_SUB).reshape(4, 3, 9)
 
 
 def _weight_at(bary: np.ndarray, pts: np.ndarray, wp: WeightParams
                ) -> np.ndarray:
     """Weight at barycentric points ``bary`` (q, 3) of triangles ``pts``
     (nt, 3, 2); (nt, q)."""
-    qp = np.einsum("qi,tid->tqd", bary, pts)
-    radii = np.hypot(qp[..., 0], qp[..., 1])
+    # vertex by vertex in plain float arithmetic: a BLAS product rounds
+    # differently and moves some points by an ulp, which moves the weighted
+    # mass next to the cusp tip by 7e-13 of its largest entry
+    qp = sum(b[:, None, None] * v for b, v in zip(
+        bary.T, np.ascontiguousarray(pts.transpose(1, 2, 0))))
+    radii = np.hypot(qp[:, 0], qp[:, 1])           # (q, nt)
     if np.any(radii <= 0.0) or np.any(radii >= wp.R):
         raise AssemblyError("element crosses a singular circle of the weight")
-    return weight_eval(wp, radii)
+    return weight_eval(wp, radii).T
 
 
 def assemble(mesh: Mesh, wp: WeightParams
@@ -292,16 +300,17 @@ def assemble(mesh: Mesh, wp: WeightParams
     # refine quadrature (4 sub-triangles) on elements whose mid-edge weights
     # vary strongly -- these sit against the truncation circles
     refine = w_mid.max(axis=1) / w_mid.min(axis=1) > 1.02
-    m_local = np.einsum("tq,qi,qj->tij", w_mid, _QUAD_MID, _QUAD_MID) * (
-        area[:, None, None] / 3.0)
+    m_local = (w_mid @ _OUTER_MID) * (area[:, None] / 3.0)
     if np.any(refine):
         idx = np.where(refine)[0]
-        sub_p = p[idx]
-        m_ref = np.zeros((idx.size, 3, 3))
-        for qb in _QUAD_SUB:
-            wq = _weight_at(qb, sub_p, wp)
-            m_ref += np.einsum("tq,qi,qj->tij", wq, qb, qb) * (
-                area[idx, None, None] / 12.0)
+        w_sub = _weight_at(_QUAD_SUB.reshape(12, 3), p[idx], wp).reshape(
+            idx.size, 4, 3)
+        scale = area[idx, None] / 12.0
+        m_ref = np.zeros((idx.size, 9))
+        # one sub-triangle at a time: a single 12-point product rounds
+        # differently, and the window fit turns that into 1e-11 of the estimate
+        for k, outer in enumerate(_OUTER_SUB):
+            m_ref += (w_sub[:, k] @ outer) * scale
         m_local[idx] = m_ref
     if not (np.all(np.isfinite(k_local)) and np.all(np.isfinite(m_local))):
         raise AssemblyError("non-finite element matrix")
@@ -324,8 +333,9 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
                    interior: np.ndarray | None = None) -> EigenResult:
     """Smallest generalized eigenpair by shift-invert Lanczos (ARPACK).
 
-    The shift is 0: ``K`` is factored once; ``iterations`` counts the solves
-    with that factor.  The start vector is fixed, so results are
+    The shift is 0: ``K`` is factored once, with diagonal pivots in a
+    symmetric minimum-degree order; ``iterations`` counts the solves with
+    that factor.  The start vector is fixed, so results are
     deterministic.  ``interior`` masks the free (non-Dirichlet) unknowns; the
     returned vector is embedded with zeros elsewhere, normalized to unit
     weighted mass and sign-normalized to nonnegative mean.  The residual is
@@ -343,7 +353,11 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
     # on the pattern of the nonzeros
     K.eliminate_zeros()
     M = weighted_mass[np.ix_(idx, idx)].tocsc()
-    lu = splu(K)
+    # K is SPD once the Dirichlet rows are gone: diagonal pivots and a
+    # symmetric minimum-degree ordering of K + K^T lose nothing and cut the
+    # ball's fill by a third against the default column ordering
+    lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
     solves = []
 
     def solve(b):

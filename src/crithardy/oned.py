@@ -208,7 +208,8 @@ def angular_eigenvalue(a: float, grid_size: int = 2048) -> float:
 
 def invert_angular_eigenvalue(target: float, a_lo: float,
                               grid_size: int = 1024,
-                              guess: float | None = None) -> float:
+                              guess: float | None = None,
+                              slope: float | None = None) -> float:
     """Find a in (a_lo, pi/2) with eigenvalue(a) = target by a bracketed secant.
 
     Relies on the eigenvalue being non-decreasing in ``a``; terminates when the
@@ -220,6 +221,8 @@ def invert_angular_eigenvalue(target: float, a_lo: float,
     secant step that fails to halve the error, is followed by a bisection
     step.  A ``guess`` of the root is tried as the first secant point, and
     counts as such: outside the bracket it is replaced by a bisection step.
+    A ``slope`` ``da/du`` of the predictor that made the guess steers the
+    step after a missed guess in place of the chord to the lower end.
     """
     tol = 1e-10
     lo = a_lo
@@ -235,7 +238,8 @@ def invert_angular_eigenvalue(target: float, a_lo: float,
     bisect = False
     x, f = lo, f_lo
     while hi - lo > 1e-14:
-        if guess is not None:
+        at_guess = guess is not None
+        if at_guess:
             secant, x, guess = True, guess, None
         else:
             secant = not bisect and u1 != u0
@@ -254,6 +258,10 @@ def invert_angular_eigenvalue(target: float, a_lo: float,
         u = 1.0 / math.sqrt(f)
         bisect = secant and abs(u - u_target) > 0.5 * abs(u1 - u_target)
         x0, u0, x1, u1 = x1, u1, x, u
+        if at_guess and secant and slope is not None:
+            # the next step follows the predictor's tangent: its partner
+            # lies one unit of u away on it
+            x0, u0 = x - slope, u - 1.0
     raise NonConvergenceError(
         f"bracket exhausted before eigenvalue matched target {target}",
         {"target": target, "a": x, "gap": f - target, "bracket": hi - lo})

@@ -129,14 +129,20 @@ class TestCommands:
         dpath = tmp_path / "ball.json"
         dpath.write_text(json.dumps(DomainSpec.ball(1.0).to_json()))
         vtk = tmp_path / "eig.vtk"
-        levels = []
+        levels, ests = [], []
         solve = fem2d.solve_truncated
+        extrapolate = fem2d.extrapolate_constant
 
         def counted(dom, n, *args, **kwargs):
             levels.append(n)
             return solve(dom, n, *args, **kwargs)
 
+        def kept(*args, **kwargs):
+            ests.append(extrapolate(*args, **kwargs))
+            return ests[-1]
+
         monkeypatch.setattr(fem2d, "solve_truncated", counted)
+        monkeypatch.setattr(fem2d, "extrapolate_constant", kept)
         code, out = run_cli(["constant", "--domain", str(dpath),
                              "--schedule", "4,8", "--h", "0.05",
                              "--emit-vtk", str(vtk)], capsys)
@@ -145,12 +151,33 @@ class TestCommands:
         assert len(doc["per_n"]) == 2
         # the VTK is the finest level's own solve, not a second one
         assert levels == [4, 8]
-        text = vtk.read_text()
-        assert text.startswith("# vtk DataFile")
-        assert "SCALARS eigenvector" in text
-        points = next(ln for ln in text.splitlines()
-                      if ln.startswith("POINTS "))
-        assert int(points.split()[1]) == doc["per_n"][-1]["vertices"]
+        lines = vtk.read_text().splitlines()
+        assert lines[0].startswith("# vtk DataFile")
+        assert lines[3] == "DATASET UNSTRUCTURED_GRID"
+        est, = ests
+        nv, nt = est.mesh.num_vertices, est.mesh.num_triangles
+        assert nv == doc["per_n"][-1]["vertices"]
+
+        def section(header, size):
+            i = lines.index(header)
+            return lines[i + 1:i + 1 + size]
+
+        # every number parses as a plain float or int and reads back exactly
+        points = np.array([[float(t) for t in ln.split()]
+                           for ln in section(f"POINTS {nv} double", nv)])
+        assert np.array_equal(points[:, :2], est.mesh.vertices)
+        assert np.all(points[:, 2] == 0.0)
+        cells = np.array([[int(t) for t in ln.split()]
+                          for ln in section(f"CELLS {nt} {4 * nt}", nt)])
+        assert np.all(cells[:, 0] == 3)
+        assert np.array_equal(cells[:, 1:], est.mesh.triangles)
+        assert section(f"CELL_TYPES {nt}", nt) == ["5"] * nt
+        data = section(f"POINT_DATA {nv}", nv + 2)
+        assert data[:2] == ["SCALARS eigenvector double 1",
+                            "LOOKUP_TABLE default"]
+        values = np.array([float(ln) for ln in data[2:]])
+        assert np.array_equal(values, est.vector)
+        assert len(lines) == 10 + 2 * nv + 2 * nt
 
     def test_deterministic_output(self, tmp_path, capsys):
         from crithardy import DomainSpec

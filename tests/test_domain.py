@@ -221,7 +221,8 @@ class TestCalibratedProfile:
     def test_cold_build_solve_count(self, a, monkeypatch):
         # plain bisection on E makes 2093 angular solves at a = 0.9, the
         # secant from the bracket ends about 250; a predicted start makes
-        # most rows one solve
+        # most rows one solve, and a missed one takes its next step along
+        # the predictor's tangent (112, 111 and 106 solves)
         calls = []
         solve = oned.solve_angular
 
@@ -234,7 +235,7 @@ class TestCalibratedProfile:
         build_cusp_profile.cache_clear()
         prof = build_cusp_profile(a)
         assert prof.a_table.size == 96
-        assert len(calls) <= 130
+        assert len(calls) <= 113
 
     @pytest.mark.parametrize("a", [0.82, 1.08])
     def test_predicted_starts_match_plain_secant(self, a):

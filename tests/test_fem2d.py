@@ -10,7 +10,7 @@ from crithardy import (AssemblyError, ConstructionError, DomainSpec,
                        refine_mesh, smallest_eigen, solve_truncated,
                        weight_eval)
 from crithardy.domain import tip_to_xy
-from crithardy.fem2d import Mesh
+from crithardy.fem2d import _QUAD_MID, _QUAD_SUB, Mesh
 from conftest import scalar_opening
 
 WP = WeightParams(R=1.0, N=2)
@@ -88,6 +88,39 @@ def duffy_integral(f, tri, order=24):
     e1, e2 = v1 - v0, v2 - v0
     jac = abs(e1[0] * e2[1] - e1[1] * e2[0]) * u
     return float(np.sum(np.outer(w, w) * jac * f(pts)))
+
+
+def einsum_assemble(mesh, wp):
+    """Stiffness and weighted mass with one einsum per element rule and one
+    quadrature pass per red sub-triangle: the reference for the table
+    products of `assemble`."""
+    p = mesh.vertices[mesh.triangles]
+    e0, e1, e2 = p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]
+    area = 0.5 * np.abs(e2[:, 0] * (-e1[:, 1]) - e2[:, 1] * (-e1[:, 0]))
+    edges = np.stack([e0, e1, e2], axis=1)
+    k_local = np.einsum("tid,tjd->tij", edges, edges) / (
+        4.0 * area)[:, None, None]
+
+    def weight_at(bary, pts):
+        qp = np.einsum("qi,tid->tqd", bary, pts)
+        return weight_eval(wp, np.hypot(qp[..., 0], qp[..., 1]))
+
+    w_mid = weight_at(_QUAD_MID, p)
+    refine = w_mid.max(axis=1) / w_mid.min(axis=1) > 1.02
+    m_local = np.einsum("tq,qi,qj->tij", w_mid, _QUAD_MID, _QUAD_MID) * (
+        area[:, None, None] / 3.0)
+    idx = np.where(refine)[0]
+    m_ref = np.zeros((idx.size, 3, 3))
+    for qb in _QUAD_SUB:
+        m_ref += np.einsum("tq,qi,qj->tij", weight_at(qb, p[idx]), qb, qb) * (
+            area[idx, None, None] / 12.0)
+    m_local[idx] = m_ref
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    nv = mesh.num_vertices
+    return tuple(sparse.coo_matrix((m.ravel(), (rows, cols)),
+                                   shape=(nv, nv)).tocsr()
+                 for m in (k_local, m_local))
 
 
 class TestMesh:
@@ -260,6 +293,24 @@ class TestAssemble:
         K, _ = assemble(mesh, WP)
         assert np.max(np.abs(np.asarray(K.sum(axis=1)).ravel())) < 1e-10
 
+    @pytest.mark.parametrize("make, n", [
+        pytest.param(lambda: DomainSpec.ball(1.0), 32, id="ball"),
+        pytest.param(lambda: DomainSpec.half_disk(1.0), 32, id="half_disk"),
+        pytest.param(None, 16384, id="cusp_tip"),
+    ])
+    def test_matches_einsum_reference(self, make, n, calibrated_cusp):
+        dom = calibrated_cusp if make is None else make()
+        mesh = mesh_truncated(dom, n)
+        K, M = assemble(mesh, WP)
+        K_ref, M_ref = einsum_assemble(mesh, WP)
+        for a, b in ((K, K_ref), (M, M_ref)):
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(K.data, K_ref.data)
+        # the tables round phi_i phi_j once, the einsum rounds w phi_i and
+        # then multiplies by phi_j: rounding apart, the same mass
+        assert np.max(np.abs(M.data - M_ref.data)) <= 1e-15 * M_ref.data.max()
+
     def test_element_crossing_circle_raises(self):
         verts = np.array([[0.9, 0.0], [1.2, 0.0], [1.0, 0.3]])
         tris = np.array([[0, 1, 2]])
@@ -293,15 +344,44 @@ class TestSmallestEigen:
 
         real_splu = fem2d.splu
 
-        def splu(a):
+        def splu(a, *args, **kwargs):
             factors.append(a.shape)
-            return Counting(real_splu(a))
+            return Counting(real_splu(a, *args, **kwargs))
 
         monkeypatch.setattr(fem2d, "splu", splu)
         res = smallest_eigen(K, M, interior=~mesh.boundary)
         assert len(factors) == 1
         assert res.iterations == len(solves) > 0
         assert res.residual <= 1e-10
+
+    def test_matches_dense_oracle(self, ball):
+        from scipy.linalg import eigh
+        mesh = mesh_truncated(ball, 4, target_h=0.1)
+        K, M = assemble(mesh, WP)
+        res = smallest_eigen(K, M, interior=~mesh.boundary)
+        idx = np.where(~mesh.boundary)[0]
+        sub = np.ix_(idx, idx)
+        dense = eigh(K[sub].toarray(), M[sub].toarray(), eigvals_only=True,
+                     subset_by_index=[0, 0])
+        assert res.value == pytest.approx(dense[0], rel=1e-12)
+
+    def test_symmetric_order_cuts_fill(self, ball, monkeypatch):
+        from crithardy import fem2d
+        mesh = mesh_truncated(ball, 8)
+        K, M = assemble(mesh, WP)
+        factors = []
+        real_splu = fem2d.splu
+
+        def splu(a, *args, **kwargs):
+            lu = real_splu(a, *args, **kwargs)
+            factors.append((a, lu))
+            return lu
+
+        monkeypatch.setattr(fem2d, "splu", splu)
+        smallest_eigen(K, M, interior=~mesh.boundary)
+        (a, lu), = factors
+        default = real_splu(a)
+        assert lu.L.nnz + lu.U.nnz < 0.8 * (default.L.nnz + default.U.nnz)
 
     def test_residual_above_tol_raises(self, monkeypatch):
         # the 2-norm residual cannot fall below rounding
