@@ -29,9 +29,9 @@ from .quotient import (LogProfile, PolarGridFunction, QuotientReport,
                        RadialFunction, graded_nodes, hardy_scale,
                        log_coordinate_transport, quotient_polar,
                        quotient_radial, sphere_area)
-from .rearrange import (RearrangedDomain, hardy_littlewood_check,
-                        polya_szego_check, rearrange_domain,
-                        rearrange_function, rearrangement_report)
+from .rearrange import (hardy_littlewood_check, polya_szego_check,
+                        rearrange_domain, rearrange_function,
+                        rearrangement_report)
 from .testfn import (CuspFamilyParams, HalfSpaceFamilyParams,
                      HalfSpaceProfileDefault, PhiAlphaParams, PsiBetaParams,
                      cusp_upper_bound, halfspace_quotient, phi_alpha_quotient,

@@ -1,8 +1,8 @@
 """Command-line front end: reproducible runs, JSON/CSV artifacts.
 
-Outputs are deterministic for a fixed configuration and seed; every artifact
-embeds the tool version and a hash of the effective configuration (output
-paths excluded).
+Outputs are deterministic for a fixed configuration; every artifact embeds
+the tool version and a hash of the effective configuration (output paths
+excluded).
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ def _meta(args: argparse.Namespace) -> dict:
     payload = {k: v for k, v in sorted(vars(args).items())
                if k not in ("out", "emit_vtk") and not callable(v)}
     return {"tool": "crithardy", "version": __version__,
-            "config_hash": _config_hash(payload),
-            "seed": getattr(args, "seed", None)}
+            "config_hash": _config_hash(payload)}
 
 
 def _write(text: str, path: str | None) -> None:
@@ -61,6 +60,15 @@ def _emit_csv(header: list[str], rows: list, meta: dict,
 def _load_domain(path: str) -> dm.DomainSpec:
     with open(path) as fh:
         return dm.DomainSpec.from_json(json.load(fh))
+
+
+def _polar_grid(doc: dict, dom: dm.DomainSpec) -> PolarGridFunction:
+    """The polar-grid function of a JSON document with ``r``, ``values``
+    and ``theta_count`` equispaced angles from 0."""
+    nt = int(doc["theta_count"])
+    return PolarGridFunction(r=np.asarray(doc["r"]),
+                             theta=np.arange(nt) * (2 * math.pi / nt),
+                             values=np.asarray(doc["values"]), domain=dom)
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +103,7 @@ def cmd_quotient(args) -> int:
                            N=wp.N, constant_core=doc.get("constant_core", False))
         rep = quotient_radial(u, wp)
     else:
-        dom = dm.DomainSpec.from_json(doc["domain"])
-        nt = int(doc["theta_count"])
-        theta = np.arange(nt) * (2 * math.pi / nt)
-        u = PolarGridFunction(r=np.asarray(doc["r"]), theta=theta,
-                              values=np.asarray(doc["values"]), domain=dom)
+        u = _polar_grid(doc, dm.DomainSpec.from_json(doc["domain"]))
         rep = quotient_polar(u, wp)
     out = {"meta": _meta(args), "dirichlet_energy": rep.dirichlet_energy,
            "weighted_mass": rep.weighted_mass, "ratio": rep.ratio,
@@ -169,17 +173,12 @@ def cmd_radial(args) -> int:
 def cmd_rearrange(args) -> int:
     dom = _load_domain(args.domain)
     with open(args.fn) as fh:
-        doc = json.load(fh)
-    nt = int(doc["theta_count"])
-    theta = np.arange(nt) * (2 * math.pi / nt)
-    u = PolarGridFunction(r=np.asarray(doc["r"]), theta=theta,
-                          values=np.asarray(doc["values"]), domain=dom)
+        u = _polar_grid(json.load(fh), dom)
     star = rearrange.rearrange_function(u)
-    star_dom = rearrange.rearrange_domain(dom, u.r)
     rep = rearrange._report(u, star, WeightParams(R=dom.R, N=2))
     out = {"meta": _meta(args), "checks": rep,
            "rearranged_values": star.values.tolist(),
-           "half_widths": star_dom.half_widths.tolist()}
+           "half_widths": rearrange.rearrange_domain(dom, u.r).tolist()}
     _emit_json(out, args.out)
     return 0
 
@@ -299,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="crithardy",
         description="Best constants of the critical Hardy inequality: "
                     "quotients, bounds, and FEM eigenvalues on planar domains")
-    ap.add_argument("--seed", type=int, default=20240801,
-                    help="seed recorded in outputs and used by randomized suites")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("domain", help="domain geometry operations")

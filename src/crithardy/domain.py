@@ -306,7 +306,9 @@ class DomainSpec:
     """A bounded planar domain with outer radius ``R = sup |x|``.
 
     Construct through the classmethods; instances are read-only after
-    construction and safe to share across threads.
+    construction and safe to share across threads.  ``cusp`` holds the
+    tip-frame profile of the calibrated cusp and is None on every other
+    domain: it is how other modules recognize the calibrated cusp.
     """
 
     def __init__(self, kind: DomainKind, R: float, contains_origin: bool,
@@ -508,8 +510,15 @@ class LimsupReport:
     radii: list
     ratios: list
 
-    def __float__(self) -> float:
-        return self.value
+
+def _tail_limsup(dom: DomainSpec, radii: np.ndarray, scale: np.ndarray,
+                 end: str) -> LimsupReport:
+    """Sup of ``m(r)/scale`` over the last `_TAIL_WINDOW` of the tail radii."""
+    ratios = (profile_measure(dom, radii) / scale).tolist()
+    if not all(math.isfinite(v) for v in ratios):
+        raise NumericalError(f"profile not evaluable near {end}")
+    return LimsupReport(value=max(ratios[-_TAIL_WINDOW:]),
+                        radii=radii.tolist(), ratios=ratios)
 
 
 def limsup_m0(dom: DomainSpec) -> LimsupReport:
@@ -520,11 +529,7 @@ def limsup_m0(dom: DomainSpec) -> LimsupReport:
     the tail), alongside the full schedule.
     """
     radii = dom.R * 2.0 ** -_TAIL_K
-    ratios = (profile_measure(dom, radii) / radii).tolist()
-    if not all(math.isfinite(v) for v in ratios):
-        raise NumericalError("profile not evaluable near 0")
-    return LimsupReport(value=max(ratios[-_TAIL_WINDOW:]),
-                        radii=radii.tolist(), ratios=ratios)
+    return _tail_limsup(dom, radii, radii, "0")
 
 
 def limsup_mR(dom: DomainSpec) -> LimsupReport:
@@ -534,13 +539,10 @@ def limsup_mR(dom: DomainSpec) -> LimsupReport:
     Returns ``inf`` when the tail exceeds 1e6.
     """
     radii = dom.R * (1.0 - 2.0 ** -_TAIL_K)
-    ratios = (profile_measure(dom, radii) / (dom.R - radii)).tolist()
-    if not all(math.isfinite(v) for v in ratios):
-        raise NumericalError("profile not evaluable near R")
-    value = max(ratios[-_TAIL_WINDOW:])
-    if value > 1e6:
-        value = math.inf
-    return LimsupReport(value=value, radii=radii.tolist(), ratios=ratios)
+    rep = _tail_limsup(dom, radii, dom.R - radii, "R")
+    if rep.value > 1e6:
+        rep.value = math.inf
+    return rep
 
 
 def _touches_outer_sphere(dom: DomainSpec) -> bool:
@@ -579,7 +581,7 @@ def classify(dom: DomainSpec) -> GeometryClassification:
               "mR_table": {"radii": mR_rep.radii, "ratios": mR_rep.ratios}}
     if dom.contains_origin:
         regime = Regime.ORIGIN_INTERIOR
-    elif dom.kind is DomainKind.CUSP and dom.params.get("flavor") == "section5":
+    elif dom.cusp is not None:
         regime = Regime.CUSP_NONATTAINED
     elif _touches_outer_sphere(dom):
         regime = Regime.INTERIOR_SPHERE

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import least_squares
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                   splu)
 
 from ._errors import (AssemblyError, ConstructionError, DomainRangeError,
                       NonConvergenceError)
 from .domain import DomainKind, DomainSpec, tip_to_xy
+from .oned import _rate_fit
 from .quotient import graded_nodes
 from .weight import WeightParams, weight_eval
 
@@ -129,7 +129,7 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
     R = dom.R
     if not (1.0 / n < R - 1.0 / n):
         raise ConstructionError(f"truncation n={n} empties the domain")
-    if dom.kind is DomainKind.CUSP and dom.params.get("flavor") == "section5":
+    if dom.cusp is not None:
         return _mesh_cusp_tip(dom, n, target_h)
 
     r_in = 1.0 / n
@@ -437,26 +437,6 @@ def _aitken(values: list[float]) -> float | None:
     return d2 - (d2 - d1) ** 2 / denom
 
 
-def _window_fit(windows: np.ndarray, values: np.ndarray) -> dict | None:
-    """Least-squares fit of d = C + beta/(window + gamma)^2."""
-    if len(values) < 3:
-        return None
-
-    def resid(par):
-        c, beta, gamma = par
-        return c + beta / (windows + gamma) ** 2 - values
-
-    try:
-        fit = least_squares(
-            resid, x0=[values[-1], max(values[0] - values[-1], 1e-3), 0.0],
-            bounds=([-np.inf, 0.0, -0.9 * windows.min()], [np.inf, np.inf, 50.0]))
-    except Exception:
-        return None
-    c, beta, gamma = (float(v) for v in fit.x)
-    return {"C": c, "beta": beta, "gamma": gamma,
-            "residual": float(np.max(np.abs(fit.fun)))}
-
-
 def extrapolate_constant(dom: DomainSpec, schedule,
                          target_h: float = 0.02) -> ConstantEstimate:
     """Solve the truncation schedule and extrapolate the best constant.
@@ -491,7 +471,8 @@ def extrapolate_constant(dom: DomainSpec, schedule,
             break
 
     aitken = _aitken(values)
-    fit = _window_fit(np.asarray(windows), np.asarray(values))
+    fit = (_rate_fit(np.asarray(windows), np.asarray(values))
+           if len(values) >= 3 else None)
     # the window fit captures the logarithmic exhaustion rate; prefer it
     # whenever it reproduces the sequence tightly, otherwise fall back to
     # Aitken (fast geometric sequences fit equally well with tiny beta)

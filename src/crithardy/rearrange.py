@@ -13,33 +13,20 @@ inequalities along rows and across row pairs placed by the same rank map).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._errors import DomainRangeError, GridMismatchError
-from .domain import ArcSet, DomainSpec, _centered_arcs, profile_measure
+from .domain import DomainSpec, profile_measure
 from .quotient import PolarGridFunction, _polar_weights, quotient_polar
 from .weight import WeightParams
 
 
-@dataclass
-class RearrangedDomain:
-    """Centered-arc profile with per-radius measure equal to the source."""
-
-    radii: np.ndarray
-    half_widths: np.ndarray
-    source: DomainSpec
-
-    def profile_arcs(self, i: int) -> ArcSet:
-        return _centered_arcs(float(self.half_widths[i]))
-
-
-def rearrange_domain(dom: DomainSpec, radii) -> RearrangedDomain:
-    """Per-radius centered arcs of the same measure as the source slices."""
+def rearrange_domain(dom: DomainSpec, radii) -> np.ndarray:
+    """Half-widths of the centered arcs with the same measure as the source
+    slices, one per radius."""
     radii = np.asarray(radii, dtype=float)
-    half = profile_measure(dom, radii) / (2.0 * radii)
-    return RearrangedDomain(radii=radii, half_widths=half, source=dom)
+    return profile_measure(dom, radii) / (2.0 * radii)
 
 
 def _center_index(theta: np.ndarray) -> int:
@@ -76,8 +63,7 @@ def rearrange_function(u: PolarGridFunction) -> PolarGridFunction:
     new_vals[:, positions] = ranked
     new_mask = np.zeros_like(u.mask)
     counts = u.mask.sum(axis=1)
-    for i, k in enumerate(counts):
-        new_mask[i, positions[:k]] = True
+    new_mask[:, positions] = np.arange(nt) < counts[:, None]
     return PolarGridFunction(r=u.r.copy(), theta=u.theta.copy(), values=new_vals,
                              domain=u.domain, boundary_zero=u.boundary_zero,
                              mask=new_mask)
@@ -118,9 +104,8 @@ def rearrangement_report(u: PolarGridFunction, p: WeightParams | None = None) ->
 def _report(u: PolarGridFunction, star: PolarGridFunction,
             p: WeightParams) -> dict:
     """`rearrangement_report` of ``u`` against its rearrangement ``star``."""
-    perm_ok = all(
-        np.array_equal(np.sort(u.values[i]), np.sort(star.values[i]))
-        for i in range(u.r.size))
+    perm_ok = np.array_equal(np.sort(u.values, axis=1),
+                             np.sort(star.values, axis=1))
     qu = quotient_polar(u, p)
     qs = quotient_polar(star, p)
     return {

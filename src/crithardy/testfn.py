@@ -368,7 +368,7 @@ def cusp_upper_bound(params: CuspFamilyParams, dom: DomainSpec) -> QuotientRepor
     angular eigenfunction at ``a_prime``.  The report carries the certified
     upper bound ``eigenvalue(a') / min g`` next to the evaluated quotient.
     """
-    if dom.kind is not DomainKind.CUSP or dom.params.get("flavor") != "section5":
+    if dom.cusp is None:
         raise DomainRangeError("tip family requires the calibrated cusp domain")
     prof = dom.cusp
     a_p, eps, delta = params.a_prime, params.eps, params.delta

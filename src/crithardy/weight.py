@@ -55,15 +55,21 @@ def log_R_over(p: WeightParams, x_norm):
     return t
 
 
+def _radius_in_range(p: WeightParams, x_norm) -> np.ndarray:
+    """``x_norm`` as an array, checked to lie in the open range (0, R)."""
+    x = np.asarray(x_norm, dtype=float)
+    if np.any(x <= 0.0) or np.any(x >= p.R):
+        raise DomainRangeError(f"|x| must lie in (0, {p.R}); got {x_norm}")
+    return x
+
+
 def weight_eval(p: WeightParams, x_norm) -> float:
     """Evaluate W_R at radius ``x_norm`` in (0, R).
 
     Accepts a scalar or ndarray; singular at both endpoints, hence the open
     range check.
     """
-    x = np.asarray(x_norm, dtype=float)
-    if np.any(x <= 0.0) or np.any(x >= p.R):
-        raise DomainRangeError(f"|x| must lie in (0, {p.R}); got {x_norm}")
+    x = _radius_in_range(p, x_norm)
     w = (x * log_R_over(p, x)) ** (-p.N)
     if np.ndim(x_norm) == 0:
         return float(w)
@@ -72,23 +78,27 @@ def weight_eval(p: WeightParams, x_norm) -> float:
 
 def boundary_taylor_gap(p: WeightParams, x_norm) -> float:
     """Relative gap |x|^N log(R/|x|)^N / (R-|x|)^N - 1; tends to 0 as |x| -> R."""
-    x = np.asarray(x_norm, dtype=float)
-    if np.any(x <= 0.0) or np.any(x >= p.R):
-        raise DomainRangeError(f"|x| must lie in (0, {p.R}); got {x_norm}")
+    x = _radius_in_range(p, x_norm)
     gap = (x * log_R_over(p, x) / (p.R - x)) ** p.N - 1.0
     if np.ndim(x_norm) == 0:
         return float(gap)
     return gap
 
 
-def cusp_h(r, theta):
-    """Squared distance to the shifted origin: h(r, theta) = r^2 - 2 r sin(theta) + 1."""
+def _tip_polar(r, theta) -> tuple[np.ndarray, np.ndarray]:
+    """``(r, theta)`` as arrays, checked to lie in (0, 1) x (0, pi)."""
     r_arr = np.asarray(r, dtype=float)
     th = np.asarray(theta, dtype=float)
     if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
         raise DomainRangeError("r must lie in (0, 1)")
     if np.any(th <= 0.0) or np.any(th >= math.pi):
         raise DomainRangeError("theta must lie in (0, pi)")
+    return r_arr, th
+
+
+def cusp_h(r, theta):
+    """Squared distance to the shifted origin: h(r, theta) = r^2 - 2 r sin(theta) + 1."""
+    r_arr, th = _tip_polar(r, theta)
     out = r_arr * r_arr - 2.0 * r_arr * np.sin(th) + 1.0
     if np.ndim(r) == 0 and np.ndim(theta) == 0:
         return float(out)
@@ -103,13 +113,7 @@ def cusp_weight_ratio(r, theta):
     as the tip is approached.  Evaluated via log1p in the small-r regime where
     h is close to 1.
     """
-    r_arr = np.asarray(r, dtype=float)
-    th = np.asarray(theta, dtype=float)
-    if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
-        raise DomainRangeError("r must lie in (0, 1)")
-    if np.any(th <= 0.0) or np.any(th >= math.pi):
-        raise DomainRangeError("theta must lie in (0, pi)")
-    out = _ratio_in_range(r_arr, th)
+    out = _ratio_in_range(*_tip_polar(r, theta))
     if np.ndim(r) == 0 and np.ndim(theta) == 0:
         return float(out)
     return out

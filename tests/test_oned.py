@@ -10,7 +10,8 @@ from crithardy import (AngularEigenProblem, DomainRangeError,
                        extrapolate_angular_zero_limit, hardy_1d_quotient,
                        invert_angular_eigenvalue, radial_reduction_constant,
                        sin_power_quotient, solve_angular)
-from crithardy.oned import sin_integral
+from crithardy.oned import _rate_fit, sin_integral
+from crithardy.weight import cusp_flat_radius
 from conftest import smooth_bump, smooth_bump_d
 
 
@@ -156,6 +157,41 @@ class TestAngularEigenvalue:
         a_r = invert_angular_eigenvalue(target, 0.9)
         assert abs(angular_eigenvalue(a_r, 1024) - target) <= 1e-10
         assert a_r == pytest.approx(1.5, abs=1e-13)
+
+
+def _ball_windows(ns):
+    """Log-window lengths of the unit ball's truncations, as `mesh_truncated`
+    records them."""
+    n = np.asarray(ns, dtype=float)
+    return np.log(np.log(n) / -np.log1p(-1.0 / n))
+
+
+def _cusp_windows(a, ns):
+    """Log-window lengths of the calibrated cusp's tip-frame truncations."""
+    n = np.asarray(ns, dtype=float)
+    sa = math.sin(a)
+    rho_c = sa - np.sqrt(sa * sa - 2.0 / n + 1.0 / (n * n))
+    return np.log(cusp_flat_radius(a) / rho_c)
+
+
+class TestRateFit:
+    """`_rate_fit` on exact ``C + beta/(x + gamma)^2`` data, at the abscissae
+    of its two callers: the FEM windows and the a -> 0 log grid."""
+
+    @pytest.mark.parametrize("x, c, beta, gamma", [
+        pytest.param(_ball_windows([4, 8, 16, 32]), 0.25, math.pi ** 2, 0.0,
+                     id="ball"),
+        pytest.param(_ball_windows([4, 8, 16, 32]), 0.25, math.pi ** 2, 0.3,
+                     id="ball-shifted"),
+        pytest.param(_cusp_windows(0.95, [16, 64, 256, 1024]), 6.07, 13.2,
+                     0.44, id="cusp-0.95"),
+        pytest.param(np.log(10.0 ** np.arange(4, 12)), 0.25, 9.14, 2.95,
+                     id="a-to-0"),
+    ])
+    def test_recovers_limit(self, x, c, beta, gamma):
+        fit = _rate_fit(x, c + beta / (x + gamma) ** 2)
+        assert fit["C"] == pytest.approx(c, rel=1e-6)
+        assert fit["residual"] < 1e-8
 
 
 class TestIdentity:
