@@ -147,7 +147,7 @@ class CuspProfile:
         opening = np.minimum(self._a_interp(np.minimum(rho, self.r0)),
                              math.pi / 2 - 1e-12)
         out = np.where(rho <= self.rho_table[0], self.a, opening)
-        return float(out) if out.ndim == 0 else out
+        return weight._float_for_scalars(out, rho)
 
     def min_g(self, delta: float) -> float:
         """Infimum of g over (0, delta], using the table plus the limit 1 at 0."""
@@ -501,7 +501,7 @@ def profile_measure(dom: DomainSpec, r):
     r = np.asarray(r, dtype=float)
     lo, hi = dom.slice_arcs(r.reshape(-1))
     m = r * (hi - lo).sum(axis=1).reshape(r.shape)
-    return float(m) if m.ndim == 0 else m
+    return weight._float_for_scalars(m, r)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import least_squares
 
 from ._errors import (DegenerateInputError, DomainRangeError,
@@ -138,20 +138,36 @@ def _angular_nodes(a: float, m: int) -> np.ndarray:
     return np.concatenate([half, [lo + mid], (math.pi - half)[::-1]])
 
 
+_GROUND_STEPS = 32
+
+
 def _smallest_pair(nodes: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Smallest eigenpair of the discretized problem on the given nodes.
 
     P1 stiffness with nodal (lumped) 1/sin^2 weights; the generalized problem
-    is reduced to a symmetric tridiagonal one through the diagonal mass.
+    is reduced to a symmetric tridiagonal one, T, through the diagonal mass.
+
+    The eigenvector comes from shifted inverse iteration on T, O(n) per step
+    through LAPACK's positive-definite tridiagonal ``dpttrf``/``dpttrs``.  T
+    has positive diagonal and negative off-diagonal, so ``(T - sigma)^-1``
+    is entrywise positive for every sigma below the smallest eigenvalue, and
+    the iteration from the all-ones vector can only reach the ground state.
+    After each step the shift ``sigma = mu - 2 r`` (r the residual of T) is
+    tried when it exceeds the current one, and kept only if
+    ``dpttrf(T - sigma)`` succeeds: by Sylvester's inertia law that proves
+    sigma lies below the smallest eigenvalue, so the factor that the next
+    step solves with is its own certificate.  The iteration stops when mu
+    stagnates to a few ulps (5 to 8 steps on the package's grids), and
+    raises `NonConvergenceError` after `_GROUND_STEPS` steps.
 
     The eigenvalue is the Rayleigh quotient of the eigenvector, with the
-    energy summed cell by cell as ``sum (dphi)^2 / h``.  LAPACK's bisection
-    eigenvalue carries noise of about eps * ||T||_1: on the default grid at
-    a = 0.9 it drops by up to 1e-8 between angles 1e-11 apart.  The Rayleigh
-    quotient is second-order accurate in the eigenvector, and the cell sum
-    adds positive terms without cancellation; it rises over every such step,
-    and over steps of 1e-13 at a = 1.5.  `invert_angular_eigenvalue` needs
-    that monotonicity at its 1e-10 tolerance.
+    energy summed cell by cell as ``sum (dphi)^2 / h``.  It is second-order
+    accurate in the eigenvector, and the cell sum adds positive terms
+    without cancellation; over steps of 1e-11 in the angle at a = 0.9, and
+    1e-13 at a = 1.5, it rises every time, where an eigenvalue read off T
+    carries noise of about eps * ||T||_1 (LAPACK's bisection value drops by
+    up to 1e-8).  `invert_angular_eigenvalue` needs that monotonicity at its
+    1e-10 tolerance.
     """
     h = np.diff(nodes)
     inner = nodes[1:-1]
@@ -162,10 +178,35 @@ def _smallest_pair(nodes: np.ndarray) -> tuple[float, np.ndarray, float]:
     s = 1.0 / np.sqrt(w)
     c_diag = diag * s * s
     c_off = off * s[:-1] * s[1:]
-    _, vecs = eigh_tridiagonal(c_diag, c_off, select="i", select_range=(0, 0))
-    phi = s * vecs[:, 0]
-    dphi = np.diff(phi, prepend=0.0, append=0.0)
-    mu = float(np.sum(dphi * dphi / h) / (phi @ (w * phi)))
+    d, e, info = dpttrf(c_diag, c_off)
+    if info != 0:
+        raise NumericalError(
+            f"angular matrix is not positive definite (dpttrf info={info})")
+    x = np.ones(n)
+    padded = np.zeros(n + 2)  # phi between its two boundary zeros
+    phi = padded[1:-1]
+    mu_prev, shift = math.inf, 0.0
+    for _ in range(_GROUND_STEPS):
+        x, _ = dpttrs(d, e, x, overwrite_b=True)
+        x /= np.linalg.norm(x)
+        np.multiply(s, x, out=phi)
+        dphi = np.diff(padded)
+        mu = float((dphi * dphi / h).sum() / (phi @ (w * phi)))
+        change, mu_prev = mu - mu_prev, mu
+        if abs(change) <= 4.0 * math.ulp(mu):
+            break
+        tx = c_diag * x
+        tx[:-1] += c_off * x[1:]
+        tx[1:] += c_off * x[:-1]
+        sigma = mu - 2.0 * float(np.linalg.norm(tx - mu * x))
+        if sigma > shift:
+            d_s, e_s, info = dpttrf(c_diag - sigma, c_off)
+            if info == 0:
+                d, e, shift = d_s, e_s, sigma
+    else:
+        raise NonConvergenceError(
+            f"inverse iteration did not settle in {_GROUND_STEPS} steps",
+            {"n": n, "mu": mu, "change": change})
     # residual of the generalized problem, relative to the mass norm
     kv = diag * phi
     kv[:-1] += off * phi[1:]

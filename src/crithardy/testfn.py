@@ -249,17 +249,24 @@ def _halfspace_grid(A: float, B: float):
     return y1.ravel(), y2.ravel(), w.ravel()
 
 
+def _halfspace_sums(profile, y1, y2, w) -> tuple[np.ndarray, float, float]:
+    """The profile's values on a `_halfspace_grid`, and its half-space
+    energy and mass there."""
+    g1, g2 = profile.grad(y1, y2)
+    v = profile.value(y1, y2)
+    energy = float(np.sum((g1 * g1 + g2 * g2) * w))
+    mass = float(np.sum((v / y2) ** 2 * w))
+    return v, energy, mass
+
+
 def halfspace_profile_quotient(profile, params: HalfSpaceFamilyParams) -> dict:
     """Half-space Hardy data of the profile: energy, mass, their ratio.
 
     Both integrals are invariant under the shrink ``v(l y)``, so they are
     computed once in profile coordinates.
     """
-    y1, y2, w = _halfspace_grid(params.A, params.B)
-    g1, g2 = profile.grad(y1, y2)
-    v = profile.value(y1, y2)
-    energy = float(np.sum((g1 * g1 + g2 * g2) * w))
-    mass = float(np.sum((v / y2) ** 2 * w))
+    _, energy, mass = _halfspace_sums(
+        profile, *_halfspace_grid(params.A, params.B))
     return {"energy": energy, "mass": mass, "ratio": energy / mass,
             "slack": energy / mass - 0.25}
 
@@ -283,20 +290,18 @@ def halfspace_quotient(profile, params: HalfSpaceFamilyParams,
             f"support escapes the domain: need l > (A+B)/(2R), got l={l}")
     wp = WeightParams(R=R, N=2)
     y1, y2, w = _halfspace_grid(params.A, params.B)
-    v = profile.value(y1, y2)
-    half = halfspace_profile_quotient(profile, params)
+    v, energy, half_mass = _halfspace_sums(profile, y1, y2, w)
 
     x_norm = np.sqrt((y1 / l) ** 2 + (R - y2 / l) ** 2)
     if np.any(x_norm >= R):
         raise ConstructionError("transplanted support touches the outer circle")
     mass = float(np.sum(v * v * weight_eval(wp, x_norm) * w)) / l**2
-    energy = half["energy"]
     # crude error estimate: weight variation across the shrink scale
-    err = abs(mass - half["mass"]) * 0.01
+    err = abs(mass - half_mass) * 0.01
     return QuotientReport(
         dirichlet_energy=energy, weighted_mass=mass, ratio=energy / mass,
         quad_error_estimate=err,
-        extras={"halfspace_ratio": half["ratio"],
+        extras={"halfspace_ratio": energy / half_mass,
                 "l": l, "max_support_radius": float(np.max(x_norm)),
                 "support_depth_bound": params.B / l})
 

@@ -26,6 +26,14 @@ from ._errors import DomainRangeError, NumericalError
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _float_for_scalars(out, *inputs):
+    """``out`` as a float when every input is a scalar, else unchanged: the
+    return rule of the functions that take a scalar or an array."""
+    if all(np.ndim(x) == 0 for x in inputs):
+        return float(out)
+    return out
+
+
 @dataclass(frozen=True)
 class WeightParams:
     """Parameters of the critical Hardy weight: outer radius R and exponent N."""
@@ -50,9 +58,7 @@ def log_R_over(p: WeightParams, x_norm):
     x = np.asarray(x_norm, dtype=float)
     with np.errstate(divide="ignore"):  # the discarded log1p(-1) below eps R
         t = np.where(x > 0.7 * p.R, -np.log1p((x - p.R) / p.R), np.log(p.R / x))
-    if np.ndim(x_norm) == 0:
-        return float(t)
-    return t
+    return _float_for_scalars(t, x_norm)
 
 
 def _radius_in_range(p: WeightParams, x_norm) -> np.ndarray:
@@ -71,18 +77,14 @@ def weight_eval(p: WeightParams, x_norm) -> float:
     """
     x = _radius_in_range(p, x_norm)
     w = (x * log_R_over(p, x)) ** (-p.N)
-    if np.ndim(x_norm) == 0:
-        return float(w)
-    return w
+    return _float_for_scalars(w, x_norm)
 
 
 def boundary_taylor_gap(p: WeightParams, x_norm) -> float:
     """Relative gap |x|^N log(R/|x|)^N / (R-|x|)^N - 1; tends to 0 as |x| -> R."""
     x = _radius_in_range(p, x_norm)
     gap = (x * log_R_over(p, x) / (p.R - x)) ** p.N - 1.0
-    if np.ndim(x_norm) == 0:
-        return float(gap)
-    return gap
+    return _float_for_scalars(gap, x_norm)
 
 
 def _tip_polar(r, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -100,9 +102,7 @@ def cusp_h(r, theta):
     """Squared distance to the shifted origin: h(r, theta) = r^2 - 2 r sin(theta) + 1."""
     r_arr, th = _tip_polar(r, theta)
     out = r_arr * r_arr - 2.0 * r_arr * np.sin(th) + 1.0
-    if np.ndim(r) == 0 and np.ndim(theta) == 0:
-        return float(out)
-    return out
+    return _float_for_scalars(out, r, theta)
 
 
 def cusp_weight_ratio(r, theta):
@@ -114,16 +114,18 @@ def cusp_weight_ratio(r, theta):
     h is close to 1.
     """
     out = _ratio_in_range(*_tip_polar(r, theta))
-    if np.ndim(r) == 0 and np.ndim(theta) == 0:
-        return float(out)
-    return out
+    return _float_for_scalars(out, r, theta)
 
 
-def _ratio_in_range(r, theta):
-    """`cusp_weight_ratio` without the conversions and range checks."""
-    s = np.sin(theta)
+def _ratio_in_range(r, theta, xp=np):
+    """`cusp_weight_ratio` without the conversions and range checks.
+
+    ``xp`` supplies ``sin`` and ``log1p``: `numpy` for arrays, `math` for
+    single floats, where it is several times faster than numpy's ufuncs.
+    """
+    s = xp.sin(theta)
     w = r * r - 2.0 * r * s  # h - 1, small near the tip
-    log_h = np.log1p(w)
+    log_h = xp.log1p(w)
     y2 = r * s
     return 0.25 * (1.0 + w) * log_h * log_h / (y2 * y2)
 
@@ -133,9 +135,9 @@ def cusp_ratio_infimum(r: float, a: float, samples: int = 2048) -> float:
 
     Dense sampling followed by golden-section refinement of the best bracket
     down to a width of 1e-12; the slice is symmetric about pi/2 so the scan
-    covers [a, pi/2].  The
-    refinement stays inside the validated scan range, so it evaluates the
-    ratio on single floats without the checks of `cusp_weight_ratio`.
+    covers [a, pi/2].  The refinement stays inside the validated scan range,
+    so it evaluates the ratio on single floats, through `math`, without the
+    checks of `cusp_weight_ratio`.
     """
     if not (0.0 < r < 1.0):
         raise DomainRangeError(f"r must lie in (0, 1), got {r}")
@@ -151,17 +153,17 @@ def cusp_ratio_infimum(r: float, a: float, samples: int = 2048) -> float:
     # Golden-section refinement of the sampled bracket.
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1 = _ratio_in_range(r, x1)
-    f2 = _ratio_in_range(r, x2)
+    f1 = _ratio_in_range(r, x1, math)
+    f2 = _ratio_in_range(r, x2, math)
     while hi - lo > 1e-12:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
-            f1 = _ratio_in_range(r, x1)
+            f1 = _ratio_in_range(r, x1, math)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
-            f2 = _ratio_in_range(r, x2)
+            f2 = _ratio_in_range(r, x2, math)
     best = float(min(vals[k], f1, f2))
     if not math.isfinite(best):
         raise NumericalError(f"cusp ratio minimization failed at r={r}")

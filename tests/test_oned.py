@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf
 
 from crithardy import (AngularEigenProblem, DomainRangeError,
-                       NonConvergenceError, angular_eigenvalue,
-                       angular_identity_residual, arc_poincare_constant,
+                       NonConvergenceError, NumericalError,
+                       angular_eigenvalue, angular_identity_residual,
+                       arc_poincare_constant,
                        extrapolate_angular_zero_limit, hardy_1d_quotient,
                        invert_angular_eigenvalue, radial_reduction_constant,
                        sin_power_quotient, solve_angular)
-from crithardy.oned import _rate_fit, sin_integral
+from crithardy import oned
+from crithardy.oned import (_angular_nodes, _rate_fit, _smallest_pair,
+                            sin_integral)
 from crithardy.weight import cusp_flat_radius
 from conftest import smooth_bump, smooth_bump_d
 
@@ -157,6 +162,89 @@ class TestAngularEigenvalue:
         a_r = invert_angular_eigenvalue(target, 0.9)
         assert abs(angular_eigenvalue(a_r, 1024) - target) <= 1e-10
         assert a_r == pytest.approx(1.5, abs=1e-13)
+
+
+def _angular_matrix(nodes):
+    """The discretization of `_smallest_pair` on the given nodes: cell
+    widths, lumped weights, stiffness diagonals, and the symmetric
+    tridiagonal ``T = W^-1/2 K W^-1/2`` with its scaling ``s = W^-1/2``."""
+    h = np.diff(nodes)
+    w = 0.5 * (h[:-1] + h[1:]) / np.sin(nodes[1:-1]) ** 2
+    diag = 1.0 / h[:-1] + 1.0 / h[1:]
+    off = -1.0 / h[1:-1]
+    s = 1.0 / np.sqrt(w)
+    return h, w, diag, off, s, diag * s * s, off * s[:-1] * s[1:]
+
+
+def bisection_pair(nodes):
+    """`_smallest_pair` with LAPACK's bisection eigenvector
+    (`eigh_tridiagonal(select="i")`): the reference for the inverse
+    iteration.  Rayleigh quotient, residual and sign as in `_smallest_pair`."""
+    h, w, diag, off, s, t_diag, t_off = _angular_matrix(nodes)
+    _, vecs = eigh_tridiagonal(t_diag, t_off, select="i",
+                               select_range=(0, 0))
+    phi = s * vecs[:, 0]
+    dphi = np.diff(phi, prepend=0.0, append=0.0)
+    mu = float(np.sum(dphi * dphi / h) / (phi @ (w * phi)))
+    kv = diag * phi
+    kv[:-1] += off * phi[1:]
+    kv[1:] += off * phi[:-1]
+    rnorm = float(np.linalg.norm(kv - mu * w * phi)
+                  / np.linalg.norm(w * phi))
+    if phi[phi.size // 2] < 0:
+        phi = -phi
+    return mu, phi, rnorm
+
+
+_GROUND_A = [1e-11, 1e-4, 0.05, 0.3, 0.82, 0.9, 1.08, 1.45, 1.55]
+
+
+def _both_grids(a, m):
+    """The coarse and the fine node vectors that `solve_angular` solves on."""
+    coarse = _angular_nodes(a, m)
+    fine = np.sort(np.concatenate([coarse, 0.5 * (coarse[:-1] + coarse[1:])]))
+    return coarse, fine
+
+
+class TestGroundState:
+    """`_smallest_pair`'s certified inverse iteration against the bisection
+    eigenvector, and the inertia certificate behind its shifts."""
+
+    @pytest.mark.parametrize("m", [512, 1024, 2048])
+    @pytest.mark.parametrize("a", _GROUND_A)
+    def test_matches_bisection(self, a, m):
+        for nodes in _both_grids(a, m):
+            mu, phi, rnorm = _smallest_pair(nodes)
+            mu_ref, _, rnorm_ref = bisection_pair(nodes)
+            assert mu == pytest.approx(mu_ref, rel=4e-15, abs=0.0)
+            assert rnorm <= 2.0 * rnorm_ref
+            assert np.all(phi > 0.0)
+
+    @pytest.mark.parametrize("m", [512, 1024, 2048])
+    @pytest.mark.parametrize("a", _GROUND_A)
+    def test_sylvester_certificate(self, a, m):
+        # T - sigma I factors as a positive-definite LDL^T exactly when sigma
+        # lies below the smallest eigenvalue of T
+        for nodes in _both_grids(a, m):
+            mu = _smallest_pair(nodes)[0]
+            t_diag, t_off = _angular_matrix(nodes)[5:]
+            assert dpttrf(t_diag - mu * (1.0 - 1e-9), t_off)[2] == 0
+            assert dpttrf(t_diag - mu * (1.0 + 1e-6), t_off)[2] > 0
+
+    def test_step_cap_raises(self, monkeypatch):
+        # one step cannot show that mu has settled
+        monkeypatch.setattr(oned, "_GROUND_STEPS", 1)
+        with pytest.raises(NonConvergenceError) as info:
+            _smallest_pair(_angular_nodes(0.9, 512))
+        assert info.value.diagnostics["n"] == 511
+
+    def test_indefinite_matrix_raises(self):
+        # a node that steps back gives a negative stiffness diagonal, so T
+        # is not positive definite at shift 0
+        nodes = _angular_nodes(0.9, 512).copy()
+        nodes[100] = nodes[99] - 0.25 * (nodes[101] - nodes[99])
+        with pytest.raises(NumericalError, match="not positive definite"):
+            _smallest_pair(nodes)
 
 
 def _ball_windows(ns):

@@ -86,6 +86,16 @@ class TestHalfSpace:
                 for l in (4, 16)]
         assert reps[0].dirichlet_energy == reps[1].dirichlet_energy
 
+    def test_report_carries_profile_data(self):
+        # the transplanted quotient reads the half-space energy and ratio off
+        # the same grid sums as halfspace_profile_quotient
+        half = halfspace_profile_quotient(HalfSpaceProfileDefault(),
+                                          HalfSpaceFamilyParams())
+        rep = halfspace_quotient(None, HalfSpaceFamilyParams(l=8),
+                                 DomainSpec.ball(1.0))
+        assert rep.dirichlet_energy == half["energy"]
+        assert rep.extras["halfspace_ratio"] == half["ratio"]
+
     def test_domain_ratio_converges_and_bounded(self):
         ball = DomainSpec.ball(1.0)
         half = halfspace_profile_quotient(HalfSpaceProfileDefault(),

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from crithardy import (DomainRangeError, WeightParams, boundary_taylor_gap,
                        cusp_flat_radius, cusp_h, cusp_ratio_infimum,
                        cusp_weight_ratio, weight_eval)
+from crithardy.weight import _ratio_in_range, log_R_over
 
 
 class TestWeightEval:
@@ -118,3 +119,31 @@ class TestSliceInfimum:
         for r in (1e-3, 1e-2, 0.1, 0.3):
             assert cusp_ratio_infimum(r, a) <= cusp_weight_ratio(
                 r, math.pi / 2) + 1e-12
+
+    def test_scalar_ratio_matches_array_ratio(self):
+        # the golden-section loop evaluates the ratio through math.sin and
+        # math.log1p, which may differ from numpy's by an ulp
+        rng = np.random.default_rng(0)
+        r = 10.0 ** rng.uniform(-7.0, math.log10(0.5), 500)
+        th = rng.uniform(0.8, math.pi / 2, 500)
+        scalar = [_ratio_in_range(float(x), float(t), math)
+                  for x, t in zip(r, th)]
+        assert np.array(scalar) == pytest.approx(_ratio_in_range(r, th),
+                                                 rel=1e-15, abs=0.0)
+
+
+class TestReturnTypes:
+    P = WeightParams(R=1.0, N=2)
+
+    @pytest.mark.parametrize("f, args", [
+        (log_R_over, (P, 0.5)),
+        (weight_eval, (P, 0.5)),
+        (boundary_taylor_gap, (P, 0.5)),
+        (cusp_h, (0.5, 1.0)),
+        (cusp_weight_ratio, (0.5, 1.0)),
+    ])
+    def test_float_for_scalars_array_otherwise(self, f, args):
+        assert type(f(*args)) is float
+        assert type(f(*args[:-1], np.array(args[-1]))) is float
+        out = f(*args[:-1], np.array([args[-1]] * 3))
+        assert isinstance(out, np.ndarray) and out.shape == (3,)
