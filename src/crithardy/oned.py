@@ -225,19 +225,20 @@ def solve_angular(prob: AngularEigenProblem) -> AngularEigenResult:
             "a = 0 is not solved directly (non-integrable endpoint weight); "
             "use extrapolate_angular_zero_limit")
     coarse_nodes = _angular_nodes(prob.a, prob.grid_size)
-    fine_nodes = np.sort(np.concatenate(
-        [coarse_nodes, 0.5 * (coarse_nodes[:-1] + coarse_nodes[1:])]))
+    # each midpoint lies between its two nodes, so interleaving them gives
+    # the sorted union
+    fine_nodes = np.empty(2 * coarse_nodes.size - 1)
+    fine_nodes[::2] = coarse_nodes
+    fine_nodes[1::2] = 0.5 * (coarse_nodes[:-1] + coarse_nodes[1:])
     mu_c, _, _ = _smallest_pair(coarse_nodes)
     mu_f, phi_f, rnorm = _smallest_pair(fine_nodes)
     if not (math.isfinite(mu_c) and math.isfinite(mu_f)):
         raise NumericalError(f"angular eigen-iteration failed at a={prob.a}")
     value = (4.0 * mu_f - mu_c) / 3.0
-    inner = fine_nodes[1:-1]
-    theta = np.concatenate([[fine_nodes[0]], inner, [fine_nodes[-1]]])
     phi = np.concatenate([[0.0], phi_f, [0.0]])
-    nrm = math.sqrt(np.trapezoid(phi**2, theta))
+    nrm = math.sqrt(np.trapezoid(phi**2, fine_nodes))
     return AngularEigenResult(
-        value=value, theta=theta, phi=phi / nrm, residual=rnorm,
+        value=value, theta=fine_nodes, phi=phi / nrm, residual=rnorm,
         grid_size=prob.grid_size)
 
 

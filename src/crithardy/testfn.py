@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._errors import ConstructionError, DomainRangeError
+from ._errors import ConstructionError, DomainRangeError, NumericalError
 from . import oned
 from .domain import DomainSpec, DomainKind
 from .oned import _cell_gauss
@@ -323,8 +323,11 @@ class CuspFamilyParams:
     delta: float
 
     def __post_init__(self):
-        if not (4.0 * self.eps < self.delta):
-            raise DomainRangeError("need 4 eps < delta")
+        if not (math.isfinite(self.eps) and math.isfinite(self.delta)
+                and 0.0 < self.eps and 4.0 * self.eps < self.delta):
+            raise DomainRangeError(
+                f"need finite 0 < 4 eps < delta, got eps={self.eps}, "
+                f"delta={self.delta}")
 
 
 def _plateau(rho, eps: float, delta: float):
@@ -345,24 +348,39 @@ def _tip_mass_rows(rho_pts: np.ndarray, theta: np.ndarray,
                    phi: np.ndarray) -> np.ndarray:
     """Angular sums of the tip-family mass integrand, one per radial node.
 
-    ``rho_pts`` holds one Gauss panel per row.  The ``(rows, angles)`` grid of
-    weight ratio times ``(phi/sin)^2`` is formed one panel at a time, which
-    keeps it in cache; each element and row sum is computed as on the whole
-    grid, so the sums are bit-identical to it.  The log of the squared
-    distance ``h = 1 + w`` to the origin is ``log1p(w)``, as in
+    On angular cell j the integrand is the weight ratio
+    ``4 (rho sin)^2 / (h log(h)^2)`` times ``(phi/sin)^2 dtheta``, where
+    ``h = 1 + w`` is the squared distance to the origin and
+    ``w = rho (rho - 2 sin)``; the sines cancel, leaving
+    ``4 rho^2 phi^2 dtheta / (h log(h)^2)``.  The weight depends on the
+    angle only through ``sin``, which is mirror-symmetric about pi/2, so the
+    sum runs over the left half of the M cells with coefficients
+    ``4 (p_j + p_{M-1-j})``, ``p = phi_mid^2 dtheta``: each right-half
+    cell's share is folded onto its mirror cell, so no part of ``phi`` is
+    dropped.  (The computed mode is mirror-symmetric only to about 1e-11;
+    for a' in [0.85, 1.15], halving the sum would move the rows by up to
+    1.3e-11, and folding moves them by about 1e-15.)  An odd cell count, or
+    nodes off the mirror by more than 1e-14, raises `NumericalError`.
+
+    ``rho_pts`` holds one Gauss panel per row; each panel is one
+    ``(8, M/2)`` block and one dot product.  The log is ``log1p(w)``, as in
     `weight.cusp_weight_ratio`: ``log(h)`` cancels as ``rho -> 0``.
     """
-    th_mid = 0.5 * (theta[:-1] + theta[1:])
-    th_w = np.diff(theta)
-    sin_th = np.sin(th_mid)
-    phi_sin2 = (0.5 * (phi[:-1] + phi[1:]) / sin_th) ** 2
+    m = theta.size - 1
+    if m % 2:
+        raise NumericalError(
+            f"tip mass folds cells in mirror pairs, got {m} cells")
+    off = float(np.max(np.abs(theta + theta[::-1] - math.pi)))
+    if off > 1e-14:
+        raise NumericalError(f"tip mass grid is {off:.3g} off its pi/2 mirror")
+    half = m // 2
+    sin_half = np.sin(0.5 * (theta[:half] + theta[1:half + 1]))
+    p2 = (0.5 * (phi[:-1] + phi[1:])) ** 2 * np.diff(theta)
+    coef = 4.0 * (p2[:half] + p2[::-1][:half])
     out = np.empty(rho_pts.shape)
     for i, r in enumerate(rho_pts[:, :, None]):
-        w = r**2 - 2 * r * sin_th
-        hh = w + 1.0
-        log_h = np.log1p(w)
-        ratio_w = 4.0 * (r * sin_th) ** 2 / (hh * log_h**2)
-        out[i] = (ratio_w * phi_sin2 * th_w).sum(axis=1)
+        w = r * (r - 2.0 * sin_half)
+        out[i] = r[:, 0] ** 2 * ((1.0 / ((1.0 + w) * np.log1p(w) ** 2)) @ coef)
     return out.ravel()
 
 

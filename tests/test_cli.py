@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from crithardy import cli
+from crithardy import angular_eigenvalue, cli
 from conftest import SECTOR
 
 
@@ -73,12 +73,26 @@ class TestCommands:
         assert doc["ratio"] == pytest.approx(5.323394757, rel=1e-8)
 
     def test_upperbound_families(self, capsys):
-        for fam in ("phi_alpha", "psi_beta"):
+        for fam in ("phi_alpha", "psi_beta", "halfspace"):
             code, out = run_cli(["upperbound", "--family", fam,
                                  "--schedule", "3,4,5"], capsys)
             assert code == 0
             lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
             assert len(lines) == 4
+
+    def test_upperbound_cusp(self, capsys):
+        code, out = run_cli(["upperbound", "--family", "cusp", "--a", "0.9",
+                             "--a-prime", "0.95"], capsys)
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines()
+                if not ln.startswith("#")][1:]
+        assert [int(r[0]) for r in rows] == [6, 8, 10]
+        ratios = [float(r[1]) for r in rows]
+        # each ratio bounds C_2 of the calibrated cusp, which is E(0.9)
+        assert min(ratios) >= angular_eigenvalue(0.9)
+        np.testing.assert_allclose(
+            ratios, [6.8721832736200765, 6.6308972501573065, 6.501142474435397],
+            rtol=1e-12, atol=0)
 
     def test_rearrange(self, tmp_path, capsys):
         from crithardy import DomainSpec

@@ -231,6 +231,12 @@ class TestGroundState:
             assert dpttrf(t_diag - mu * (1.0 - 1e-9), t_off)[2] == 0
             assert dpttrf(t_diag - mu * (1.0 + 1e-6), t_off)[2] > 0
 
+    @pytest.mark.parametrize("m", [512, 2048])
+    @pytest.mark.parametrize("a", [0.9, 1e-11])  # uniform and graded nodes
+    def test_solve_angular_interleaves_midpoints(self, a, m):
+        theta = solve_angular(AngularEigenProblem(a=a, grid_size=m)).theta
+        assert np.array_equal(theta, _both_grids(a, m)[1])
+
     def test_step_cap_raises(self, monkeypatch):
         # one step cannot show that mu has settled
         monkeypatch.setattr(oned, "_GROUND_STEPS", 1)

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from crithardy import (ConstructionError, CuspFamilyParams, DomainRangeError,
-                       DomainSpec, HalfSpaceFamilyParams,
+                       DomainSpec, HalfSpaceFamilyParams, NumericalError,
                        HalfSpaceProfileDefault, PhiAlphaParams, PsiBetaParams,
                        cusp_upper_bound, halfspace_quotient,
-                       oned, phi_alpha_quotient, phi_alpha_schedule,
+                       phi_alpha_quotient, phi_alpha_schedule,
                        psi_beta_quotient, psi_beta_schedule)
 from crithardy.oned import _cell_gauss
 from crithardy.testfn import (_angular_mode, _plateau, _tip_mass_rows,
@@ -119,38 +121,67 @@ class TestHalfSpace:
             halfspace_quotient(None, HalfSpaceFamilyParams(l=1, A=3.0), ball)
 
 
-def unblocked_tip_mass(params):
-    """Tip-family weighted mass on the whole (radial nodes, angles) grid at
-    once: the reference for the panel-blocked evaluation."""
+def unfolded_rows(rho_pts, theta, phi):
+    """Tip-family mass rows summed over every angular cell, one Gauss panel
+    (row of ``rho_pts``) at a time, in the dtype of the inputs: the
+    reference for the folded evaluation."""
+    sin_th = np.sin((theta[:-1] + theta[1:]) / 2)
+    coef = ((phi[:-1] + phi[1:]) / 2 / sin_th) ** 2 * np.diff(theta)
+    rows = []
+    for r in rho_pts[:, :, None]:
+        w = r * r - 2 * r * sin_th
+        ratio_w = 4 * (r * sin_th) ** 2 / ((1 + w) * np.log1p(w) ** 2)
+        rows.append((ratio_w * coef).sum(axis=1))
+    return np.concatenate(rows)
+
+
+def long_double_tip_mass(params):
+    """The radial nodes of `cusp_upper_bound`, and the unfolded mass rows
+    and mass there in np.longdouble."""
     eps, delta = params.eps, params.delta
-    eig = oned.solve_angular(oned.AngularEigenProblem(a=params.a_prime,
-                                                      grid_size=2048))
-    theta, phi = eig.theta, eig.phi
+    eig = _angular_mode(params.a_prime)
+    ld = np.longdouble
     edges = np.unique(np.concatenate([np.linspace(eps, 2 * eps, 9),
                                       np.geomspace(2 * eps, delta / 2, 65),
                                       np.linspace(delta / 2, delta, 9)]))
     rho_pts, rho_wts = _cell_gauss(edges[:-1], edges[1:], 8)
-    rho_pts, rho_wts = rho_pts.ravel(), rho_wts.ravel()
-    th_mid = 0.5 * (theta[:-1] + theta[1:])
-    th_w = np.diff(theta)
-    phi_mid = 0.5 * (phi[:-1] + phi[1:])
-    w = rho_pts[:, None] ** 2 - 2 * rho_pts[:, None] * np.sin(th_mid)[None, :]
-    hh = w + 1.0
-    log_h = np.log1p(w)
-    ratio_w = 4.0 * (rho_pts[:, None] * np.sin(th_mid)[None, :]) ** 2 / (
-        hh * log_h**2)
-    psi2 = _plateau(rho_pts, eps, delta) ** 2 / rho_pts
-    integ = ratio_w * (phi_mid[None, :] / np.sin(th_mid)[None, :]) ** 2
-    return float(np.sum((integ * th_w[None, :]).sum(axis=1) * psi2 * rho_wts))
+    rows = unfolded_rows(rho_pts.astype(ld), eig.theta.astype(ld),
+                         eig.phi.astype(ld))
+    psi2 = (_plateau(rho_pts, eps, delta) ** 2 / rho_pts).ravel()
+    mass = np.sum(rows * psi2.astype(ld) * rho_wts.ravel().astype(ld))
+    return rho_pts, rows, mass
 
 
 class TestCuspFamily:
-    @pytest.mark.parametrize("k", [6, 8, 10])
-    def test_blocked_mass_bit_identical(self, k, calibrated_cusp):
+    @pytest.mark.parametrize("k", [6, 8, 10, 45])
+    def test_folded_mass_matches_long_double(self, k, calibrated_cusp):
         params = CuspFamilyParams(a_prime=0.95, eps=0.05 * 2.0 ** (-k),
                                   delta=0.05)
+        rho_pts, ref_rows, ref_mass = long_double_tip_mass(params)
+        eig = _angular_mode(0.95)
+        rows = _tip_mass_rows(rho_pts, eig.theta, eig.phi)
+        assert float(np.max(np.abs(rows / ref_rows - 1))) <= 2e-15
         rep = cusp_upper_bound(params, calibrated_cusp)
-        assert rep.weighted_mass == unblocked_tip_mass(params)
+        assert float(abs(rep.weighted_mass / ref_mass - 1)) <= 5e-16
+
+    def test_fold_keeps_both_halves_of_phi(self):
+        # a mode that is not mirror-symmetric: the fold must still sum it
+        # all, where halving the grid would be off by percents
+        eig = _angular_mode(0.95)
+        phi = eig.phi * (1.0 + 0.1 * eig.theta)
+        rho_pts, _ = _cell_gauss(np.array([1e-4, 1e-2]),
+                                 np.array([2e-4, 2e-2]), 8)
+        np.testing.assert_allclose(
+            _tip_mass_rows(rho_pts, eig.theta, phi),
+            unfolded_rows(rho_pts, eig.theta, phi), rtol=1e-14, atol=0)
+
+    def test_tip_mass_rows_needs_mirror_grid(self):
+        eig = _angular_mode(0.95)
+        rho_pts = np.full((1, 8), 1e-3)
+        with pytest.raises(NumericalError, match="mirror pairs"):
+            _tip_mass_rows(rho_pts, eig.theta[:-1], eig.phi[:-1])
+        with pytest.raises(NumericalError, match="off its pi/2 mirror"):
+            _tip_mass_rows(rho_pts, eig.theta + 1e-13, eig.phi)
 
     def test_tip_mass_rows_high_precision(self):
         # the innermost panel at k = 45 sits at rho ~ 1.4e-15, where log(h)
@@ -209,6 +240,13 @@ class TestCuspFamily:
     def test_eps_delta_validation(self):
         with pytest.raises(DomainRangeError):
             CuspFamilyParams(a_prime=0.95, eps=0.02, delta=0.05)
+
+    @pytest.mark.parametrize("eps, delta", [
+        (0.0, 0.05), (-1e-3, 0.05), (math.nan, 0.05), (math.inf, 0.05),
+        (1e-3, math.inf), (1e-3, math.nan)])
+    def test_eps_delta_must_be_finite_and_positive(self, eps, delta):
+        with pytest.raises(DomainRangeError, match="finite 0 < 4 eps < delta"):
+            CuspFamilyParams(a_prime=0.95, eps=eps, delta=delta)
 
     def test_positive_mass(self, calibrated_cusp):
         params = CuspFamilyParams(a_prime=0.95, eps=0.05 * 2.0 ** (-6),
