@@ -116,7 +116,12 @@ def cmd_quotient(args) -> int:
 
 
 def _parse_schedule(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise DomainRangeError(
+            f"schedule must be comma-separated integers (got {text!r})"
+        ) from None
 
 
 def cmd_upperbound(args) -> int:
@@ -187,19 +192,21 @@ def _write_vtk(path: str, mesh: fem2d.Mesh, vector: np.ndarray) -> None:
     """Legacy ASCII VTK of the mesh and a vertex field; floats are written as
     their shortest round-trip decimal (Python ``repr``)."""
     nv, nt = mesh.num_vertices, mesh.num_triangles
+    # one %-format per section over the flattened arrays
     sections = [
         "# vtk DataFile Version 3.0\neigenvector\nASCII\n"
-        f"DATASET UNSTRUCTURED_GRID\nPOINTS {nv} double",
-        "\n".join(f"{x!r} {y!r} 0.0" for x, y in mesh.vertices.tolist()),
-        f"CELLS {nt} {4 * nt}",
-        "\n".join(f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()),
-        f"CELL_TYPES {nt}",
-        "\n".join(["5"] * nt),
-        f"POINT_DATA {nv}\nSCALARS eigenvector double 1\nLOOKUP_TABLE default",
-        "\n".join(map(repr, vector.tolist())),
+        f"DATASET UNSTRUCTURED_GRID\nPOINTS {nv} double\n",
+        "%r %r 0.0\n" * nv % tuple(mesh.vertices.ravel().tolist()),
+        f"CELLS {nt} {4 * nt}\n",
+        "3 %d %d %d\n" * nt % tuple(mesh.triangles.ravel().tolist()),
+        f"CELL_TYPES {nt}\n",
+        "5\n" * nt,
+        f"POINT_DATA {nv}\nSCALARS eigenvector double 1\n"
+        "LOOKUP_TABLE default\n",
+        "%r\n" * nv % tuple(vector.tolist()),
     ]
     with open(path, "w") as fh:
-        fh.writelines(f"{text}\n" for text in sections)
+        fh.writelines(sections)
 
 
 def cmd_constant(args) -> int:

@@ -58,6 +58,8 @@ class Mesh:
     triangles: np.ndarray         # (nt, 3)
     boundary: np.ndarray          # (nv,) bool
     meta: dict = field(default_factory=dict)
+    # the non-boundary vertices in elimination order; strip meshes only
+    free: np.ndarray | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -74,6 +76,7 @@ class EigenResult:
     vector: np.ndarray
     iterations: int
     residual: float
+    fill: int                     # nonzeros of the factor, nnz(L) + nnz(U)
 
 
 def _min_angle(vertices: np.ndarray, triangles: np.ndarray) -> float:
@@ -89,6 +92,25 @@ def _min_angle(vertices: np.ndarray, triangles: np.ndarray) -> float:
     return float(np.min(np.stack(angs)))
 
 
+def _dissect(grid: np.ndarray, out: list) -> None:
+    """Append the vertex ids of ``grid`` to ``out`` in nested-dissection
+    order: each half before the middle row or column that separates them,
+    cutting the longer side, down to blocks of at most 16 in natural order."""
+    n_rows, n_cols = grid.shape
+    if n_rows * n_cols <= 16:
+        out.append(grid.ravel())
+    elif n_rows >= n_cols:
+        m = n_rows // 2
+        _dissect(grid[:m], out)
+        _dissect(grid[m + 1:], out)
+        out.append(grid[m])
+    else:
+        m = n_cols // 2
+        _dissect(grid[:, :m], out)
+        _dissect(grid[:, m + 1:], out)
+        out.append(grid[:, m])
+
+
 def _strip_mesh(x: np.ndarray, y: np.ndarray, wrap: bool, meta: dict) -> Mesh:
     """Structured mesh on the ``(n_rows, n_cols)`` vertex grid ``(x, y)``.
 
@@ -97,6 +119,11 @@ def _strip_mesh(x: np.ndarray, y: np.ndarray, wrap: bool, meta: dict) -> Mesh:
     ``(a, d, c)``; each row lists all its ``(a, b, d)`` first.  The Dirichlet
     boundary is the first and last row, plus the first and last column when
     the strip does not wrap.
+
+    ``free`` lists the other vertices in nested-dissection order of their
+    index rectangle (George 1973).  Edges join adjacent rows and columns
+    only, so a full grid line separates the vertices on either side of it.
+    A wrapping strip is first cut open at column 0, which comes last.
     """
     n_rows, n_cols = x.shape
     j = np.arange(n_cols if wrap else n_cols - 1)
@@ -108,12 +135,18 @@ def _strip_mesh(x: np.ndarray, y: np.ndarray, wrap: bool, meta: dict) -> Mesh:
     verts = np.stack([x.ravel(), y.ravel()], axis=1)
     boundary = np.zeros((n_rows, n_cols), dtype=bool)
     boundary[[0, -1]] = True
-    if not wrap:
+    ids = np.arange(n_rows * n_cols).reshape(n_rows, n_cols)[1:-1]
+    free = []
+    if wrap:
+        _dissect(ids[:, 1:], free)
+        free.append(ids[:, 0])
+    else:
         boundary[:, [0, -1]] = True
+        _dissect(ids[:, 1:-1], free)
     meta = {**meta, "min_angle_deg": _min_angle(verts, tris),
             "n_radii": n_rows, "n_cols": n_cols}
     return Mesh(vertices=verts, triangles=tris, boundary=boundary.ravel(),
-                meta=meta)
+                meta=meta, free=np.concatenate(free))
 
 
 def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
@@ -124,9 +157,12 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
     placed exactly on the bounding arcs.  A domain whose interior rows are
     full circles is meshed as a full annulus from its innermost radius.  The
     mesh records the log-window length used by the extrapolation fit and the
-    minimal angle quality.
+    minimal angle quality.  ``target_h`` must be positive and finite.
     """
     R = dom.R
+    if not 0.0 < target_h < math.inf:
+        raise DomainRangeError("mesh size target_h must be positive and "
+                               f"finite (got {target_h!r})")
     if not (1.0 / n < R - 1.0 / n):
         raise ConstructionError(f"truncation n={n} empties the domain")
     if dom.cusp is not None:
@@ -333,18 +369,24 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
                    interior: np.ndarray | None = None) -> EigenResult:
     """Smallest generalized eigenpair by shift-invert Lanczos (ARPACK).
 
-    The shift is 0: ``K`` is factored once, with diagonal pivots in a
-    symmetric minimum-degree order; ``iterations`` counts the solves with
-    that factor.  The start vector is fixed, so results are
-    deterministic.  ``interior`` masks the free (non-Dirichlet) unknowns; the
-    returned vector is embedded with zeros elsewhere, normalized to unit
-    weighted mass and sign-normalized to nonnegative mean.  The residual is
-    the relative 2-norm ``|Kx - d Mx| / |Kx|`` at the Rayleigh quotient
-    ``d``; it must reach ``_TOL`` (1e-10).
+    The shift is 0: ``K`` is factored once, with diagonal pivots;
+    ``iterations`` counts the solves with that factor and ``fill`` its
+    nonzeros.  The start vector is fixed, so results are deterministic.
+    ``interior`` selects the free (non-Dirichlet) unknowns, either as an
+    index array, whose order is the elimination order (`Mesh.free`), or as a
+    bool mask, for which the factor computes a symmetric minimum-degree
+    order.  The returned vector is embedded with zeros elsewhere, normalized
+    to unit weighted mass and sign-normalized to nonnegative mean.  The
+    residual is the relative 2-norm ``|Kx - d Mx| / |Kx|`` at the Rayleigh
+    quotient ``d``; it must reach ``_TOL`` (1e-10).
     """
     tol = _TOL
     nv = stiffness.shape[0]
-    idx = np.arange(nv) if interior is None else np.where(interior)[0]
+    if interior is None or interior.dtype == bool:
+        idx = np.arange(nv) if interior is None else np.flatnonzero(interior)
+        order = "MMD_AT_PLUS_A"
+    else:
+        idx, order = interior, "NATURAL"
     if idx.size < 2:
         raise NonConvergenceError("eigen solve needs two free unknowns",
                                   {"iterations": 0, "unknowns": int(idx.size)})
@@ -353,11 +395,13 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
     # on the pattern of the nonzeros
     K.eliminate_zeros()
     M = weighted_mass[np.ix_(idx, idx)].tocsc()
-    # K is SPD once the Dirichlet rows are gone: diagonal pivots and a
-    # symmetric minimum-degree ordering of K + K^T lose nothing and cut the
-    # ball's fill by a third against the default column ordering
-    lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    # K is SPD once the Dirichlet rows are gone, so diagonal pivots in a
+    # symmetric order lose nothing; on the ball a minimum-degree order of
+    # K + K^T cuts the fill by a third against the default column order, and
+    # the strip's nested dissection by another 11%
+    lu = splu(K, permc_spec=order, diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
+    fill = lu.L.nnz + lu.U.nnz
     solves = []
 
     def solve(b):
@@ -386,7 +430,7 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
     if np.sum(full) < 0:
         full = -full
     return EigenResult(value=value, vector=full, iterations=len(solves),
-                       residual=rnorm)
+                       residual=rnorm, fill=fill)
 
 
 def solve_truncated(dom: DomainSpec, n: int, target_h: float = 0.02
@@ -395,7 +439,7 @@ def solve_truncated(dom: DomainSpec, n: int, target_h: float = 0.02
     mesh = mesh_truncated(dom, n, target_h)
     wp = WeightParams(R=dom.R, N=2)
     stiffness, weighted_mass = assemble(mesh, wp)
-    res = smallest_eigen(stiffness, weighted_mass, interior=~mesh.boundary)
+    res = smallest_eigen(stiffness, weighted_mass, interior=mesh.free)
     return res, mesh, weighted_mass
 
 
@@ -456,7 +500,8 @@ def extrapolate_constant(dom: DomainSpec, schedule,
             mesh, wmass, res.vector, (2.0 / n, 2.0 / n_first), dom.R)
         per_n.append({
             "n": n, "d_n": res.value, "window": mesh.meta["window_length"],
-            "iterations": res.iterations, "residual": res.residual,
+            "iterations": res.iterations, "fill": res.fill,
+            "residual": res.residual,
             "vertices": mesh.num_vertices, "triangles": mesh.num_triangles,
             "min_angle_deg": mesh.meta["min_angle_deg"],
             "collar_inner": c_in, "collar_outer": c_out,

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from crithardy import angular_eigenvalue, cli
+from crithardy import (DomainRangeError, DomainSpec, angular_eigenvalue, cli,
+                       solve_truncated)
 from conftest import SECTOR
 
 
@@ -14,6 +15,33 @@ def run_cli(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def cli_error(args, capsys):
+    """Exit code and the JSON error line of a failing command."""
+    code = cli.main(args)
+    err = capsys.readouterr().err
+    return code, json.loads(err.strip().splitlines()[-1])
+
+
+def reference_vtk(path, mesh, vector):
+    """The VTK writer with one f-string per row: the byte reference for
+    `cli._write_vtk`."""
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    sections = [
+        "# vtk DataFile Version 3.0\neigenvector\nASCII\n"
+        f"DATASET UNSTRUCTURED_GRID\nPOINTS {nv} double",
+        "\n".join(f"{x!r} {y!r} 0.0" for x, y in mesh.vertices.tolist()),
+        f"CELLS {nt} {4 * nt}",
+        "\n".join(f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()),
+        f"CELL_TYPES {nt}",
+        "\n".join(["5"] * nt),
+        f"POINT_DATA {nv}\nSCALARS eigenvector double 1\n"
+        "LOOKUP_TABLE default",
+        "\n".join(map(repr, vector.tolist())),
+    ]
+    with open(path, "w") as fh:
+        fh.writelines(f"{text}\n" for text in sections)
 
 
 class TestCommands:
@@ -45,7 +73,6 @@ class TestCommands:
 
     def test_domain_classify(self, tmp_path, capsys):
         path = tmp_path / "quad.json"
-        from crithardy import DomainSpec
         path.write_text(json.dumps(DomainSpec.quadratic_cusp(0.5).to_json()))
         code, out = run_cli(["domain", "classify", "--domain", str(path)], capsys)
         doc = json.loads(out)
@@ -55,7 +82,6 @@ class TestCommands:
     def test_domain_classify_empty_slices(self, tmp_path, capsys):
         # an annular sector: its slices below r = 0.3 are empty
         path = tmp_path / "sector.json"
-        from crithardy import DomainSpec
         path.write_text(json.dumps(
             DomainSpec.angular_profile(SECTOR).to_json()))
         code, out = run_cli(["domain", "classify", "--domain", str(path)], capsys)
@@ -95,7 +121,6 @@ class TestCommands:
             rtol=1e-12, atol=0)
 
     def test_rearrange(self, tmp_path, capsys):
-        from crithardy import DomainSpec
         dpath = tmp_path / "half.json"
         dpath.write_text(json.dumps(DomainSpec.half_disk().to_json()))
         fpath = tmp_path / "fn.json"
@@ -115,7 +140,7 @@ class TestCommands:
 
     def test_rearrange_once(self, tmp_path, capsys, monkeypatch):
         # the report reuses the rearranged function the command writes out
-        from crithardy import DomainSpec, rearrange
+        from crithardy import rearrange
         dpath = tmp_path / "half.json"
         dpath.write_text(json.dumps(DomainSpec.half_disk().to_json()))
         fpath = tmp_path / "fn.json"
@@ -139,7 +164,7 @@ class TestCommands:
             rearrange_function(calls[0]).values.tolist()
 
     def test_constant_and_vtk(self, tmp_path, capsys, monkeypatch):
-        from crithardy import DomainSpec, fem2d
+        from crithardy import fem2d
         dpath = tmp_path / "ball.json"
         dpath.write_text(json.dumps(DomainSpec.ball(1.0).to_json()))
         vtk = tmp_path / "eig.vtk"
@@ -163,6 +188,7 @@ class TestCommands:
         doc = json.loads(out)
         assert code == 0
         assert len(doc["per_n"]) == 2
+        assert all(isinstance(row["fill"], int) for row in doc["per_n"])
         # the VTK is the finest level's own solve, not a second one
         assert levels == [4, 8]
         lines = vtk.read_text().splitlines()
@@ -193,8 +219,45 @@ class TestCommands:
         assert np.array_equal(values, est.vector)
         assert len(lines) == 10 + 2 * nv + 2 * nt
 
+    def test_vtk_matches_row_by_row_writer(self, tmp_path):
+        res, mesh, _ = solve_truncated(DomainSpec.ball(1.0), 8)
+        cli._write_vtk(tmp_path / "fast.vtk", mesh, res.vector)
+        reference_vtk(tmp_path / "ref.vtk", mesh, res.vector)
+        assert (tmp_path / "fast.vtk").read_bytes() == \
+            (tmp_path / "ref.vtk").read_bytes()
+
+    @pytest.mark.parametrize("h", ["0", "-0.02", "nan", "inf"])
+    @pytest.mark.parametrize("dom", [
+        pytest.param(DomainSpec.ball, id="ball"),
+        pytest.param(lambda: DomainSpec.calibrated_cusp(0.9), id="cusp"),
+    ])
+    def test_constant_rejects_bad_mesh_size(self, dom, h, tmp_path, capsys):
+        dpath = tmp_path / "dom.json"
+        dpath.write_text(json.dumps(dom().to_json()))
+        code, diag = cli_error(["constant", "--domain", str(dpath),
+                                "--schedule", "16,64", "--h", h], capsys)
+        assert code == 1
+        assert diag["error"] == "DomainRangeError"
+        assert repr(float(h)) in diag["message"]
+
+    def test_parse_schedule_rejects_non_integers(self):
+        assert cli._parse_schedule("4,8,") == [4, 8]
+        with pytest.raises(DomainRangeError, match="'4,x'"):
+            cli._parse_schedule("4,x")
+
+    @pytest.mark.parametrize("command", [
+        ["constant", "--domain", "{dom}"],
+        ["upperbound", "--family", "phi_alpha"],
+    ])
+    def test_bad_schedule_exit_code(self, command, tmp_path, capsys):
+        dpath = tmp_path / "ball.json"
+        dpath.write_text(json.dumps(DomainSpec.ball(1.0).to_json()))
+        args = [a.format(dom=dpath) for a in command]
+        code, diag = cli_error(args + ["--schedule", "4,x"], capsys)
+        assert code == 1
+        assert diag["error"] == "DomainRangeError"
+
     def test_deterministic_output(self, tmp_path, capsys):
-        from crithardy import DomainSpec
         dpath = tmp_path / "ball.json"
         dpath.write_text(json.dumps(DomainSpec.ball(1.0).to_json()))
         outs = []
@@ -210,7 +273,6 @@ class TestCommands:
         assert outs[0] == outs[1]
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        from crithardy import DomainSpec
         dpath = tmp_path / "ball.json"
         dpath.write_text(json.dumps(DomainSpec.ball(1.0).to_json()))
         code = cli.main(["constant", "--domain", str(dpath),

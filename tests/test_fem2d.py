@@ -1,16 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from crithardy import (AssemblyError, ConstructionError, DomainSpec,
-                       NonConvergenceError, TruncationSchedule, WeightParams,
+from crithardy import (AssemblyError, ConstructionError, DomainRangeError,
+                       DomainSpec, NonConvergenceError, TruncationSchedule,
+                       WeightParams,
                        assemble, extrapolate_constant, mesh_truncated,
                        refine_mesh, smallest_eigen, solve_truncated,
                        weight_eval)
 from crithardy.domain import tip_to_xy
-from crithardy.fem2d import _QUAD_MID, _QUAD_SUB, Mesh
+from crithardy.fem2d import _QUAD_MID, _QUAD_SUB, Mesh, _dissect, _strip_mesh
 from conftest import scalar_opening
 
 WP = WeightParams(R=1.0, N=2)
@@ -185,6 +187,51 @@ class TestMesh:
         assert strip_mesh.boundary.any() and not strip_mesh.boundary.all()
         assert np.array_equal(strip_mesh.boundary, edge_boundary(strip_mesh))
 
+    @pytest.mark.parametrize("make, n", [
+        pytest.param(lambda: DomainSpec.ball(1.0), 32, id="ball"),
+        pytest.param(lambda: DomainSpec.ball_with_core_cutoff(0.5), 8,
+                     id="core_cutoff"),
+        pytest.param(lambda: DomainSpec.half_disk(1.0), 8, id="half_disk"),
+        pytest.param(lambda: DomainSpec.quadratic_cusp(1.6), 16,
+                     id="arc_over_cut"),
+        pytest.param(None, 1024, id="cusp_tip"),
+    ])
+    def test_free_order_is_the_interior(self, make, n, calibrated_cusp):
+        mesh = mesh_truncated(calibrated_cusp if make is None else make(), n)
+        assert mesh.free.dtype.kind == "i"
+        # a permutation of exactly the non-boundary vertices
+        assert np.array_equal(np.sort(mesh.free),
+                              np.flatnonzero(~mesh.boundary))
+
+    def test_dissection_order_by_hand(self):
+        # 5 x 5: the two 2 x 5 halves, then the middle row
+        out = []
+        _dissect(np.arange(25).reshape(5, 5), out)
+        assert np.concatenate(out).tolist() == [
+            *range(10), *range(15, 25), *range(10, 15)]
+        # 3 x 7: the two 3 x 3 halves, then the middle column
+        out = []
+        _dissect(np.arange(21).reshape(3, 7), out)
+        assert np.concatenate(out).tolist() == [
+            0, 1, 2, 7, 8, 9, 14, 15, 16, 4, 5, 6, 11, 12, 13, 18, 19, 20,
+            3, 10, 17]
+        # a wrapping 4 x 6 strip: interior rows 1-2 cut open at column 0,
+        # which comes last
+        x, y = np.meshgrid(np.arange(6.0), np.arange(4.0) + 1.0)
+        mesh = _strip_mesh(x, y, True, {})
+        assert mesh.free.tolist() == [7, 8, 9, 10, 11, 13, 14, 15, 16, 17,
+                                      6, 12]
+
+    @pytest.mark.parametrize("h", [0.0, -0.02, math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["ball", "cusp_tip"])
+    def test_mesh_size_must_be_positive_and_finite(self, kind, h, ball,
+                                                   calibrated_cusp):
+        # unchecked, h = 0 divided by zero on the cusp and h = inf meshed
+        # a 192-vertex ball
+        dom = ball if kind == "ball" else calibrated_cusp
+        with pytest.raises(DomainRangeError, match=re.escape(repr(h))):
+            mesh_truncated(dom, 16, target_h=h)
+
     def test_core_cutoff_meshes_full_annulus(self):
         # the slice at the inner radius r = cR is empty; the rows above it
         # are full circles, so the mesh is the annulus cR < |x| < R - 1/n
@@ -342,6 +389,9 @@ class TestSmallestEigen:
                 solves.append(1)
                 return self.lu.solve(b)
 
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
         real_splu = fem2d.splu
 
         def splu(a, *args, **kwargs):
@@ -358,12 +408,14 @@ class TestSmallestEigen:
         from scipy.linalg import eigh
         mesh = mesh_truncated(ball, 4, target_h=0.1)
         K, M = assemble(mesh, WP)
-        res = smallest_eigen(K, M, interior=~mesh.boundary)
         idx = np.where(~mesh.boundary)[0]
         sub = np.ix_(idx, idx)
         dense = eigh(K[sub].toarray(), M[sub].toarray(), eigvals_only=True,
                      subset_by_index=[0, 0])
-        assert res.value == pytest.approx(dense[0], rel=1e-12)
+        # the bool mask and the strip's elimination order
+        for interior in (~mesh.boundary, mesh.free):
+            res = smallest_eigen(K, M, interior=interior)
+            assert res.value == pytest.approx(dense[0], rel=1e-12)
 
     def test_symmetric_order_cuts_fill(self, ball, monkeypatch):
         from crithardy import fem2d
@@ -382,6 +434,29 @@ class TestSmallestEigen:
         (a, lu), = factors
         default = real_splu(a)
         assert lu.L.nnz + lu.U.nnz < 0.8 * (default.L.nnz + default.U.nnz)
+
+    @pytest.mark.parametrize("make, schedule", [
+        pytest.param(lambda: DomainSpec.ball(1.0), [4, 8, 16, 32], id="ball"),
+        pytest.param(lambda: DomainSpec.calibrated_cusp(0.95),
+                     [16, 64, 256, 1024, 4096, 16384], id="cusp_0.95"),
+    ])
+    def test_dissection_order_matches_mask_path(self, make, schedule):
+        dom = make()
+        for n in schedule:
+            mesh = mesh_truncated(dom, n)
+            K, M = assemble(mesh, WP)
+            ordered = smallest_eigen(K, M, interior=mesh.free)
+            masked = smallest_eigen(K, M, interior=~mesh.boundary)
+            assert ordered.value == pytest.approx(masked.value, rel=1e-13)
+            np.testing.assert_allclose(ordered.vector, masked.vector,
+                                       rtol=0, atol=1e-12)
+
+    def test_dissection_order_cuts_fill(self, ball):
+        mesh = mesh_truncated(ball, 32)
+        K, M = assemble(mesh, WP)
+        ordered = smallest_eigen(K, M, interior=mesh.free)
+        masked = smallest_eigen(K, M, interior=~mesh.boundary)
+        assert ordered.fill <= 0.95 * masked.fill
 
     def test_residual_above_tol_raises(self, monkeypatch):
         # the 2-norm residual cannot fall below rounding
@@ -488,5 +563,7 @@ class TestExtrapolation:
         assert est.mesh.num_vertices == est.per_n[-1]["vertices"]
         assert est.vector.shape == (est.mesh.num_vertices,)
         for row in est.per_n:
+            # L and U each hold the diagonal of every free unknown
+            assert row["fill"] > row["vertices"]
             assert 0.0 <= row["collar_outer"] <= 1.0
             assert 0.0 <= row["anchor_outer"] <= 1.0
