@@ -6,11 +6,11 @@ import pytest
 from scipy import sparse
 
 from crithardy import (AssemblyError, ConstructionError, DomainRangeError,
-                       DomainSpec, NonConvergenceError, TruncationSchedule,
-                       WeightParams,
+                       DomainSpec, NonConvergenceError, NumericalError,
+                       TruncationSchedule, WeightParams,
                        assemble, extrapolate_constant, mesh_truncated,
-                       refine_mesh, smallest_eigen, solve_truncated,
-                       weight_eval)
+                       radial_eigen, refine_mesh, smallest_eigen,
+                       solve_truncated, weight_eval)
 from crithardy.domain import tip_to_xy
 from crithardy.fem2d import _QUAD_MID, _QUAD_SUB, Mesh, _dissect, _strip_mesh
 from conftest import scalar_opening
@@ -215,12 +215,11 @@ class TestMesh:
         assert np.concatenate(out).tolist() == [
             0, 1, 2, 7, 8, 9, 14, 15, 16, 4, 5, 6, 11, 12, 13, 18, 19, 20,
             3, 10, 17]
-        # a wrapping 4 x 6 strip: interior rows 1-2 cut open at column 0,
-        # which comes last
+        # a wrapping 4 x 6 strip: interior rows 1-2 in natural order, the
+        # layout radial_eigen reads
         x, y = np.meshgrid(np.arange(6.0), np.arange(4.0) + 1.0)
         mesh = _strip_mesh(x, y, True, {})
-        assert mesh.free.tolist() == [7, 8, 9, 10, 11, 13, 14, 15, 16, 17,
-                                      6, 12]
+        assert mesh.free.tolist() == list(range(6, 18))
 
     @pytest.mark.parametrize("h", [0.0, -0.02, math.nan, math.inf])
     @pytest.mark.parametrize("kind", ["ball", "cusp_tip"])
@@ -436,7 +435,8 @@ class TestSmallestEigen:
         assert lu.L.nnz + lu.U.nnz < 0.8 * (default.L.nnz + default.U.nnz)
 
     @pytest.mark.parametrize("make, schedule", [
-        pytest.param(lambda: DomainSpec.ball(1.0), [4, 8, 16, 32], id="ball"),
+        pytest.param(lambda: DomainSpec.half_disk(1.0), [4, 8, 16, 32],
+                     id="half_disk"),
         pytest.param(lambda: DomainSpec.calibrated_cusp(0.95),
                      [16, 64, 256, 1024, 4096, 16384], id="cusp_0.95"),
     ])
@@ -450,13 +450,6 @@ class TestSmallestEigen:
             assert ordered.value == pytest.approx(masked.value, rel=1e-13)
             np.testing.assert_allclose(ordered.vector, masked.vector,
                                        rtol=0, atol=1e-12)
-
-    def test_dissection_order_cuts_fill(self, ball):
-        mesh = mesh_truncated(ball, 32)
-        K, M = assemble(mesh, WP)
-        ordered = smallest_eigen(K, M, interior=mesh.free)
-        masked = smallest_eigen(K, M, interior=~mesh.boundary)
-        assert ordered.fill <= 0.95 * masked.fill
 
     def test_residual_above_tol_raises(self, monkeypatch):
         # the 2-norm residual cannot fall below rounding
@@ -521,6 +514,71 @@ class TestSmallestEigen:
         assert res.value >= 0.25 - 1e-6
 
 
+class TestRadialEigen:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: DomainSpec.ball(0.9), id="ball_0.9"),
+        pytest.param(lambda: DomainSpec.ball(1.0), id="ball_1.0"),
+        pytest.param(lambda: DomainSpec.ball(1.1), id="ball_1.1"),
+        # at n = 32 two rows of vertices lie 5e-6 apart, the others 0.02:
+        # without the refinement step the residual was 7e-10
+        pytest.param(lambda: DomainSpec.ball(0.9449967450181259),
+                     id="ball_thin_row"),
+        pytest.param(lambda: DomainSpec.ball_with_core_cutoff(0.3),
+                     id="core_cutoff_0.3"),
+        pytest.param(lambda: DomainSpec.ball_with_core_cutoff(0.5),
+                     id="core_cutoff_0.5"),
+    ])
+    def test_matches_shift_invert(self, make):
+        dom = make()
+        wp = WeightParams(R=dom.R, N=2)
+        for n in (4, 8, 16, 32):
+            mesh = mesh_truncated(dom, n)
+            K, M = assemble(mesh, wp)
+            radial = radial_eigen(mesh, K, M)
+            lanczos = smallest_eigen(K, M, interior=~mesh.boundary)
+            assert radial.solver == "radial"
+            assert radial.iterations == radial.fill == 0
+            assert radial.value == pytest.approx(lanczos.value, rel=1e-12)
+            np.testing.assert_allclose(radial.vector, lanczos.vector,
+                                       rtol=0, atol=1e-12)
+
+    def test_certificate_rejects_a_lower_angular_mode(self, ball):
+        # alpha on every horizontal-neighbour coupling and -2 alpha on the
+        # diagonal: its symbol 2 alpha (cos(2 pi k / n_cols) - 1) is zero in
+        # the radial mode, so d0 does not move, and negative in every other
+        mesh = mesh_truncated(ball, 4, target_h=0.1)
+        K, M = assemble(mesh, WP)
+        d0 = radial_eigen(mesh, K, M).value
+        ids = np.arange(mesh.num_vertices).reshape(mesh.meta["n_radii"],
+                                                   mesh.meta["n_cols"])
+        left, right = ids.ravel(), np.roll(ids, -1, axis=1).ravel()
+        alpha = 2.0
+        E = sparse.coo_matrix((np.full(left.size, alpha), (left, right)),
+                              shape=K.shape)
+        K_low = (K + E + E.T - 2.0 * alpha * sparse.identity(K.shape[0])
+                 ).tocsr()
+        with pytest.raises(NumericalError, match="angular mode k="):
+            radial_eigen(mesh, K_low, M)
+        # an eigenpair below d0 exists, so d0 would have been wrong
+        assert smallest_eigen(K_low, M, interior=~mesh.boundary).value < d0
+
+    def test_residual_above_tol_raises(self, ball, monkeypatch):
+        from crithardy import fem2d
+        monkeypatch.setattr(fem2d, "_TOL", 1e-300)
+        mesh = mesh_truncated(ball, 4, target_h=0.1)
+        K, M = assemble(mesh, WP)
+        with pytest.raises(NonConvergenceError) as info:
+            radial_eigen(mesh, K, M)
+        assert info.value.diagnostics["iterations"] == 0
+
+    def test_needs_a_wrapping_strip(self, ball, half_disk):
+        for mesh in (mesh_truncated(half_disk, 4, target_h=0.1),
+                     refine_mesh(mesh_truncated(ball, 4, target_h=0.1))):
+            K, M = assemble(mesh, WP)
+            with pytest.raises(DomainRangeError, match="wrapping strip"):
+                radial_eigen(mesh, K, M)
+
+
 class TestExtrapolation:
     def test_ball_estimate(self, ball):
         est = extrapolate_constant(ball, [4, 8, 16, 32], target_h=0.02)
@@ -529,6 +587,7 @@ class TestExtrapolation:
         ds = [row["d_n"] for row in est.per_n]
         assert all(b <= a + 1e-9 for a, b in zip(ds, ds[1:]))
         assert est.fit["beta"] == pytest.approx(math.pi**2, rel=0.05)
+        assert all(row["solver"] == "radial" for row in est.per_n)
 
     def test_quadratic_cusp_attained_signature(self):
         quad = DomainSpec.quadratic_cusp(0.5)
@@ -545,6 +604,8 @@ class TestExtrapolation:
         est = extrapolate_constant(calibrated_cusp, [16, 64, 256, 1024])
         ea = calibrated_cusp.cusp.eigenvalue
         assert abs(est.estimate - ea) / ea <= 0.05
+        # the tip strip does not wrap
+        assert all(row["solver"] == "shift_invert" for row in est.per_n)
 
     @pytest.mark.parametrize("a, schedule", [
         pytest.param(0.85, [16, 64, 256, 1024], id="0.85"),
@@ -557,13 +618,19 @@ class TestExtrapolation:
         ea = dom.cusp.eigenvalue
         assert abs(est.estimate - ea) / ea <= 0.05
 
-    def test_collar_paths_reported(self, ball):
-        est = extrapolate_constant(ball, [4, 16], target_h=0.04)
-        assert len(est.collar_report["anchor_outer_path"]) == 2
-        assert est.mesh.num_vertices == est.per_n[-1]["vertices"]
-        assert est.vector.shape == (est.mesh.num_vertices,)
-        for row in est.per_n:
-            # L and U each hold the diagonal of every free unknown
-            assert row["fill"] > row["vertices"]
-            assert 0.0 <= row["collar_outer"] <= 1.0
-            assert 0.0 <= row["anchor_outer"] <= 1.0
+    def test_collar_paths_reported(self, ball, half_disk):
+        for dom, solver in ((ball, "radial"), (half_disk, "shift_invert")):
+            est = extrapolate_constant(dom, [4, 16], target_h=0.04)
+            assert len(est.collar_report["anchor_outer_path"]) == 2
+            assert est.mesh.num_vertices == est.per_n[-1]["vertices"]
+            assert est.vector.shape == (est.mesh.num_vertices,)
+            for row in est.per_n:
+                assert row["solver"] == solver
+                if solver == "radial":
+                    # no sparse factor or solve
+                    assert row["fill"] == row["iterations"] == 0
+                else:
+                    # L and U each hold the diagonal of every free unknown
+                    assert row["fill"] > row["vertices"]
+                assert 0.0 <= row["collar_outer"] <= 1.0
+                assert 0.0 <= row["anchor_outer"] <= 1.0
