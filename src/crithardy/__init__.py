@@ -19,8 +19,7 @@ from .domain import (ArcSet, CuspProfile, DomainKind, DomainSpec,
                      limsup_mR, profile_measure)
 from .fem2d import (ConstantEstimate, EigenResult, Mesh, TruncationSchedule,
                     assemble, extrapolate_constant, mesh_truncated,
-                    radial_eigen, refine_mesh, smallest_eigen,
-                    solve_truncated)
+                    radial_eigen, smallest_eigen, solve_truncated)
 from .oned import (AngularEigenProblem, AngularEigenResult, angular_eigenvalue,
                    angular_identity_residual, arc_poincare_constant,
                    extrapolate_angular_zero_limit, hardy_1d_quotient,

@@ -56,13 +56,12 @@ class TruncationSchedule:
 
 @dataclass
 class Mesh:
+    """Triangle mesh; the free (non-Dirichlet) unknowns are ``~boundary``."""
+
     vertices: np.ndarray          # (nv, 2)
     triangles: np.ndarray         # (nt, 3)
     boundary: np.ndarray          # (nv,) bool
     meta: dict = field(default_factory=dict)
-    # the non-boundary vertices in elimination order (natural row-major on
-    # a wrapping strip); strip meshes only
-    free: np.ndarray | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -96,25 +95,6 @@ def _min_angle(vertices: np.ndarray, triangles: np.ndarray) -> float:
     return float(np.min(np.stack(angs)))
 
 
-def _dissect(grid: np.ndarray, out: list) -> None:
-    """Append the vertex ids of ``grid`` to ``out`` in nested-dissection
-    order: each half before the middle row or column that separates them,
-    cutting the longer side, down to blocks of at most 16 in natural order."""
-    n_rows, n_cols = grid.shape
-    if n_rows * n_cols <= 16:
-        out.append(grid.ravel())
-    elif n_rows >= n_cols:
-        m = n_rows // 2
-        _dissect(grid[:m], out)
-        _dissect(grid[m + 1:], out)
-        out.append(grid[m])
-    else:
-        m = n_cols // 2
-        _dissect(grid[:, :m], out)
-        _dissect(grid[:, m + 1:], out)
-        out.append(grid[:, m])
-
-
 def _strip_mesh(x: np.ndarray, y: np.ndarray, wrap: bool, meta: dict) -> Mesh:
     """Structured mesh on the ``(n_rows, n_cols)`` vertex grid ``(x, y)``.
 
@@ -122,14 +102,9 @@ def _strip_mesh(x: np.ndarray, y: np.ndarray, wrap: bool, meta: dict) -> Mesh:
     ``n_cols`` when the strip wraps) and splits into ``(a, b, d)`` and
     ``(a, d, c)``; each row lists all its ``(a, b, d)`` first.  The Dirichlet
     boundary is the first and last row, plus the first and last column when
-    the strip does not wrap.
-
-    ``free`` lists the other vertices.  On a wrapping strip it is the
-    interior rows in natural row-major order, the ``(rows, n_cols)`` layout
-    that `radial_eigen` reads.  Otherwise it is the nested-dissection order
-    of their index rectangle (George 1973): edges join adjacent rows and
-    columns only, so a full grid line separates the vertices on either side
-    of it.
+    the strip does not wrap.  Vertices are numbered row-major, so on a
+    wrapping strip the free vertices are the interior rows in the
+    ``(rows, n_cols)`` layout that `radial_eigen` reads.
     """
     n_rows, n_cols = x.shape
     j = np.arange(n_cols if wrap else n_cols - 1)
@@ -141,18 +116,12 @@ def _strip_mesh(x: np.ndarray, y: np.ndarray, wrap: bool, meta: dict) -> Mesh:
     verts = np.stack([x.ravel(), y.ravel()], axis=1)
     boundary = np.zeros((n_rows, n_cols), dtype=bool)
     boundary[[0, -1]] = True
-    ids = np.arange(n_rows * n_cols).reshape(n_rows, n_cols)[1:-1]
-    if wrap:
-        free = ids.ravel()
-    else:
+    if not wrap:
         boundary[:, [0, -1]] = True
-        blocks = []
-        _dissect(ids[:, 1:-1], blocks)
-        free = np.concatenate(blocks)
     meta = {**meta, "min_angle_deg": _min_angle(verts, tris),
             "n_radii": n_rows, "n_cols": n_cols, "wrap": wrap}
     return Mesh(vertices=verts, triangles=tris, boundary=boundary.ravel(),
-                meta=meta, free=free)
+                meta=meta)
 
 
 def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
@@ -244,40 +213,6 @@ def _mesh_cusp_tip(dom: DomainSpec, n: int, target_h: float) -> Mesh:
     meta = {"kind": "cusp_section5", "n": n, "target_h": target_h,
             "window_length": math.log(prof.r0 / rho_c)}
     return _strip_mesh(x, y, False, meta)
-
-
-def refine_mesh(mesh: Mesh) -> Mesh:
-    """Red refinement: each triangle splits into four; nested, conforming.
-
-    Midpoints are numbered after the coarse vertices in order of first
-    appearance (triangle by triangle, edges ``ab, bc, ca``).  The boundary is
-    the endpoints and midpoints of the edges owned by one triangle.
-    """
-    verts, tris = mesh.vertices, mesh.triangles
-    nv = verts.shape[0]
-    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    uniq, first, inverse, counts = np.unique(
-        edges, axis=0, return_index=True, return_inverse=True,
-        return_counts=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    ab, bc, ca = (nv + rank[inverse]).reshape(-1, 3).T
-    a, b, c = tris.T
-    new_tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
-                        axis=1).reshape(-1, 3)
-    ends = uniq[order]
-    all_verts = np.concatenate([verts, 0.5 * (verts[ends[:, 0]]
-                                              + verts[ends[:, 1]])])
-    boundary = np.zeros(all_verts.shape[0], dtype=bool)
-    single = counts == 1
-    boundary[uniq[single].ravel()] = True
-    boundary[nv + rank[single]] = True
-    meta = dict(mesh.meta)
-    meta["refined"] = meta.get("refined", 0) + 1
-    meta["min_angle_deg"] = _min_angle(all_verts, new_tris)
-    return Mesh(vertices=all_verts, triangles=new_tris, boundary=boundary,
-                meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -378,21 +313,24 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
     The shift is 0: ``K`` is factored once, with diagonal pivots;
     ``iterations`` counts the solves with that factor and ``fill`` its
     nonzeros.  The start vector is fixed, so results are deterministic.
-    ``interior`` selects the free (non-Dirichlet) unknowns, either as an
-    index array, whose order is the elimination order (`Mesh.free`), or as a
-    bool mask, for which the factor computes a symmetric minimum-degree
-    order.  The returned vector is embedded with zeros elsewhere, normalized
-    to unit weighted mass and sign-normalized to nonnegative mean.  The
-    residual is the relative 2-norm ``|Kx - d Mx| / |Kx|`` at the Rayleigh
-    quotient ``d``; it must reach ``_TOL`` (1e-10).
+    ``interior`` is the bool mask of the free (non-Dirichlet) unknowns, one
+    entry per row of ``K``; ``None`` frees them all.  The returned vector is
+    embedded with zeros elsewhere, normalized to unit weighted mass and
+    sign-normalized to nonnegative mean.  The residual is the relative
+    2-norm ``|Kx - d Mx| / |Kx|`` at the Rayleigh quotient ``d``; it must
+    reach ``_TOL`` (1e-10).
     """
     tol = _TOL
     nv = stiffness.shape[0]
-    if interior is None or interior.dtype == bool:
-        idx = np.arange(nv) if interior is None else np.flatnonzero(interior)
-        order = "MMD_AT_PLUS_A"
+    if interior is None:
+        idx = np.arange(nv)
     else:
-        idx, order = interior, "NATURAL"
+        interior = np.asarray(interior)
+        if interior.dtype != bool or interior.shape != (nv,):
+            raise DomainRangeError(
+                f"interior must be a bool mask of shape ({nv},) (got "
+                f"{interior.dtype} of shape {interior.shape})")
+        idx = np.flatnonzero(interior)
     if idx.size < 2:
         raise NonConvergenceError("eigen solve needs two free unknowns",
                                   {"iterations": 0, "unknowns": int(idx.size)})
@@ -402,10 +340,9 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
     K.eliminate_zeros()
     M = weighted_mass[np.ix_(idx, idx)].tocsc()
     # K is SPD once the Dirichlet rows are gone, so diagonal pivots in a
-    # symmetric order lose nothing; on the ball a minimum-degree order of
-    # K + K^T cuts the fill by a third against the default column order, and
-    # the strip's nested dissection by another 11%
-    lu = splu(K, permc_spec=order, diag_pivot_thresh=0.0,
+    # symmetric order lose nothing; a minimum-degree order of K + K^T cuts
+    # the fill by a quarter to a third against the default column order
+    lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
     fill = lu.L.nnz + lu.U.nnz
     solves = []
@@ -478,12 +415,14 @@ def radial_eigen(mesh: Mesh, stiffness: sparse.spmatrix,
     unit weighted mass with the full free ``M``; the value is its Rayleigh
     quotient on the full free ``K``.  Residual gate and sign rule are those
     of `smallest_eigen`.  No sparse factor or solve is made, so
-    ``iterations`` and ``fill`` are 0.
+    ``iterations`` and ``fill`` are 0.  The free rows are those of
+    ``~mesh.boundary``: on a wrapping strip, the interior rows in row-major
+    order.
     """
-    if not mesh.meta.get("wrap") or mesh.free is None:
+    if not mesh.meta.get("wrap"):
         raise DomainRangeError("radial_eigen needs a wrapping strip mesh")
     n_cols = mesh.meta["n_cols"]
-    free = mesh.free
+    free = np.flatnonzero(~mesh.boundary)
     m = free.size // n_cols
     K = stiffness[free][:, free].tocsr()
     M = weighted_mass[free][:, free].tocsr()
@@ -535,14 +474,15 @@ def radial_eigen(mesh: Mesh, stiffness: sparse.spmatrix,
 def solve_truncated(dom: DomainSpec, n: int, target_h: float = 0.02
                     ) -> tuple[EigenResult, Mesh, sparse.csr_matrix]:
     """Mesh, assemble, and solve one truncation level: a wrapping strip in
-    its radial mode (`radial_eigen`), any other by `smallest_eigen`."""
+    its radial mode (`radial_eigen`), any other by `smallest_eigen` on the
+    non-boundary vertices."""
     mesh = mesh_truncated(dom, n, target_h)
     wp = WeightParams(R=dom.R, N=2)
     stiffness, weighted_mass = assemble(mesh, wp)
     if mesh.meta["wrap"]:
         res = radial_eigen(mesh, stiffness, weighted_mass)
     else:
-        res = smallest_eigen(stiffness, weighted_mass, interior=mesh.free)
+        res = smallest_eigen(stiffness, weighted_mass, interior=~mesh.boundary)
     return res, mesh, weighted_mass
 
 

@@ -9,10 +9,10 @@ from crithardy import (AssemblyError, ConstructionError, DomainRangeError,
                        DomainSpec, NonConvergenceError, NumericalError,
                        TruncationSchedule, WeightParams,
                        assemble, extrapolate_constant, mesh_truncated,
-                       radial_eigen, refine_mesh, smallest_eigen,
-                       solve_truncated, weight_eval)
+                       radial_eigen, smallest_eigen, solve_truncated,
+                       weight_eval)
 from crithardy.domain import tip_to_xy
-from crithardy.fem2d import _QUAD_MID, _QUAD_SUB, Mesh, _dissect, _strip_mesh
+from crithardy.fem2d import _QUAD_MID, _QUAD_SUB, Mesh
 from conftest import scalar_opening
 
 WP = WeightParams(R=1.0, N=2)
@@ -38,25 +38,6 @@ def edge_boundary(mesh):
     flags = np.zeros(mesh.num_vertices, dtype=bool)
     flags[edges[counts == 1].ravel()] = True
     return flags
-
-
-def loop_refine(mesh):
-    """Reference red refinement: one dict of edge midpoints, filled in
-    triangle order."""
-    verts, mid = list(mesh.vertices), {}
-
-    def midpoint(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in mid:
-            mid[key] = len(verts)
-            verts.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
-        return mid[key]
-
-    tris = []
-    for a, b, c in mesh.triangles:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        tris += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-    return np.array(verts), np.array(tris)
 
 
 # (domain, n) for every structured-strip path: full circle, single arc,
@@ -154,8 +135,6 @@ class TestMesh:
 
     def test_refinement_quadruples(self, half_disk):
         coarse = mesh_truncated(half_disk, 8, target_h=0.08)
-        refined = refine_mesh(coarse)
-        assert refined.num_triangles == 4 * coarse.num_triangles
         finer = mesh_truncated(half_disk, 8, target_h=0.04)
         assert finer.num_triangles >= 2 * coarse.num_triangles
 
@@ -186,40 +165,6 @@ class TestMesh:
     def test_boundary_matches_edge_count(self, strip_mesh):
         assert strip_mesh.boundary.any() and not strip_mesh.boundary.all()
         assert np.array_equal(strip_mesh.boundary, edge_boundary(strip_mesh))
-
-    @pytest.mark.parametrize("make, n", [
-        pytest.param(lambda: DomainSpec.ball(1.0), 32, id="ball"),
-        pytest.param(lambda: DomainSpec.ball_with_core_cutoff(0.5), 8,
-                     id="core_cutoff"),
-        pytest.param(lambda: DomainSpec.half_disk(1.0), 8, id="half_disk"),
-        pytest.param(lambda: DomainSpec.quadratic_cusp(1.6), 16,
-                     id="arc_over_cut"),
-        pytest.param(None, 1024, id="cusp_tip"),
-    ])
-    def test_free_order_is_the_interior(self, make, n, calibrated_cusp):
-        mesh = mesh_truncated(calibrated_cusp if make is None else make(), n)
-        assert mesh.free.dtype.kind == "i"
-        # a permutation of exactly the non-boundary vertices
-        assert np.array_equal(np.sort(mesh.free),
-                              np.flatnonzero(~mesh.boundary))
-
-    def test_dissection_order_by_hand(self):
-        # 5 x 5: the two 2 x 5 halves, then the middle row
-        out = []
-        _dissect(np.arange(25).reshape(5, 5), out)
-        assert np.concatenate(out).tolist() == [
-            *range(10), *range(15, 25), *range(10, 15)]
-        # 3 x 7: the two 3 x 3 halves, then the middle column
-        out = []
-        _dissect(np.arange(21).reshape(3, 7), out)
-        assert np.concatenate(out).tolist() == [
-            0, 1, 2, 7, 8, 9, 14, 15, 16, 4, 5, 6, 11, 12, 13, 18, 19, 20,
-            3, 10, 17]
-        # a wrapping 4 x 6 strip: interior rows 1-2 in natural order, the
-        # layout radial_eigen reads
-        x, y = np.meshgrid(np.arange(6.0), np.arange(4.0) + 1.0)
-        mesh = _strip_mesh(x, y, True, {})
-        assert mesh.free.tolist() == list(range(6, 18))
 
     @pytest.mark.parametrize("h", [0.0, -0.02, math.nan, math.inf])
     @pytest.mark.parametrize("kind", ["ball", "cusp_tip"])
@@ -264,30 +209,6 @@ class TestMesh:
         e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
         cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         assert np.all(cross > 0) or np.all(cross < 0)
-
-    @pytest.mark.parametrize("make, n", [
-        pytest.param(lambda: DomainSpec.half_disk(1.0), 8, id="half_disk"),
-        pytest.param(lambda: DomainSpec.ball(1.0), 4, id="ball"),
-    ])
-    def test_refine_mesh_structure(self, make, n):
-        coarse = mesh_truncated(make(), n, target_h=0.08)
-        fine = refine_mesh(coarse)
-        nv = coarse.num_vertices
-        assert np.array_equal(fine.vertices[:nv], coarse.vertices)
-        # the centre child of each coarse triangle joins its edge midpoints
-        # (ab, bc, ca), and every coarse edge gets its own new vertex
-        p = coarse.vertices[coarse.triangles]
-        mids = fine.vertices[fine.triangles[3::4]]
-        assert np.array_equal(mids, 0.5 * (p + np.roll(p, -1, axis=1)))
-        n_edges = mesh_edges(coarse)[0].shape[0]
-        assert np.array_equal(np.unique(fine.triangles[3::4]),
-                              np.arange(nv, nv + n_edges))
-        assert fine.num_vertices == nv + n_edges
-        assert np.array_equal(fine.boundary, edge_boundary(fine))
-        assert euler_characteristic(fine) == euler_characteristic(coarse)
-        ref_verts, ref_tris = loop_refine(coarse)
-        assert np.array_equal(fine.vertices, ref_verts)
-        assert np.array_equal(fine.triangles, ref_tris)
 
 
 class TestAssemble:
@@ -411,14 +332,12 @@ class TestSmallestEigen:
         sub = np.ix_(idx, idx)
         dense = eigh(K[sub].toarray(), M[sub].toarray(), eigvals_only=True,
                      subset_by_index=[0, 0])
-        # the bool mask and the strip's elimination order
-        for interior in (~mesh.boundary, mesh.free):
-            res = smallest_eigen(K, M, interior=interior)
-            assert res.value == pytest.approx(dense[0], rel=1e-12)
+        res = smallest_eigen(K, M, interior=~mesh.boundary)
+        assert res.value == pytest.approx(dense[0], rel=1e-12)
 
-    def test_symmetric_order_cuts_fill(self, ball, monkeypatch):
+    def test_symmetric_order_cuts_fill(self, half_disk, monkeypatch):
         from crithardy import fem2d
-        mesh = mesh_truncated(ball, 8)
+        mesh = mesh_truncated(half_disk, 8)
         K, M = assemble(mesh, WP)
         factors = []
         real_splu = fem2d.splu
@@ -433,23 +352,6 @@ class TestSmallestEigen:
         (a, lu), = factors
         default = real_splu(a)
         assert lu.L.nnz + lu.U.nnz < 0.8 * (default.L.nnz + default.U.nnz)
-
-    @pytest.mark.parametrize("make, schedule", [
-        pytest.param(lambda: DomainSpec.half_disk(1.0), [4, 8, 16, 32],
-                     id="half_disk"),
-        pytest.param(lambda: DomainSpec.calibrated_cusp(0.95),
-                     [16, 64, 256, 1024, 4096, 16384], id="cusp_0.95"),
-    ])
-    def test_dissection_order_matches_mask_path(self, make, schedule):
-        dom = make()
-        for n in schedule:
-            mesh = mesh_truncated(dom, n)
-            K, M = assemble(mesh, WP)
-            ordered = smallest_eigen(K, M, interior=mesh.free)
-            masked = smallest_eigen(K, M, interior=~mesh.boundary)
-            assert ordered.value == pytest.approx(masked.value, rel=1e-13)
-            np.testing.assert_allclose(ordered.vector, masked.vector,
-                                       rtol=0, atol=1e-12)
 
     def test_residual_above_tol_raises(self, monkeypatch):
         # the 2-norm residual cannot fall below rounding
@@ -468,6 +370,18 @@ class TestSmallestEigen:
         with pytest.raises(NonConvergenceError) as info:
             smallest_eigen(K, M, interior=np.array([False, True, False]))
         assert info.value.diagnostics["unknowns"] == 1
+
+    @pytest.mark.parametrize("interior", [
+        # one entry short: read as a mask, it would solve a 3 x 3 subproblem
+        pytest.param(np.array([True, True, True]), id="short_mask"),
+        # an index array is not a mask; cast to bool it would free rows 1-3
+        pytest.param(np.array([0, 1, 2, 3]), id="index_array"),
+    ])
+    def test_interior_must_be_a_full_bool_mask(self, interior):
+        K = sparse.diags([1.0, 2.0, 3.0, 4.0]).tocsr()
+        M = sparse.identity(4, format="csr")
+        with pytest.raises(DomainRangeError, match="bool mask of shape"):
+            smallest_eigen(K, M, interior=interior)
 
     def test_arpack_failure_raises(self, monkeypatch):
         from scipy.sparse.linalg import ArpackNoConvergence
@@ -499,15 +413,6 @@ class TestSmallestEigen:
         interior = ~mesh.boundary
         v = res.vector[interior]
         assert v.min() >= -1e-8 * v.max()
-
-    def test_refinement_does_not_increase(self, half_disk):
-        mesh = mesh_truncated(half_disk, 8, target_h=0.08)
-        K, M = assemble(mesh, WP)
-        d0 = smallest_eigen(K, M, interior=~mesh.boundary).value
-        fine = refine_mesh(mesh)
-        K2, M2 = assemble(fine, WP)
-        d1 = smallest_eigen(K2, M2, interior=~fine.boundary).value
-        assert d1 <= d0 + 1e-9
 
     def test_lower_bound(self, ball):
         res, _, _ = solve_truncated(ball, 4, target_h=0.05)
@@ -571,9 +476,13 @@ class TestRadialEigen:
             radial_eigen(mesh, K, M)
         assert info.value.diagnostics["iterations"] == 0
 
-    def test_needs_a_wrapping_strip(self, ball, half_disk):
-        for mesh in (mesh_truncated(half_disk, 4, target_h=0.1),
-                     refine_mesh(mesh_truncated(ball, 4, target_h=0.1))):
+    def test_needs_a_wrapping_strip(self, half_disk):
+        # a strip that does not wrap, and a mesh with no strip meta at all
+        square = Mesh(vertices=np.array([[0.3, 0.1], [0.4, 0.1], [0.4, 0.2],
+                                         [0.3, 0.2]]),
+                      triangles=np.array([[0, 1, 2], [0, 2, 3]]),
+                      boundary=np.ones(4, dtype=bool))
+        for mesh in (mesh_truncated(half_disk, 4, target_h=0.1), square):
             K, M = assemble(mesh, WP)
             with pytest.raises(DomainRangeError, match="wrapping strip"):
                 radial_eigen(mesh, K, M)
