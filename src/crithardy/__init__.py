@@ -37,6 +37,5 @@ from .testfn import (CuspFamilyParams, HalfSpaceFamilyParams,
                      cusp_upper_bound, halfspace_quotient, phi_alpha_quotient,
                      phi_alpha_schedule, psi_beta_closed_form,
                      psi_beta_quotient, psi_beta_schedule)
-from .weight import (WeightParams, boundary_taylor_gap, cusp_flat_radius,
-                     cusp_h, cusp_ratio_infimum, cusp_weight_ratio,
-                     weight_eval)
+from .weight import (WeightParams, boundary_taylor_gap, cusp_h,
+                     cusp_ratio_infimum, cusp_weight_ratio, weight_eval)

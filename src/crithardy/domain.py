@@ -112,9 +112,11 @@ def _centered_arcs(s: float) -> ArcSet:
 class CuspProfile:
     """Tip-frame data of the calibrated cusp: limit angle, extent, calibration.
 
+    ``r0`` is the largest tip distance the tables cover (0.5 by default).
     ``a_of_r(rho)`` is the opening half-angle at tip distance ``rho``; it solves
     ``angular_eigenvalue(a_of_r) * g(rho) = angular_eigenvalue(a)`` where ``g``
-    is the slice infimum of the shifted weight ratio (`weight.cusp_ratio_infimum`).
+    is the slice infimum of the shifted weight ratio: the smaller of its values
+    at the slice edge and on the vertical ray (`weight.cusp_ratio_infimum`).
     """
 
     a: float
@@ -191,8 +193,9 @@ def _extrapolate(xs: list, ys: list, x: float) -> float:
 def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
     """Construct the calibrated cusp profile for limit angle ``a``.
 
-    ``r0`` defaults to the scanned radius below which the weight-ratio infimum
-    stays below 1.  The 96-row half-angle table, geometric in the tip
+    ``r0``, the tip distance the profile extends to, must lie in (1e-7, 1) and
+    defaults to 0.5; the weight-ratio infimum ``g`` is below 1 at every tip
+    distance (see `weight`).  The 96-row half-angle table, geometric in the tip
     distance from 1e-7 to ``r0``, is obtained by inverting the angular
     eigenvalue on the 512 grid at each tip distance
     (`oned.invert_angular_eigenvalue`, a bracketed secant).  The rows are
@@ -206,7 +209,10 @@ def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
     if not (math.pi / 4 < a < math.pi / 2):
         raise DomainRangeError(f"limit angle must lie in (pi/4, pi/2), got {a}")
     if r0 is None:
-        r0 = weight.cusp_flat_radius(a)
+        r0 = 0.5
+    if not (1e-7 < r0 < 1.0):
+        raise DomainRangeError(
+            f"profile extent r0 must lie in (1e-7, 1), got {r0}")
     grid = 512
     e_a = oned.angular_eigenvalue(a, grid)
     rho = np.geomspace(1e-7, r0, 96)
@@ -300,6 +306,31 @@ class GeometryClassification:
     regime: Regime
     m0_table: dict
     mR_table: dict
+
+
+# The keys of a domain document's params, required and optional, per kind
+# and, for the cusp kind, per flavor.
+_CUSP_FLAVORS = ("cone", "quadratic", "section5")
+_PARAM_KEYS = {
+    "ball": ((), ()),
+    "ball_with_core_cutoff": (("c",), ()),
+    "angular_profile": (("bands",), ()),
+    "cone": (("flavor", "a"), ()),
+    "quadratic": (("flavor", "beta0"), ()),
+    "section5": (("flavor", "a"), ("r0",)),
+}
+
+
+def _check_keys(what: str, doc, required, optional) -> None:
+    """Raise `DomainRangeError` unless ``doc`` is a dict holding every key of
+    ``required`` and no key outside ``required`` and ``optional``."""
+    if not isinstance(doc, dict):
+        raise DomainRangeError(f"{what} must be a JSON object, got {doc!r}")
+    missing = [k for k in required if k not in doc]
+    unknown = sorted(set(doc) - set(required) - set(optional))
+    if missing or unknown:
+        raise DomainRangeError(
+            f"{what}: missing keys {missing}, unknown keys {unknown}")
 
 
 class DomainSpec:
@@ -472,22 +503,42 @@ class DomainSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DomainSpec":
-        kind = DomainKind(doc["kind"])
+        """Domain of a `to_json` document.
+
+        Raises `DomainRangeError` on an unknown kind or cusp flavor, on a
+        missing or unknown key, and on a calibrated cusp with R != 1.
+        """
+        _check_keys("domain document", doc, ("kind", "R"),
+                    ("contains_origin", "params"))
+        kind, params = doc["kind"], doc.get("params", {})
+        kinds = [k.value for k in DomainKind]
+        if kind not in kinds:
+            raise DomainRangeError(
+                f"unknown domain kind {kind!r}; expected one of {kinds}")
+        shape = kind
+        if kind == DomainKind.CUSP:
+            shape = params.get("flavor") if isinstance(params, dict) else None
+            if shape not in _CUSP_FLAVORS:
+                raise DomainRangeError(f"unknown cusp flavor {shape!r}; "
+                                       f"expected one of {_CUSP_FLAVORS}")
+        _check_keys(f"{shape} params", params, *_PARAM_KEYS[shape])
         R = float(doc["R"])
-        params = doc.get("params", {})
-        if kind is DomainKind.BALL:
+        if shape == "ball":
             return cls.ball(R)
-        if kind is DomainKind.CORE_CUTOFF:
+        if shape == "ball_with_core_cutoff":
             return cls.ball_with_core_cutoff(params["c"], R)
-        if kind is DomainKind.ANGULAR_PROFILE:
+        if shape == "angular_profile":
             bands = [(lo, hi, arcs) for lo, hi, arcs in params["bands"]]
             return cls.angular_profile(bands, R,
                                        doc.get("contains_origin", False))
-        flavor = params["flavor"]
-        if flavor == "cone":
+        if shape == "cone":
             return cls.cone(params["a"], R)
-        if flavor == "quadratic":
+        if shape == "quadratic":
             return cls.quadratic_cusp(params["beta0"], R)
+        if R != 1.0:
+            raise DomainRangeError(
+                f"the calibrated cusp lives in the unit disk: R must be 1, "
+                f"got {R}")
         return cls.calibrated_cusp(params["a"], params.get("r0"))
 
 

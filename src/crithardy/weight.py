@@ -9,8 +9,10 @@ The ``cusp_*`` functions work in the polar frame shifted to the boundary point
 direction ``theta`` (measured from the positive horizontal axis, so the disk
 interior is ``theta in (0, pi)``) sits at squared distance ``h(r, theta)`` from
 the origin.  ``cusp_weight_ratio`` compares the weight normalizer against the
-squared height above the boundary, and ``cusp_ratio_infimum`` minimizes it over
-a cone slice; both are the calibration inputs for the narrowing-cusp domain on
+squared height above the boundary, and ``cusp_ratio_infimum`` gives its minimum
+over a cone slice in closed form: the smaller of its values at the slice edge
+and on the vertical ray, where it is ``((1 - r) log(1 - r) / r)^2 < 1`` since
+``x log(1/x) < 1 - x`` on (0, 1).  Both calibrate the narrowing-cusp domain on
 which the best constant exceeds 1/4 without being attained.
 """
 
@@ -21,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import DomainRangeError, NumericalError
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from ._errors import DomainRangeError
 
 
 def _float_for_scalars(out, *inputs):
@@ -110,81 +110,40 @@ def cusp_weight_ratio(r, theta):
 
     With y = (r cos(theta), r sin(theta)) in the shifted frame, the normalizer is
     (1/4) h (log h)^2 and the height is y_2 = r sin(theta); the ratio tends to 1
-    as the tip is approached.  Evaluated via log1p in the small-r regime where
-    h is close to 1.
+    as the tip is approached.  Evaluated via log1p where h is close to 1; below
+    h = 1/4, where ``1 + (h - 1)`` cancels (fully as r -> 1 on the vertical
+    ray), h is the squared distance (r cos)^2 + (1 - r sin)^2 itself.
     """
-    out = _ratio_in_range(*_tip_polar(r, theta))
+    r_arr, th = _tip_polar(r, theta)
+    s = np.sin(th)
+    w = r_arr * r_arr - 2.0 * r_arr * s  # h - 1, small near the tip
+    far = w < -0.75
+    h = np.where(far, (r_arr * np.cos(th)) ** 2 + (1.0 - r_arr * s) ** 2,
+                 1.0 + w)
+    with np.errstate(divide="ignore"):  # the discarded log1p(-1) of far points
+        log_h = np.where(far, np.log(h), np.log1p(w))
+    y2 = r_arr * s
+    out = 0.25 * h * log_h * log_h / (y2 * y2)
     return _float_for_scalars(out, r, theta)
 
 
-def _ratio_in_range(r, theta, xp=np):
-    """`cusp_weight_ratio` without the conversions and range checks.
-
-    ``xp`` supplies ``sin`` and ``log1p``: `numpy` for arrays, `math` for
-    single floats, where it is several times faster than numpy's ufuncs.
-    """
-    s = xp.sin(theta)
-    w = r * r - 2.0 * r * s  # h - 1, small near the tip
-    log_h = xp.log1p(w)
-    y2 = r * s
-    return 0.25 * (1.0 + w) * log_h * log_h / (y2 * y2)
-
-
-def cusp_ratio_infimum(r: float, a: float, samples: int = 2048) -> float:
+def cusp_ratio_infimum(r: float, a: float) -> float:
     """Minimum of `cusp_weight_ratio` over the cone slice theta in [a, pi - a].
 
-    Dense sampling followed by golden-section refinement of the best bracket
-    down to a width of 1e-12; the slice is symmetric about pi/2 so the scan
-    covers [a, pi/2].  The refinement stays inside the validated scan range,
-    so it evaluates the ratio on single floats, through `math`, without the
-    checks of `cusp_weight_ratio`.
+    The minimum is the ratio at theta = a or at theta = pi/2, whichever is
+    smaller; it is 0 when the slice reaches the unit circle (2 sin a <= r),
+    where h = 1.  Proof: the ratio depends on theta only through
+    s = sin(theta), which runs over [sin a, 1].  With h = 1 + r^2 - 2 r s and
+    L = log h, d/ds of the log of the ratio has the sign of
+    F(s) = r s (L + 2) + h L.  F'' = -4 r^3 s / h^2 < 0, and F = r^2 > 0 at
+    s = r/2, the unit circle.  So inside the disk (s > r/2) the ratio rises
+    and then may fall, but never falls and then rises: it has no interior
+    minimum.
     """
     if not (0.0 < r < 1.0):
         raise DomainRangeError(f"r must lie in (0, 1), got {r}")
     if not (0.0 < a < math.pi / 2):
         raise DomainRangeError(f"a must lie in (0, pi/2), got {a}")
-    thetas = np.linspace(a, math.pi / 2, samples)
-    vals = cusp_weight_ratio(r, thetas)
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError(f"non-finite ratio values at r={r}")
-    k = int(np.argmin(vals))
-    lo = float(thetas[max(k - 1, 0)])
-    hi = float(thetas[min(k + 1, samples - 1)])
-    # Golden-section refinement of the sampled bracket.
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = _ratio_in_range(r, x1, math)
-    f2 = _ratio_in_range(r, x2, math)
-    while hi - lo > 1e-12:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = _ratio_in_range(r, x1, math)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = _ratio_in_range(r, x2, math)
-    best = float(min(vals[k], f1, f2))
-    if not math.isfinite(best):
-        raise NumericalError(f"cusp ratio minimization failed at r={r}")
-    return best
-
-
-def cusp_flat_radius(a: float) -> float:
-    """Largest scanned radius <= 0.5 below which the slice infimum stays < 1.
-
-    Scans r = 0.01, 0.02, ... (by repeated addition) and returns the last grid
-    value before the first violation of ``inf < 1`` (0.5 if none occurs); each
-    infimum is sampled on 512 angles.
-    """
-    step, cap = 1e-2, 0.5
-    r = step
-    last_good = 0.0
-    while r <= cap + 1e-15:
-        if cusp_ratio_infimum(r, a, samples=512) >= 1.0:
-            break
-        last_good = r
-        r += step
-    if last_good == 0.0:
-        raise NumericalError(f"slice ratio is not < 1 near 0 for a={a}")
-    return min(last_good, cap)
+    if 2.0 * math.sin(a) <= r:
+        return 0.0
+    return float(np.min(cusp_weight_ratio(r, np.array([a, math.pi / 2]))))

@@ -240,6 +240,16 @@ class TestCommands:
         assert diag["error"] == "DomainRangeError"
         assert repr(float(h)) in diag["message"]
 
+    def test_classify_rejects_unknown_flavor(self, tmp_path, capsys):
+        dpath = tmp_path / "dom.json"
+        dpath.write_text(json.dumps({"kind": "cusp", "R": 1.0, "params": {
+            "flavor": "conee", "a": 0.9}}))
+        code, diag = cli_error(["domain", "classify", "--domain", str(dpath)],
+                               capsys)
+        assert code == 1
+        assert diag["error"] == "DomainRangeError"
+        assert "conee" in diag["message"]
+
     def test_parse_schedule_rejects_non_integers(self):
         assert cli._parse_schedule("4,8,") == [4, 8]
         with pytest.raises(DomainRangeError, match="'4,x'"):

@@ -195,6 +195,7 @@ class TestSerialization:
         DomainSpec.cone(0.8),
         DomainSpec.quadratic_cusp(0.7),
         DomainSpec.half_disk(),
+        DomainSpec.calibrated_cusp(0.9),
     ])
     def test_roundtrip(self, dom):
         doc = json.loads(json.dumps(dom.to_json()))
@@ -203,6 +204,39 @@ class TestSerialization:
         assert profile_measure(back, r) == pytest.approx(
             profile_measure(dom, r), rel=1e-12)
         assert back.kind == dom.kind and back.R == dom.R
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "ball", "R": 1.0, "params": {}},
+        {"kind": "ball_with_core_cutoff", "R": 1.0, "params": {"c": 0.5}},
+        {"kind": "cusp", "R": 1.0, "params": {"flavor": "section5", "a": 0.9}},
+    ])
+    def test_hand_written_documents_load(self, doc):
+        # the short forms the README shows and the command-line runs write
+        assert DomainSpec.from_json(doc).to_json()["kind"] == doc["kind"]
+
+    @pytest.mark.parametrize("doc, match", [
+        pytest.param({"kind": "balll", "R": 1.0, "params": {}},
+                     "unknown domain kind 'balll'", id="unknown-kind"),
+        pytest.param({"kind": "cusp", "R": 1.0,
+                      "params": {"flavor": "conee", "a": 0.9}},
+                     "unknown cusp flavor 'conee'", id="unknown-flavor"),
+        pytest.param({"kind": "cusp", "R": 1.0, "params": {"a": 0.9}},
+                     "unknown cusp flavor None", id="missing-flavor"),
+        pytest.param({"kind": "ball_with_core_cutoff", "R": 1.0,
+                      "params": {}},
+                     r"missing keys \['c'\]", id="missing-param"),
+        pytest.param({"kind": "cusp", "R": 1.0,
+                      "params": {"flavor": "cone", "a": 0.9, "beta0": 0.5}},
+                     r"unknown keys \['beta0'\]", id="unknown-param"),
+        pytest.param({"kind": "ball", "params": {}},
+                     r"missing keys \['R'\]", id="missing-R"),
+        pytest.param({"kind": "cusp", "R": 2.0,
+                      "params": {"flavor": "section5", "a": 0.9}},
+                     "R must be 1, got 2.0", id="section5-R"),
+    ])
+    def test_rejects_bad_documents(self, doc, match):
+        with pytest.raises(DomainRangeError, match=match):
+            DomainSpec.from_json(doc)
 
 
 class TestCalibratedProfile:
@@ -236,6 +270,17 @@ class TestCalibratedProfile:
         prof = build_cusp_profile(a)
         assert prof.a_table.size == 96
         assert len(calls) <= 113
+
+    @pytest.mark.parametrize("a", [0.82, 0.9, 1.08])
+    def test_default_extent(self, a):
+        # the slice infimum is below 1 at every tip distance, so the default
+        # extent is the fixed 0.5
+        assert build_cusp_profile(a).r0 == 0.5
+
+    @pytest.mark.parametrize("r0", [1e-8, 1e-7, 1.0, 1.5])
+    def test_rejects_extent_out_of_range(self, r0):
+        with pytest.raises(DomainRangeError, match="r0 must lie in"):
+            build_cusp_profile(0.9, r0)
 
     @pytest.mark.parametrize("a", [0.82, 1.08])
     def test_predicted_starts_match_plain_secant(self, a):

@@ -16,7 +16,6 @@ from crithardy import (AngularEigenProblem, DomainRangeError,
 from crithardy import oned
 from crithardy.oned import (_angular_nodes, _rate_fit, _smallest_pair,
                             sin_integral)
-from crithardy.weight import cusp_flat_radius
 from conftest import smooth_bump, smooth_bump_d
 
 
@@ -261,11 +260,12 @@ def _ball_windows(ns):
 
 
 def _cusp_windows(a, ns):
-    """Log-window lengths of the calibrated cusp's tip-frame truncations."""
+    """Log-window lengths of the calibrated cusp's tip-frame truncations, up
+    to the default profile extent 0.5."""
     n = np.asarray(ns, dtype=float)
     sa = math.sin(a)
     rho_c = sa - np.sqrt(sa * sa - 2.0 / n + 1.0 / (n * n))
-    return np.log(cusp_flat_radius(a) / rho_c)
+    return np.log(0.5 / rho_c)
 
 
 class TestRateFit:

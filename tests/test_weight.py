@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crithardy import (DomainRangeError, WeightParams, boundary_taylor_gap,
-                       cusp_flat_radius, cusp_h, cusp_ratio_infimum,
-                       cusp_weight_ratio, weight_eval)
-from crithardy.weight import _ratio_in_range, log_R_over
+                       cusp_h, cusp_ratio_infimum, cusp_weight_ratio,
+                       weight_eval)
+from crithardy.weight import log_R_over
 
 
 class TestWeightEval:
@@ -109,9 +109,7 @@ class TestSliceInfimum:
 
     def test_below_one(self):
         a = 0.9
-        r0 = cusp_flat_radius(a)
-        assert 0 < r0 <= 0.5
-        for r in np.linspace(1e-3, r0, 20):
+        for r in np.linspace(1e-3, 0.5, 20):
             assert cusp_ratio_infimum(float(r), a) < 1.0
 
     def test_dominated_by_vertical(self):
@@ -120,16 +118,29 @@ class TestSliceInfimum:
             assert cusp_ratio_infimum(r, a) <= cusp_weight_ratio(
                 r, math.pi / 2) + 1e-12
 
-    def test_scalar_ratio_matches_array_ratio(self):
-        # the golden-section loop evaluates the ratio through math.sin and
-        # math.log1p, which may differ from numpy's by an ulp
-        rng = np.random.default_rng(0)
-        r = 10.0 ** rng.uniform(-7.0, math.log10(0.5), 500)
-        th = rng.uniform(0.8, math.pi / 2, 500)
-        scalar = [_ratio_in_range(float(x), float(t), math)
-                  for x, t in zip(r, th)]
-        assert np.array(scalar) == pytest.approx(_ratio_in_range(r, th),
-                                                 rel=1e-15, abs=0.0)
+    @pytest.mark.parametrize("r, a, end", [
+        (0.3, 0.8, "edge"),
+        (1e-4, 0.9, "edge"),
+        (0.5, 1.4, "vertical"),
+        (0.7, 1.1, "vertical"),
+        (0.9, 0.8, "vertical"),
+    ])
+    def test_matches_dense_scan(self, r, a, end):
+        # the ratio has no interior minimum on the slice, so the infimum is
+        # its value at the edge theta = a or on the vertical ray
+        scan = cusp_weight_ratio(r, np.linspace(a, math.pi / 2, 20001))
+        inf = cusp_ratio_infimum(r, a)
+        assert inf == pytest.approx(scan.min(), rel=1e-15, abs=0.0)
+        assert np.argmin(scan) == (0 if end == "edge" else scan.size - 1)
+
+    def test_slice_through_unit_circle(self):
+        # 2 sin(0.3) < 0.9: the slice meets the unit circle, where h = 1
+        assert cusp_ratio_infimum(0.9, 0.3) == 0.0
+
+    def test_vertical_ray_below_one(self):
+        # ((1 - r) log(1 - r) / r)^2 < 1 because x log(1/x) < 1 - x
+        r = np.geomspace(1e-7, 1.0 - 1e-9, 2001)
+        assert np.all(cusp_weight_ratio(r, math.pi / 2) < 1.0)
 
 
 class TestReturnTypes:
