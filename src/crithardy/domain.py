@@ -22,13 +22,13 @@ centered on the top direction at every radius.  Three flavors are supported:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from ._errors import DomainRangeError, NumericalError
 from . import oned, weight
@@ -108,6 +108,61 @@ def _centered_arcs(s: float) -> ArcSet:
 # Calibrated cusp profile
 # ---------------------------------------------------------------------------
 
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant through ``(x, y)``.
+
+    Built and evaluated as scipy's ``PchipInterpolator`` does it, operation
+    for operation: Fritsch-Butland interior slopes (0 at a local extremum
+    or beside a flat run), the shape-preserving one-sided three-point end
+    slopes, the same cubic coefficients per piece, and the sum
+    ``c3 + c2 s + c1 s^2 + c0 s^3`` at ``s = x - x_i`` in that order.
+    Points outside ``[x_0, x_-1]`` take the end pieces.  Needs three or more
+    strictly increasing ``x``, and raises `NumericalError` otherwise.
+    """
+
+    def __init__(self, x, y):
+        x = np.array(x, dtype=float)  # copies: the pieces keep views of x, y
+        y = np.array(y, dtype=float)
+        h = np.diff(x)
+        if x.size < 3 or not np.all(h > 0.0):
+            raise NumericalError(
+                "interpolation needs three or more strictly increasing nodes")
+        m = np.diff(y) / h
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        flat = ((np.sign(m[1:]) != np.sign(m[:-1]))
+                | (m[1:] == 0) | (m[:-1] == 0))
+        d = np.empty_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        d[0] = self._end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self._inner = x[1:-1]  # searched for the piece of each point
+        self._left = x[:-1]
+        self._c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+
+    @staticmethod
+    def _end_slope(h0, h1, m0, m1):
+        """One-sided three-point slope, set to 0 where its sign differs from
+        the end secant's and capped at 3 times it beside a turn."""
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    def __call__(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        i = np.searchsorted(self._inner, xi, side="right")
+        c0, c1, c2, c3 = self._c
+        s = xi - self._left[i]
+        ss = s * s
+        return c3[i] + c2[i] * s + c1[i] * ss + c0[i] * (ss * s)
+
+
 @dataclass
 class CuspProfile:
     """Tip-frame data of the calibrated cusp: limit angle, extent, calibration.
@@ -125,12 +180,12 @@ class CuspProfile:
     rho_table: np.ndarray
     g_table: np.ndarray
     a_table: np.ndarray
-    _g_interp: PchipInterpolator = field(repr=False, default=None)
-    _a_interp: PchipInterpolator = field(repr=False, default=None)
+    _g_interp: _Pchip = field(repr=False, default=None)
+    _a_interp: _Pchip = field(repr=False, default=None)
 
     def __post_init__(self):
-        self._g_interp = PchipInterpolator(self.rho_table, self.g_table)
-        self._a_interp = PchipInterpolator(self.rho_table, self.a_table)
+        self._g_interp = _Pchip(self.rho_table, self.g_table)
+        self._a_interp = _Pchip(self.rho_table, self.a_table)
 
     def g(self, rho: float) -> float:
         if rho <= self.rho_table[0]:
@@ -333,6 +388,34 @@ def _check_keys(what: str, doc, required, optional) -> None:
             f"{what}: missing keys {missing}, unknown keys {unknown}")
 
 
+def _real(what: str, value):
+    """``value``, unless it is not a finite real number (a bool, a string or
+    null is not): then raise `DomainRangeError`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise DomainRangeError(
+            f"{what} must be a finite real number, got {value!r}")
+    return value
+
+
+def _band_table(bands) -> list:
+    """The ``bands`` of a domain document as ``(r_lo, r_hi, arcs)`` triples,
+    every edge and arc end checked by `_real`."""
+    try:
+        table = [(lo, hi, [(a0, a1) for a0, a1 in arcs])
+                 for lo, hi, arcs in bands]
+    except (TypeError, ValueError):
+        raise DomainRangeError(
+            "bands must be a list of [r_lo, r_hi, [[lo, hi], ...]] triples, "
+            f"got {bands!r}") from None
+    for lo, hi, arcs in table:
+        _real("band edge", lo)
+        _real("band edge", hi)
+        for end in (e for arc in arcs for e in arc):
+            _real("arc end", end)
+    return table
+
+
 class DomainSpec:
     """A bounded planar domain with outer radius ``R = sup |x|``.
 
@@ -506,11 +589,17 @@ class DomainSpec:
         """Domain of a `to_json` document.
 
         Raises `DomainRangeError` on an unknown kind or cusp flavor, on a
-        missing or unknown key, and on a calibrated cusp with R != 1.
+        missing or unknown key, on a numeric field that is not a finite real
+        number or a ``contains_origin`` that is not a bool, and on a
+        calibrated cusp with R != 1.
         """
         _check_keys("domain document", doc, ("kind", "R"),
                     ("contains_origin", "params"))
         kind, params = doc["kind"], doc.get("params", {})
+        origin = doc.get("contains_origin", False)
+        if not isinstance(origin, bool):
+            raise DomainRangeError(
+                f"contains_origin must be true or false, got {origin!r}")
         kinds = [k.value for k in DomainKind]
         if kind not in kinds:
             raise DomainRangeError(
@@ -522,24 +611,24 @@ class DomainSpec:
                 raise DomainRangeError(f"unknown cusp flavor {shape!r}; "
                                        f"expected one of {_CUSP_FLAVORS}")
         _check_keys(f"{shape} params", params, *_PARAM_KEYS[shape])
-        R = float(doc["R"])
+        R = float(_real("R", doc["R"]))
         if shape == "ball":
             return cls.ball(R)
         if shape == "ball_with_core_cutoff":
-            return cls.ball_with_core_cutoff(params["c"], R)
+            return cls.ball_with_core_cutoff(_real("c", params["c"]), R)
         if shape == "angular_profile":
-            bands = [(lo, hi, arcs) for lo, hi, arcs in params["bands"]]
-            return cls.angular_profile(bands, R,
-                                       doc.get("contains_origin", False))
+            return cls.angular_profile(_band_table(params["bands"]), R,
+                                       origin)
         if shape == "cone":
-            return cls.cone(params["a"], R)
+            return cls.cone(_real("a", params["a"]), R)
         if shape == "quadratic":
-            return cls.quadratic_cusp(params["beta0"], R)
+            return cls.quadratic_cusp(_real("beta0", params["beta0"]), R)
         if R != 1.0:
             raise DomainRangeError(
                 f"the calibrated cusp lives in the unit disk: R must be 1, "
                 f"got {R}")
-        return cls.calibrated_cusp(params["a"], params.get("r0"))
+        r0 = _real("r0", params["r0"]) if "r0" in params else None
+        return cls.calibrated_cusp(_real("a", params["a"]), r0)
 
 
 # ---------------------------------------------------------------------------

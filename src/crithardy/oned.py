@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.optimize import least_squares
 
 from ._errors import (DegenerateInputError, DomainRangeError,
                       NonConvergenceError, NumericalError)
@@ -309,28 +307,69 @@ def invert_angular_eigenvalue(target: float, a_lo: float,
         {"target": target, "a": x, "gap": f - target, "bracket": hi - lo})
 
 
+_FIT_GRID = 2001   # gamma values scanned by `_rate_fit`
+_FIT_STEPS = 100   # bisection steps after the scan
+
+
 def _rate_fit(x: np.ndarray, y: np.ndarray) -> dict:
     """Least-squares fit of ``y = C + beta/(x + gamma)^2``.
 
     The model of both logarithmic limits: the FEM exhaustion in the
     log-window length and the angular eigenvalue in ``log(1/a)``.  The fit
-    starts from the last value and keeps ``beta >= 0`` and
-    ``-0.9 min x <= gamma <= 50``; ``residual`` is the largest misfit.
-    Three parameters on three or four points amplify noise in ``y``: a
-    2e-15 relative change moves ``C`` by about 1e-11 on the ball's windows
-    and 1e-9 on the cusp's, at any optimizer tolerance.
+    keeps ``beta >= 0`` and ``-0.9 min x <= gamma <= 50``; ``residual`` is
+    the largest misfit.
+
+    Variable projection: at fixed gamma the model is linear in
+    ``(C, beta)``, which are solved in closed form (``beta`` clipped at 0,
+    where ``C`` is the mean of ``y``), so only the sum of squares S over
+    gamma is searched.  The search scans `_FIT_GRID` values of gamma across
+    its bounds, then bisects between the best one's two grid neighbours on
+    the sign of ``dS/dgamma = -4 beta sum(misfit / (x + gamma)^3)`` (the
+    projected C and beta are stationary, so they drop out of the
+    derivative).  The sign of the derivative stays reliable closer to the
+    minimum than comparisons of S, whose rounding (about 1e-12 of S on the
+    ball's windows) would stop a search on S itself.  Three parameters on
+    three or four points amplify noise in ``y``: a 2e-15 relative change
+    moves ``C`` by about 1e-11 on the ball's windows and 1e-9 on the cusp's.
     """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dy = y - y.mean()
 
-    def resid(par):
-        c, beta, gamma = par
-        return c + beta / (x + gamma) ** 2 - y
+    def project(gamma):
+        """``(C, beta, S, dS/dgamma)`` at each gamma of a 1-D array."""
+        v = 1.0 / (x + gamma[:, None])
+        u = v * v
+        u_mean = u.mean(axis=1)
+        du = u - u_mean[:, None]
+        beta = np.maximum((du @ dy) / np.einsum("ij,ij->i", du, du), 0.0)
+        c = y.mean() - beta * u_mean
+        misfit = c[:, None] + beta[:, None] * u - y
+        return (c, beta, np.einsum("ij,ij->i", misfit, misfit),
+                -4.0 * beta * np.einsum("ij,ij->i", misfit, u * v))
 
-    fit = least_squares(
-        resid, x0=[y[-1], max(y[0] - y[-1], 1e-3), 0.0],
-        bounds=([-np.inf, 0.0, -0.9 * x.min()], [np.inf, np.inf, 50.0]))
-    c, beta, gamma = (float(v) for v in fit.x)
-    return {"C": c, "beta": beta, "gamma": gamma,
-            "residual": float(np.max(np.abs(fit.fun)))}
+    grid = np.linspace(-0.9 * x.min(), 50.0, _FIT_GRID)
+    k = int(np.argmin(project(grid)[2]))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, _FIT_GRID - 1)]
+    for _ in range(_FIT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        slope = project(np.array([mid]))[3][0]
+        if slope == 0.0:  # beta = 0: S is flat in gamma
+            lo = hi = mid
+        elif slope > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    # the scan's best point stands if the bisection ended higher
+    gamma = np.array([0.5 * (lo + hi), grid[k]])
+    c, beta, ssr, _ = project(gamma)
+    j = int(np.argmin(ssr))
+    misfit = c[j] + beta[j] / (x + gamma[j]) ** 2 - y
+    return {"C": float(c[j]), "beta": float(beta[j]),
+            "gamma": float(gamma[j]),
+            "residual": float(np.max(np.abs(misfit)))}
 
 
 def extrapolate_angular_zero_limit() -> tuple[float, dict]:
@@ -359,30 +398,26 @@ def angular_identity_residual(u, du, support=(0.0, math.pi)) -> float:
 
     With v = u / sqrt(sin), integrating ``(u')^2 - u^2/(4 sin^2)`` over (0, pi)
     equals ``int u^2/4 + int (v')^2 sin``.  The left side uses 512 composite
-    16-point Gauss panels, the right side adaptive quadrature, so the two
-    sides are computed by independent rules.
+    16-point Gauss panels, the right side 384 composite 8-point panels, so
+    the two sides are summed over different nodes.
     """
     lo, hi = support
     if not (0.0 <= lo < hi <= math.pi):
         raise DomainRangeError("support must lie inside [0, pi]")
 
-    edges = np.linspace(lo, hi, 513)
-
     def lhs_f(x):
         s = np.sin(x)
         return du(x) ** 2 - 0.25 * u(x) ** 2 / (s * s)
 
-    lhs = _cell_gauss(edges[:-1], edges[1:], 16, lhs_f)
-
-    def dv_sq_sin(x):
+    def rhs_f(x):
         s = np.sin(x)
         dv = du(x) / np.sqrt(s) - 0.5 * u(x) * np.cos(x) / s**1.5
-        return dv * dv * s
+        return u(x) ** 2 / 4.0 + dv * dv * s
 
-    rhs1, _ = quad(lambda x: u(x) ** 2 / 4.0, lo, hi, limit=200, epsabs=1e-13)
-    rhs2, _ = quad(lambda x: float(dv_sq_sin(np.asarray(x))), lo, hi,
-                   limit=200, epsabs=1e-13)
-    return lhs - (rhs1 + rhs2)
+    edges = np.linspace(lo, hi, 513)
+    lhs = _cell_gauss(edges[:-1], edges[1:], 16, lhs_f)
+    edges = np.linspace(lo, hi, 385)
+    return lhs - _cell_gauss(edges[:-1], edges[1:], 8, rhs_f)
 
 
 def sin_integral(s: float) -> float:

@@ -99,9 +99,14 @@ def _tip_polar(r, theta) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cusp_h(r, theta):
-    """Squared distance to the shifted origin: h(r, theta) = r^2 - 2 r sin(theta) + 1."""
+    """Squared distance to the shifted origin: h(r, theta) = r^2 - 2 r sin(theta) + 1.
+
+    Summed as ``(r cos)^2 + (1 - r sin)^2``, which keeps its relative
+    accuracy as h -> 0 (r -> 1 on the vertical ray), where the expanded
+    form cancels to 0.
+    """
     r_arr, th = _tip_polar(r, theta)
-    out = r_arr * r_arr - 2.0 * r_arr * np.sin(th) + 1.0
+    out = (r_arr * np.cos(th)) ** 2 + (1.0 - r_arr * np.sin(th)) ** 2
     return _float_for_scalars(out, r, theta)
 
 

@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crithardy
 from crithardy import (DomainRangeError, DomainSpec, angular_eigenvalue, cli,
                        solve_truncated)
 from conftest import SECTOR
@@ -306,3 +310,38 @@ class TestVerifyAll:
         assert {"origin_interior", "interior_sphere", "strict_inequality",
                 "attained", "cusp_nonattained", "angular_limit",
                 "ball_constant"} <= names
+
+
+class TestStartup:
+    def test_no_heavy_scipy_subpackages(self, tmp_path):
+        # a fresh interpreter, since scipy subpackages that other tests import
+        # would hide one that the package pulls in; the runs cover the rate
+        # fit, the calibrated-cusp profile and the identity row, so a lazy
+        # import inside them fails the test too
+        dom = tmp_path / "ball.json"
+        dom.write_text(json.dumps(DomainSpec.ball().to_json()))
+        script = textwrap.dedent(f"""
+            import contextlib, io, json, sys
+            heavy = [["scipy", h]
+                     for h in ("optimize", "interpolate", "integrate",
+                               "special")]
+            def loaded():
+                return sorted(m for m in sys.modules
+                              if m.split(".")[:2] in heavy)
+            import crithardy.cli as cli
+            seen = {{"import": loaded()}}
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(["verify-all", "--quick"]),
+                         cli.main(["constant", "--domain", {str(dom)!r},
+                                   "--schedule", "4,8"])]
+            seen["runs"] = loaded()
+            print(json.dumps({{"codes": codes, "seen": seen}}))
+        """)
+        src = str(Path(crithardy.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert doc["codes"] == [0, 0]
+        assert doc["seen"] == {"import": [], "runs": []}

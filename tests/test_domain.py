@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from crithardy import (ArcSet, ConstructionError, DomainRangeError, DomainSpec,
-                       PolarGridFunction, Regime, classify, limsup_m0,
-                       limsup_mR, mesh_truncated, oned, profile_measure)
-from crithardy.domain import build_cusp_profile
+                       NumericalError, PolarGridFunction, Regime, classify,
+                       limsup_m0, limsup_mR, mesh_truncated, oned,
+                       profile_measure)
+from crithardy.domain import _Pchip, build_cusp_profile
 from conftest import GAPPED, SECTOR, scalar_opening
 
 
@@ -233,6 +235,45 @@ class TestSerialization:
         pytest.param({"kind": "cusp", "R": 2.0,
                       "params": {"flavor": "section5", "a": 0.9}},
                      "R must be 1, got 2.0", id="section5-R"),
+        pytest.param({"kind": "ball", "R": "x", "params": {}},
+                     "R must be a finite real number, got 'x'",
+                     id="R-string"),
+        pytest.param({"kind": "ball", "R": True, "params": {}},
+                     "R must be a finite real number, got True",
+                     id="R-bool"),
+        pytest.param({"kind": "ball_with_core_cutoff", "R": 1.0,
+                      "params": {"c": True}},
+                     "c must be a finite real number", id="c-bool"),
+        pytest.param({"kind": "cusp", "R": 1.0,
+                      "params": {"flavor": "cone", "a": "0.9"}},
+                     "a must be a finite real number", id="cone-a-string"),
+        pytest.param({"kind": "cusp", "R": 1.0,
+                      "params": {"flavor": "quadratic", "beta0": "0.5"}},
+                     "beta0 must be a finite real number",
+                     id="beta0-string"),
+        pytest.param({"kind": "cusp", "R": 1.0,
+                      "params": {"flavor": "section5", "a": 0.9,
+                                 "r0": None}},
+                     "r0 must be a finite real number", id="r0-null"),
+        pytest.param({"kind": "cusp", "R": 1.0,
+                      "params": {"flavor": "section5", "a": float("nan")}},
+                     "a must be a finite real number", id="section5-a-nan"),
+        pytest.param({"kind": "angular_profile", "R": 1.0,
+                      "params": {"bands": [["0", 1.0, [[0.5, 2.0]]]]}},
+                     "band edge must be a finite real number",
+                     id="band-edge-string"),
+        pytest.param({"kind": "angular_profile", "R": 1.0,
+                      "params": {"bands": [[0.0, 1.0, [[0.5, True]]]]}},
+                     "arc end must be a finite real number",
+                     id="arc-end-bool"),
+        pytest.param({"kind": "angular_profile", "R": 1.0,
+                      "params": {"bands": [[0.0, 1.0]]}},
+                     "bands must be a list of", id="band-not-a-triple"),
+        pytest.param({"kind": "angular_profile", "R": 1.0,
+                      "contains_origin": "no",
+                      "params": {"bands": [[0.0, 1.0, [[0.5, 2.0]]]]}},
+                     "contains_origin must be true or false",
+                     id="contains-origin-string"),
     ])
     def test_rejects_bad_documents(self, doc, match):
         with pytest.raises(DomainRangeError, match=match):
@@ -304,6 +345,57 @@ class TestCalibratedProfile:
         assert len(arcs.arcs) == 1
         lo, hi = arcs.arcs[0]
         assert (lo + hi) / 2 == pytest.approx(math.pi / 2, abs=1e-9)
+
+
+class TestPchip:
+    """The profile's interpolant against scipy's ``PchipInterpolator``,
+    the reference it reproduces operation for operation."""
+
+    @staticmethod
+    def assert_matches(x, y, pts):
+        np.testing.assert_allclose(_Pchip(x, y)(pts),
+                                   PchipInterpolator(x, y)(pts),
+                                   rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("a", [0.8, 0.9, 1.0, 1.1])
+    def test_profile_tables(self, a):
+        prof = build_cusp_profile(a)
+        x = prof.rho_table
+        rng = np.random.default_rng(0)
+        pts = np.concatenate([x, 0.5 * (x[:-1] + x[1:]),
+                              rng.uniform(x[0], x[-1], 10 ** 4)])
+        self.assert_matches(x, prof.a_table, pts)
+        self.assert_matches(x, prof.g_table, pts)
+
+    @pytest.mark.parametrize("y", [
+        pytest.param([0.0, 1.0, 1.0, 1.0, 2.0, 2.5, 2.6, 4.0], id="flat-run"),
+        pytest.param([1.0, 2.0, 3.0, 2.5, 1.0, 0.5, 0.4, 0.1],
+                     id="local-max"),
+        pytest.param([0.0, 3.0, -1.0, 2.0, -2.0, 4.0, 4.0, -3.0],
+                     id="zigzag"),
+        # the left end slope is set to 0, the right one capped at 3 times
+        # the end secant
+        pytest.param([0.0, 0.1, 5.0, 5.2, 5.3, 5.4, 6.5, 6.0],
+                     id="end-slope-rules"),
+    ])
+    def test_hand_tables(self, y):
+        # uneven steps; the points run past both ends
+        x = np.array([0.0, 0.5, 2.0, 2.25, 3.0, 4.5, 5.0, 7.0])
+        pts = np.concatenate([x, 0.5 * (x[:-1] + x[1:]),
+                              np.random.default_rng(1).uniform(-1, 8, 1000)])
+        self.assert_matches(x, np.array(y), pts)
+
+    @pytest.mark.parametrize("x", [[0.0, 1.0], [0.0, 1.0, 1.0, 2.0],
+                                   [0.0, 2.0, 1.0]])
+    def test_rejects_bad_nodes(self, x):
+        with pytest.raises(NumericalError, match="strictly increasing"):
+            _Pchip(x, np.zeros(len(x)))
+
+    def test_extent_next_to_the_first_row(self):
+        # geomspace(1e-7, r0, 96) rounds out of order when r0 is this close
+        # to 1e-7; the interpolant refuses the table instead of returning NaN
+        with pytest.raises(NumericalError, match="strictly increasing"):
+            build_cusp_profile(0.9, 1e-7 * (1 + 1e-14))
 
 
 def _tip_inside(prof, r, s):

@@ -1,10 +1,14 @@
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf
+from scipy.optimize import least_squares
 
 from crithardy import (AngularEigenProblem, DomainRangeError,
                        NonConvergenceError, NumericalError,
@@ -284,8 +288,92 @@ class TestRateFit:
     ])
     def test_recovers_limit(self, x, c, beta, gamma):
         fit = _rate_fit(x, c + beta / (x + gamma) ** 2)
-        assert fit["C"] == pytest.approx(c, rel=1e-6)
+        assert fit["C"] == pytest.approx(c, rel=1e-10)
         assert fit["residual"] < 1e-8
+
+
+# d_n sequences of `fem2d.extrapolate_constant` at its default target_h:
+# the ball at five radii and the cone and quadratic cusp on 4, 8, 16, 32,
+# the calibrated cusp at three angles on 16, 64, ..., 16384
+_FIT_SEQUENCES = json.loads(
+    (Path(__file__).parent / "data" / "rate_fit_sequences.json").read_text())
+
+
+def _fit_sequence(name):
+    """Abscissae and values of a stored sequence, or of the a -> 0 limit."""
+    if name == "a-to-0":
+        _, info = extrapolate_angular_zero_limit()
+        return np.log(1.0 / np.array(info["a"])), np.array(info["values"])
+    seq = _FIT_SEQUENCES[name]
+    return np.array(seq["windows"]), np.array(seq["values"])
+
+
+def _least_squares_fit(x, y):
+    """``(C, beta, gamma)`` of the same bounded fit by
+    `scipy.optimize.least_squares` from the last value, at its default
+    tolerances."""
+    def resid(par):
+        c, beta, gamma = par
+        return c + beta / (x + gamma) ** 2 - y
+
+    fit = least_squares(
+        resid, x0=[y[-1], max(y[0] - y[-1], 1e-3), 0.0],
+        bounds=([-np.inf, 0.0, -0.9 * x.min()], [np.inf, np.inf, 50.0]))
+    return tuple(float(v) for v in fit.x)
+
+
+def _exact_ssr(x, y, c, beta, gamma):
+    """Sum of squared misfits of float parameters in rational arithmetic:
+    a float sum rounds at about 1e-12 of itself on the ball's sequences."""
+    c, beta, gamma = map(Fraction, (c, beta, gamma))
+    return sum((c + beta / (Fraction(xi) + gamma) ** 2 - Fraction(yi)) ** 2
+               for xi, yi in zip(x.tolist(), y.tolist()))
+
+
+def _minimizer_c(x, y, gamma0):
+    """C at the stationary gamma nearest ``gamma0`` of the projected sum of
+    squares, in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        xs, ys = [mpmath.mpf(v) for v in x], [mpmath.mpf(v) for v in y]
+        y_mean = mpmath.fsum(ys) / len(ys)
+
+        def project(g):
+            u = [1 / (xi + g) ** 2 for xi in xs]
+            u_mean = mpmath.fsum(u) / len(u)
+            beta = (mpmath.fsum((ui - u_mean) * (yi - y_mean)
+                                for ui, yi in zip(u, ys))
+                    / mpmath.fsum((ui - u_mean) ** 2 for ui in u))
+            c = y_mean - beta * u_mean
+            slope = mpmath.fsum((c + beta * ui - yi) * ui / (xi + g)
+                                for ui, xi, yi in zip(u, xs, ys))
+            return c, slope
+
+        g = mpmath.findroot(lambda t: project(t)[1], mpmath.mpf(gamma0))
+        return float(project(g)[0])
+
+
+class TestRateFitOnSequences:
+    """`_rate_fit` on the d_n sequences its callers fit, against
+    `least_squares` (the fit it replaced) and the exact minimizer."""
+
+    @pytest.mark.parametrize("name", [*_FIT_SEQUENCES, "a-to-0"])
+    def test_no_worse_than_least_squares(self, name):
+        x, y = _fit_sequence(name)
+        fit = _rate_fit(x, y)
+        ref = _least_squares_fit(x, y)
+        assert (_exact_ssr(x, y, fit["C"], fit["beta"], fit["gamma"])
+                <= _exact_ssr(x, y, *ref) * (1 + Fraction(1, 10 ** 12)))
+        # least_squares stops up to 5.3e-8 short of the minimum in C
+        # (cone 0.7), so C is held to the exact minimizer below
+        assert fit["C"] == pytest.approx(ref[0], rel=1e-7)
+
+    @pytest.mark.parametrize("name", [*_FIT_SEQUENCES, "a-to-0"])
+    def test_reaches_the_minimizer(self, name):
+        x, y = _fit_sequence(name)
+        gamma0 = _least_squares_fit(x, y)[2]
+        assert _rate_fit(x, y)["C"] == pytest.approx(
+            _minimizer_c(x, y, gamma0), rel=1e-10)
 
 
 class TestIdentity:

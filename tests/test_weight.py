@@ -76,6 +76,14 @@ class TestCuspFrame:
     def test_h_arithmetic(self):
         assert cusp_h(0.2, math.pi / 6) == pytest.approx(0.84, rel=1e-12)
 
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_h_vertical_ray_near_tip(self, k):
+        # h = (1 - r)^2 on the vertical ray; 1 - r is exact here, and the
+        # expanded r^2 - 2 r + 1 cancels to 0.0 at r = 1 - 1e-9
+        r = 1.0 - 10.0 ** -k
+        assert cusp_h(r, math.pi / 2) == pytest.approx((1.0 - r) ** 2,
+                                                       rel=1e-14, abs=0.0)
+
     @given(st.floats(1e-6, 0.999), st.floats(1e-6, math.pi - 1e-6))
     def test_h_lower_bound(self, r, theta):
         # h >= (1-r)^2, equality only on the vertical ray
