@@ -26,9 +26,8 @@ from .oned import (AngularEigenProblem, AngularEigenResult, angular_eigenvalue,
                    invert_angular_eigenvalue, radial_reduction_constant,
                    sin_power_quotient, solve_angular)
 from .quotient import (LogProfile, PolarGridFunction, QuotientReport,
-                       RadialFunction, graded_nodes, hardy_scale,
-                       log_coordinate_transport, quotient_polar,
-                       quotient_radial, sphere_area)
+                       RadialFunction, hardy_scale, log_coordinate_transport,
+                       quotient_polar, quotient_radial, sphere_area)
 from .rearrange import (hardy_littlewood_check, polya_szego_check,
                         rearrange_domain, rearrange_function,
                         rearrangement_report)

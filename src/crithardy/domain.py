@@ -268,10 +268,15 @@ def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
     if not (1e-7 < r0 < 1.0):
         raise DomainRangeError(
             f"profile extent r0 must lie in (1e-7, 1), got {r0}")
-    grid = 512
-    e_a = oned.angular_eigenvalue(a, grid)
     rho = np.geomspace(1e-7, r0, 96)
     rho[-1] = r0
+    if not np.all(np.diff(rho) > 0.0):
+        # geomspace rounds its rows out of order when r0 is within about
+        # 1e-14 of 1e-7
+        raise DomainRangeError(
+            f"profile extent r0={r0!r} is too close to the first row 1e-7")
+    grid = 512
+    e_a = oned.angular_eigenvalue(a, grid)
     g_vals = np.array([weight.cusp_ratio_infimum(float(p), a) for p in rho])
     if np.any(g_vals >= 1.0):
         bad = rho[np.argmax(g_vals >= 1.0)]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh, solve
+from scipy.linalg import eigh
 from scipy.linalg.lapack import zpttrf
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                   splu)
@@ -30,7 +30,6 @@ from ._errors import (AssemblyError, ConstructionError, DomainRangeError,
                       NonConvergenceError, NumericalError)
 from .domain import DomainKind, DomainSpec, tip_to_xy
 from .oned import _rate_fit
-from .quotient import graded_nodes
 from .weight import WeightParams, weight_eval
 
 # relative residual the eigen solve must reach, read at call time
@@ -95,7 +94,8 @@ def _min_angle(vertices: np.ndarray, triangles: np.ndarray) -> float:
     return float(np.min(np.stack(angs)))
 
 
-def _strip_mesh(x: np.ndarray, y: np.ndarray, wrap: bool, meta: dict) -> Mesh:
+def _strip_mesh(x: np.ndarray, y: np.ndarray, wrap: bool,
+                window_length: float) -> Mesh:
     """Structured mesh on the ``(n_rows, n_cols)`` vertex grid ``(x, y)``.
 
     Cell ``(i, j)`` joins rows ``i, i+1`` and columns ``j, j+1`` (modulo
@@ -118,10 +118,42 @@ def _strip_mesh(x: np.ndarray, y: np.ndarray, wrap: bool, meta: dict) -> Mesh:
     boundary[[0, -1]] = True
     if not wrap:
         boundary[:, [0, -1]] = True
-    meta = {**meta, "min_angle_deg": _min_angle(verts, tris),
+    meta = {"window_length": window_length,
+            "min_angle_deg": _min_angle(verts, tris),
             "n_radii": n_rows, "n_cols": n_cols, "wrap": wrap}
     return Mesh(vertices=verts, triangles=tris, boundary=boundary.ravel(),
                 meta=meta)
+
+
+def _graded_rows(lo: float, hi: float, h_end: float,
+                 h_max: float) -> np.ndarray:
+    """Row ladder on [lo, hi] with geometric growth away from both ends.
+
+    Cell sizes start at ``h_end`` at both ends, grow by 1.2 and are capped
+    at ``h_max``.  The two ladders meet at the midpoint; when the cell
+    across it is shorter than half of its larger neighbour, its two end
+    rows move so that it and its two neighbours become three equal cells.
+    """
+    if not (lo < hi):
+        raise DomainRangeError("empty interval")
+
+    def ladder(x: float, sign: float) -> list[float]:
+        nodes, s = [x], h_end
+        while lo < x + sign * s < hi:
+            x += sign * s
+            nodes.append(x)
+            s = min(s * 1.2, h_max)
+        return nodes
+
+    mid = 0.5 * (lo + hi)
+    x = np.unique([v for v in ladder(lo, 1.0) if v <= mid]
+                  + [v for v in ladder(hi, -1.0) if v > mid])
+    j = int(np.searchsorted(x, mid, side="right"))  # x[j-1] <= mid < x[j]
+    if 2 <= j <= x.size - 2:
+        cells = np.diff(x[j - 2:j + 2])
+        if cells[1] < 0.5 * max(cells[0], cells[2]):
+            x[j - 1:j + 1] = np.linspace(x[j - 2], x[j + 1], 4)[1:3]
+    return x
 
 
 def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
@@ -148,7 +180,7 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
         r_in = max(r_in, dom.params["c"] * R)
     r_out = R - 1.0 / n
     h_min = 1.0 / (8.0 * n)
-    radii = graded_nodes(r_in, r_out, min(target_h, h_min), target_h)
+    radii = _graded_rows(r_in, r_out, min(target_h, h_min), target_h)
     if radii.size < 3:
         raise ConstructionError(
             f"truncation n={n} leaves no interior row between radii "
@@ -182,10 +214,9 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
 
     t_in = math.log(R / r_in)
     t_out = -math.log1p(-1.0 / (n * R))
-    meta = {"kind": dom.kind.value, "n": n, "target_h": target_h,
-            "window_length": math.log(t_in / t_out)}
     return _strip_mesh(radii[:, None] * np.cos(theta),
-                       radii[:, None] * np.sin(theta), wrap, meta)
+                       radii[:, None] * np.sin(theta), wrap,
+                       math.log(t_in / t_out))
 
 
 def _mesh_cusp_tip(dom: DomainSpec, n: int, target_h: float) -> Mesh:
@@ -210,9 +241,7 @@ def _mesh_cusp_tip(dom: DomainSpec, n: int, target_h: float) -> Mesh:
     a_rho = prof.a_of_r(rho)
     x, y = tip_to_xy(rho[:, None],
                      np.linspace(a_rho, math.pi - a_rho, n_cols, axis=1))
-    meta = {"kind": "cusp_section5", "n": n, "target_h": target_h,
-            "window_length": math.log(prof.r0 / rho_c)}
-    return _strip_mesh(x, y, False, meta)
+    return _strip_mesh(x, y, False, math.log(prof.r0 / rho_c))
 
 
 # ---------------------------------------------------------------------------
@@ -307,30 +336,27 @@ def assemble(mesh: Mesh, wp: WeightParams
 # ---------------------------------------------------------------------------
 
 def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
-                   interior: np.ndarray | None = None) -> EigenResult:
+                   interior: np.ndarray) -> EigenResult:
     """Smallest generalized eigenpair by shift-invert Lanczos (ARPACK).
 
     The shift is 0: ``K`` is factored once, with diagonal pivots;
     ``iterations`` counts the solves with that factor and ``fill`` its
     nonzeros.  The start vector is fixed, so results are deterministic.
     ``interior`` is the bool mask of the free (non-Dirichlet) unknowns, one
-    entry per row of ``K``; ``None`` frees them all.  The returned vector is
-    embedded with zeros elsewhere, normalized to unit weighted mass and
-    sign-normalized to nonnegative mean.  The residual is the relative
-    2-norm ``|Kx - d Mx| / |Kx|`` at the Rayleigh quotient ``d``; it must
-    reach ``_TOL`` (1e-10).
+    entry per row of ``K``.  The returned vector is embedded with zeros
+    elsewhere, normalized to unit weighted mass and sign-normalized to
+    nonnegative mean.  The residual is the relative 2-norm
+    ``|Kx - d Mx| / |Kx|`` at the Rayleigh quotient ``d``; it must reach
+    ``_TOL`` (1e-10).
     """
     tol = _TOL
     nv = stiffness.shape[0]
-    if interior is None:
-        idx = np.arange(nv)
-    else:
-        interior = np.asarray(interior)
-        if interior.dtype != bool or interior.shape != (nv,):
-            raise DomainRangeError(
-                f"interior must be a bool mask of shape ({nv},) (got "
-                f"{interior.dtype} of shape {interior.shape})")
-        idx = np.flatnonzero(interior)
+    interior = np.asarray(interior)
+    if interior.dtype != bool or interior.shape != (nv,):
+        raise DomainRangeError(
+            f"interior must be a bool mask of shape ({nv},) (got "
+            f"{interior.dtype} of shape {interior.shape})")
+    idx = np.flatnonzero(interior)
     if idx.size < 2:
         raise NonConvergenceError("eigen solve needs two free unknowns",
                                   {"iterations": 0, "unknowns": int(idx.size)})
@@ -405,14 +431,8 @@ def radial_eigen(mesh: Mesh, stiffness: sparse.spmatrix,
     an eigenvalue at or below ``d0``, so ``d0`` is the smallest of the whole
     problem; otherwise `NumericalError` is raised.
 
-    ``u`` then takes one refinement step against the radial part of the
-    residual of the full matrices, solved with ``K0 - d0 M0`` bordered by
-    ``M0 u``.  Forming ``K0`` sums ``n_cols`` entries per block, and the
-    dense solve spreads errors of the largest entry over every row; next to
-    a thin row of cells the stiffness is 1e4 times the mass scale, and the
-    unrefined vector missed the residual gate (7e-10 at ball R = 0.945,
-    n = 32).  The vector is ``u`` broadcast to every column, normalized to
-    unit weighted mass with the full free ``M``; the value is its Rayleigh
+    The vector is ``u`` broadcast to every column, normalized to unit
+    weighted mass with the full free ``M``; the value is its Rayleigh
     quotient on the full free ``K``.  Residual gate and sign rule are those
     of `smallest_eigen`.  No sparse factor or solve is made, so
     ``iterations`` and ``fill`` are 0.  The free rows are those of
@@ -459,15 +479,7 @@ def radial_eigen(mesh: Mesh, stiffness: sparse.spmatrix,
             raise NumericalError(
                 f"angular mode k={k[j]} has an eigenvalue at or below the "
                 f"radial d0={d0:.17g} (zpttrf info={info})")
-
-    # the refinement step; the bordered row keeps it M0-orthogonal to u
-    u = u[:, 0]
-    x = np.repeat(u, n_cols)
-    r0 = (K @ x - d0 * (M @ x)).reshape(m, n_cols).sum(axis=1) / n_cols
-    mu = M0 @ u
-    bordered = np.block([[K0 - d0 * M0, mu[:, None]], [mu, 0.0]])
-    du = solve(bordered, np.append(-r0, 0.0))[:m]
-    return _gated_result(K, M, np.repeat(u + du, n_cols), free,
+    return _gated_result(K, M, np.repeat(u[:, 0], n_cols), free,
                          stiffness.shape[0], 0, 0, "radial")
 
 

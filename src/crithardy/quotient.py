@@ -29,30 +29,6 @@ def sphere_area(N: int) -> float:
     return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
-def graded_nodes(lo: float, hi: float, h_end: float,
-                 h_max: float) -> np.ndarray:
-    """Node ladder on [lo, hi] with geometric growth away from both ends.
-
-    Cell sizes start at ``h_end`` at both ends, grow by 1.2 and are capped
-    at ``h_max``.
-    """
-    if not (lo < hi):
-        raise DomainRangeError("empty interval")
-
-    def ladder(x: float, sign: float) -> list[float]:
-        nodes, s = [x], h_end
-        while lo < x + sign * s < hi:
-            x += sign * s
-            nodes.append(x)
-            s = min(s * 1.2, h_max)
-        return nodes
-
-    # splice the two ladders where they meet
-    mid = 0.5 * (lo + hi)
-    return np.unique([v for v in ladder(lo, 1.0) if v <= mid]
-                     + [v for v in ladder(hi, -1.0) if v > mid])
-
-
 # ---------------------------------------------------------------------------
 # Reports and function containers
 # ---------------------------------------------------------------------------

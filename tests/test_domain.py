@@ -393,8 +393,8 @@ class TestPchip:
 
     def test_extent_next_to_the_first_row(self):
         # geomspace(1e-7, r0, 96) rounds out of order when r0 is this close
-        # to 1e-7; the interpolant refuses the table instead of returning NaN
-        with pytest.raises(NumericalError, match="strictly increasing"):
+        # to 1e-7; the extent is refused before any row is solved
+        with pytest.raises(DomainRangeError, match="r0="):
             build_cusp_profile(0.9, 1e-7 * (1 + 1e-14))
 
 

@@ -12,7 +12,7 @@ from crithardy import (AssemblyError, ConstructionError, DomainRangeError,
                        radial_eigen, smallest_eigen, solve_truncated,
                        weight_eval)
 from crithardy.domain import tip_to_xy
-from crithardy.fem2d import _QUAD_MID, _QUAD_SUB, Mesh
+from crithardy.fem2d import _QUAD_MID, _QUAD_SUB, Mesh, _graded_rows
 from conftest import scalar_opening
 
 WP = WeightParams(R=1.0, N=2)
@@ -211,6 +211,70 @@ class TestMesh:
         assert np.all(cross > 0) or np.all(cross < 0)
 
 
+def sweep_row_args():
+    """`_graded_rows` arguments of the wrapping-strip sweep: balls R in
+    [0.9, 1.1] at h = 0.02, 0.01 and 0.04, core cutoffs c in [0.1, 0.7] at
+    h = 0.02, each for n = 4, 8, 16, 32 (1296 levels)."""
+    levels = ([(R, 0.0, 0.02) for R in np.linspace(0.9, 1.1, 201)]
+              + [(R, 0.0, 0.01) for R in np.linspace(0.9, 1.1, 21)]
+              + [(R, 0.0, 0.04) for R in np.linspace(0.9, 1.1, 41)]
+              + [(1.0, c, 0.02) for c in np.linspace(0.1, 0.7, 61)])
+    return [(max(1.0 / n, c * R), R - 1.0 / n, min(h, 1.0 / (8 * n)), h)
+            for R, c, h in levels for n in (4, 8, 16, 32)]
+
+
+def unmended_rows(lo, hi, h_end, h_max):
+    """The two row ladders spliced at the midpoint with no minimum gap."""
+    def ladder(x, sign):
+        nodes, s = [x], h_end
+        while lo < x + sign * s < hi:
+            x += sign * s
+            nodes.append(x)
+            s = min(s * 1.2, h_max)
+        return nodes
+
+    mid = 0.5 * (lo + hi)
+    return np.unique([v for v in ladder(lo, 1.0) if v <= mid]
+                     + [v for v in ladder(hi, -1.0) if v > mid])
+
+
+def neighbour_ratio(x):
+    """Smallest ratio of a cell to its larger neighbour."""
+    cells = np.diff(x)
+    return float(np.min(np.minimum(cells[1:], cells[:-1])
+                        / np.maximum(cells[1:], cells[:-1])))
+
+
+class TestGradedRows:
+    def test_splice_over_the_sweep(self):
+        thin = 0
+        for args in sweep_row_args():
+            x = _graded_rows(*args)
+            old = unmended_rows(*args)
+            assert x[0] == args[0] and x[-1] == args[1]
+            assert np.all(np.diff(x) > 0)
+            assert neighbour_ratio(x) >= 0.5
+            assert x.size == old.size
+            thin += neighbour_ratio(old) < 0.5
+        # the unmended splice breaks the rule on part of the sweep
+        assert thin > 0
+
+    def test_mend_makes_three_equal_cells(self):
+        # ball R = 0.945, n = 32: the ladders met in a cell 8.6e-6 thin
+        args = (1.0 / 32, 0.945 - 1.0 / 32, 1.0 / 256, 0.02)
+        old, x = unmended_rows(*args), _graded_rows(*args)
+        j = int(np.argmin(np.diff(old)))
+        assert np.diff(old)[j] < 1e-5
+        np.testing.assert_array_equal(np.delete(x, [j, j + 1]),
+                                      np.delete(old, [j, j + 1]))
+        np.testing.assert_allclose(np.diff(x[j - 1:j + 3]),
+                                   (old[j + 2] - old[j - 1]) / 3, rtol=1e-12)
+
+    def test_empty_interval_raises(self):
+        with pytest.raises(DomainRangeError, match="empty interval"):
+            _graded_rows(0.5, 0.5, 0.01, 0.02)
+
+
 class TestAssemble:
     def test_hand_stiffness_right_triangle(self):
         # unit-leg right triangle away from the singular circles; oracle is
@@ -291,7 +355,7 @@ class TestSmallestEigen:
     def test_diag(self):
         K = sparse.diags([2.0, 3.0]).tocsr()
         M = sparse.identity(2, format="csr")
-        res = smallest_eigen(K, M)
+        res = smallest_eigen(K, M, interior=np.ones(2, dtype=bool))
         assert res.value == pytest.approx(2.0, abs=1e-10)
         assert res.iterations <= 12
 
@@ -360,7 +424,7 @@ class TestSmallestEigen:
         K = sparse.diags([2.0, 3.0]).tocsr()
         M = sparse.identity(2, format="csr")
         with pytest.raises(NonConvergenceError) as info:
-            smallest_eigen(K, M)
+            smallest_eigen(K, M, interior=np.ones(2, dtype=bool))
         assert info.value.diagnostics["iterations"] > 0
 
     def test_no_free_unknowns_raises(self):
@@ -394,7 +458,7 @@ class TestSmallestEigen:
         K = sparse.diags([2.0, 3.0, 4.0]).tocsr()
         M = sparse.identity(3, format="csr")
         with pytest.raises(NonConvergenceError) as info:
-            smallest_eigen(K, M)
+            smallest_eigen(K, M, interior=np.ones(3, dtype=bool))
         assert "iterations" in info.value.diagnostics
 
     def test_ball_matches_log_window_oracle(self, ball):
@@ -424,8 +488,8 @@ class TestRadialEigen:
         pytest.param(lambda: DomainSpec.ball(0.9), id="ball_0.9"),
         pytest.param(lambda: DomainSpec.ball(1.0), id="ball_1.0"),
         pytest.param(lambda: DomainSpec.ball(1.1), id="ball_1.1"),
-        # at n = 32 two rows of vertices lie 5e-6 apart, the others 0.02:
-        # without the refinement step the residual was 7e-10
+        # at n = 32 the two row ladders once met in a cell 5e-6 thin, the
+        # others 0.02; the splice now makes it one of three equal cells
         pytest.param(lambda: DomainSpec.ball(0.9449967450181259),
                      id="ball_thin_row"),
         pytest.param(lambda: DomainSpec.ball_with_core_cutoff(0.3),
@@ -446,6 +510,22 @@ class TestRadialEigen:
             assert radial.value == pytest.approx(lanczos.value, rel=1e-12)
             np.testing.assert_allclose(radial.vector, lanczos.vector,
                                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("R, h, n", [
+        (0.905, 0.02, 32), (0.945, 0.02, 32), (0.985, 0.02, 32),
+        (1.025, 0.02, 32), (1.065, 0.02, 32),
+        (0.93, 0.04, 16), (1.01, 0.04, 16), (1.09, 0.04, 16)])
+    def test_formerly_thin_levels(self, R, h, n):
+        # the levels of the sweep whose minimal angle was below 1 degree
+        # before the splice was mended (0.05 degrees)
+        dom = DomainSpec.ball(R)
+        mesh = mesh_truncated(dom, n, target_h=h)
+        assert mesh.meta["min_angle_deg"] >= 3.0
+        K, M = assemble(mesh, WeightParams(R=R, N=2))
+        res = radial_eigen(mesh, K, M)
+        assert res.residual <= 1e-10
+        exact = 0.25 + (math.pi / mesh.meta["window_length"]) ** 2
+        assert exact < res.value <= exact * (1 + 3e-3)
 
     def test_certificate_rejects_a_lower_angular_mode(self, ball):
         # alpha on every horizontal-neighbour coupling and -2 alpha on the
