@@ -74,7 +74,8 @@ class Mesh:
 @dataclass
 class EigenResult:
     value: float
-    vector: np.ndarray
+    vector: np.ndarray            # on the mesh vertices, unit weighted mass
+    density: np.ndarray           # x * (M x) per vertex; sums to 1
     iterations: int
     residual: float
     fill: int                     # nonzeros of the factor, nnz(L) + nnz(U)
@@ -100,11 +101,12 @@ def _strip_mesh(x: np.ndarray, y: np.ndarray, wrap: bool,
 
     Cell ``(i, j)`` joins rows ``i, i+1`` and columns ``j, j+1`` (modulo
     ``n_cols`` when the strip wraps) and splits into ``(a, b, d)`` and
-    ``(a, d, c)``; each row lists all its ``(a, b, d)`` first.  The Dirichlet
-    boundary is the first and last row, plus the first and last column when
-    the strip does not wrap.  Vertices are numbered row-major, so on a
-    wrapping strip the free vertices are the interior rows in the
-    ``(rows, n_cols)`` layout that `radial_eigen` reads.
+    ``(a, d, c)``, in ``(rows - 1, 2, cells per row, 3)`` order.  The
+    Dirichlet boundary is the first and last row, plus the first and last
+    column when the strip does not wrap.  Vertices are numbered row-major,
+    so on a wrapping strip the free vertices are the interior rows and
+    ``[:, :, 0]`` of that order is column 0's cells: what `radial_eigen`
+    reads.
     """
     n_rows, n_cols = x.shape
     j = np.arange(n_cols if wrap else n_cols - 1)
@@ -162,9 +164,12 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
     Element size shrinks geometrically (ratio 1.2) toward the truncation
     circles, resolved to ``h_min = (R - r_outer)/8``; boundary vertices are
     placed exactly on the bounding arcs.  A domain whose interior rows are
-    full circles is meshed as a full annulus from its innermost radius.  The
-    mesh records the log-window length used by the extrapolation fit and the
-    minimal angle quality.  ``target_h`` must be positive and finite.
+    all full circles is meshed as a full annulus from its innermost radius.
+    Interior rows that mix full circles and arcs, which a strip that does not
+    wrap would cut at angle 0, and a core cutoff with ``cR >= R - 1/n``
+    raise `ConstructionError`.  The mesh records the log-window length used
+    by the extrapolation fit and the minimal angle quality.  ``target_h``
+    must be positive and finite.
     """
     R = dom.R
     if not 0.0 < target_h < math.inf:
@@ -175,10 +180,12 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
     if dom.cusp is not None:
         return _mesh_cusp_tip(dom, n, target_h)
 
-    r_in = 1.0 / n
+    r_in, r_out = 1.0 / n, R - 1.0 / n
     if dom.kind is DomainKind.CORE_CUTOFF:
         r_in = max(r_in, dom.params["c"] * R)
-    r_out = R - 1.0 / n
+    if not r_in < r_out:
+        raise ConstructionError(f"truncation n={n} leaves nothing above the "
+                                f"core cutoff c={dom.params['c']}")
     h_min = 1.0 / (8.0 * n)
     radii = _graded_rows(r_in, r_out, min(target_h, h_min), target_h)
     if radii.size < 3:
@@ -189,8 +196,12 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
     lo, hi = dom.slice_arcs(radii)
     # interior rows only: the slice at the inner radius of a core cutoff is
     # empty, though the annulus above it is full
-    wrap = bool(np.all((hi - lo).sum(axis=1)[[1, radii.size // 2, -2]]
-                       >= 2 * math.pi - 1e-12))
+    full = (hi - lo).sum(axis=1)[1:-1] >= 2 * math.pi - 1e-12
+    wrap = bool(full.all())
+    if full.any() and not wrap:
+        raise ConstructionError(
+            "structured meshing needs all interior rows full circles or none "
+            f"(first partial row at r={float(radii[1 + np.argmin(full)])})")
     if wrap:
         n_cols = max(16, int(math.ceil(2 * math.pi * R / target_h)))
         theta = np.arange(n_cols) * (2 * math.pi / n_cols)
@@ -385,16 +396,17 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
         raise NonConvergenceError(
             f"shift-invert Lanczos did not reach tol={tol}",
             {"iterations": len(solves), "message": str(exc)}) from exc
-    return _gated_result(K, M, vecs[:, 0], idx, nv, len(solves), fill,
-                         "shift_invert")
+    return _gated_result(K, M, vecs[:, 0],
+                         sparse.eye(nv, format="csc")[:, idx], len(solves),
+                         fill, "shift_invert")
 
 
-def _gated_result(K: sparse.spmatrix, M: sparse.spmatrix, x: np.ndarray,
-                  idx: np.ndarray, nv: int, iterations: int, fill: int,
-                  solver: str) -> EigenResult:
+def _gated_result(K, M, x: np.ndarray, embed: sparse.spmatrix,
+                  iterations: int, fill: int, solver: str) -> EigenResult:
     """Normalize the free vector ``x`` to unit weighted mass, take its
     Rayleigh quotient ``d``, gate the residual ``|Kx - d Mx| / |Kx|`` at
-    ``_TOL`` and embed ``x`` at ``idx`` with nonnegative mean."""
+    ``_TOL`` and map ``x`` and its density ``x * Mx`` onto the mesh vertices
+    by ``embed``, the vector with nonnegative mean."""
     x = x / math.sqrt(x @ (M @ x))
     kx, mx = K @ x, M @ x
     value = float(x @ kx)
@@ -403,75 +415,65 @@ def _gated_result(K: sparse.spmatrix, M: sparse.spmatrix, x: np.ndarray,
         raise NonConvergenceError(
             f"eigen residual {rnorm:.3g} above tol={_TOL}",
             {"iterations": iterations, "residual": rnorm, "value": value})
-    full = np.zeros(nv)
-    full[idx] = x
+    full = embed @ x
+    density = full * (embed @ mx)
     if np.sum(full) < 0:
         full = -full
-    return EigenResult(value=value, vector=full, iterations=iterations,
-                       residual=rnorm, fill=fill, solver=solver)
+    return EigenResult(value=value, vector=full, density=density,
+                       iterations=iterations, residual=rnorm, fill=fill,
+                       solver=solver)
 
 
-def radial_eigen(mesh: Mesh, stiffness: sparse.spmatrix,
-                 weighted_mass: sparse.spmatrix) -> EigenResult:
+def radial_eigen(mesh: Mesh, wp: WeightParams) -> EigenResult:
     """Smallest generalized eigenpair of a wrapping strip, in its radial mode.
 
     A wrapping strip (the ball, the core cutoff) has a uniform angle grid,
-    the same triangle split in every column and a radial weight, so a
-    rotation by one column maps ``K`` and ``M`` to themselves: over the free
-    rows both are block-circulant, and each Fourier mode ``k`` in the angle
-    spans an invariant subspace.  The radial mode ``k = 0`` is the m x m
-    problem ``K0 = P^T K P / n_cols``, ``M0`` alike, where ``P`` broadcasts
-    each interior row to its columns; a dense ``eigh`` gives its smallest
-    pair ``(d0, u)``.
+    the same triangle split in every column and a radial weight, so column
+    ``j``'s elements are column 0's rotated by ``j``: over the free rows
+    ``K`` and ``M`` are block-circulant, and each Fourier mode ``k`` in the
+    angle spans an invariant subspace.  Only column 0's ``2 (rows - 1)``
+    triangles are assembled; with their copy one column to the left they
+    give free row ``i``'s couplings ``coef[i, t, s]`` to row ``i + t - 1``
+    at column offset ``s - 1``.  The radial mode ``k = 0`` is the m x m
+    problem ``K0 = P^T K P / n_cols`` (``coef`` summed over ``s``; ``P``
+    broadcasts each interior row to its columns), ``M0`` alike; a dense
+    ``eigh`` gives its smallest pair ``(d0, u)``.
 
     Certificate: for every ``k = 1 .. n_cols // 2`` (``n_cols - k`` is the
-    conjugate mode) the Hermitian tridiagonal symbol of ``K - d0 M``, read
-    off the column-0 rows, must factor as ``L D L^H`` with positive pivots
-    (LAPACK ``zpttrf``).  By Sylvester's inertia law no other mode then has
-    an eigenvalue at or below ``d0``, so ``d0`` is the smallest of the whole
-    problem; otherwise `NumericalError` is raised.
+    conjugate mode) the Hermitian tridiagonal symbol of ``K - d0 M``, ``coef``
+    weighted by ``exp(2 pi i k (s - 1) / n_cols)``, must factor as
+    ``L D L^H`` with positive pivots (LAPACK ``zpttrf``).  By Sylvester's
+    inertia law no other mode then has an eigenvalue at or below ``d0``;
+    otherwise `NumericalError` is raised.
 
-    The vector is ``u`` broadcast to every column, normalized to unit
-    weighted mass with the full free ``M``; the value is its Rayleigh
-    quotient on the full free ``K``.  Residual gate and sign rule are those
-    of `smallest_eigen`.  No sparse factor or solve is made, so
-    ``iterations`` and ``fill`` are 0.  The free rows are those of
-    ``~mesh.boundary``: on a wrapping strip, the interior rows in row-major
-    order.
+    The residual gate of `smallest_eigen` is taken on ``K0``, ``M0`` and
+    ``u``; it equals the strip's own, since ``K P u = P K0 u``.  The vector
+    is ``u`` broadcast to every column with unit weighted mass on the strip
+    and the sign rule of `smallest_eigen`; ``iterations`` and ``fill`` are
+    0.  A mesh that does not wrap raises `DomainRangeError`.
     """
     if not mesh.meta.get("wrap"):
         raise DomainRangeError("radial_eigen needs a wrapping strip mesh")
-    n_cols = mesh.meta["n_cols"]
-    free = np.flatnonzero(~mesh.boundary)
-    m = free.size // n_cols
-    K = stiffness[free][:, free].tocsr()
-    M = weighted_mass[free][:, free].tocsr()
+    rows, n_cols = mesh.meta["n_radii"], mesh.meta["n_cols"]
+    cell = Mesh(mesh.vertices, mesh.triangles.reshape(
+        rows - 1, 2, n_cols, 3)[:, :, 0].reshape(-1, 3), mesh.boundary)
 
-    def radial(a):
-        # P^T a P / n_cols: the sum of each (row, row) block
+    def stencil(a):
         c = a.tocoo()
-        blocks = c.row // n_cols * m + c.col // n_cols
-        return np.bincount(blocks, weights=c.data, minlength=m * m
-                           ).reshape(m, m) / n_cols
+        (i, j), (i2, j2) = np.divmod(c.row, n_cols), np.divmod(c.col, n_cols)
+        coef = np.zeros((rows, 3, 3))
+        np.add.at(coef, (i, i2 - i + 1, j2 - j + 1), c.data)
+        return coef[1:-1]
 
-    K0, M0 = radial(K), radial(M)
+    kc, mc = (stencil(a) for a in assemble(cell, wp))
+    K0, M0 = (np.diag(c[:, 1]) + np.diag(c[:-1, 2], 1) + np.diag(c[1:, 0], -1)
+              for c in (kc.sum(axis=2), mc.sum(axis=2)))
     (d0,), u = eigh(K0, M0, subset_by_index=[0, 0])
 
-    # the column-0 rows of K - d0 M: entry (i, c) couples row i to row
-    # c // n_cols at the angle offset s of column c % n_cols
-    shifted = (K[::n_cols] - d0 * M[::n_cols]).tocoo()
-    row, col = shifted.row, shifted.col
-    step = col // n_cols - row
-    if np.any(np.abs(step) > 1):
-        raise DomainRangeError("the matrices couple rows more than one "
-                               "apart: not this strip's")
-    s = (col % n_cols + n_cols // 2) % n_cols - n_cols // 2
-    offsets, s_idx = np.unique(s, return_inverse=True)
-    coef = np.zeros((m, 3, offsets.size))
-    np.add.at(coef, (row, step + 1, s_idx), shifted.data)
     k = np.arange(1, n_cols // 2 + 1)
     # (m, 3, modes): row i's coupling to rows i-1, i, i+1 in mode k
-    symbol = coef @ np.exp(2j * math.pi / n_cols * np.outer(offsets, k))
+    symbol = (kc - d0 * mc) @ np.exp(2j * math.pi / n_cols
+                                      * np.outer([-1, 0, 1], k))
     diag, off = symbol[:, 1].real, symbol[:-1, 2]
     for j in range(k.size):
         _, _, info = zpttrf(diag[:, j], off[:, j])
@@ -479,38 +481,35 @@ def radial_eigen(mesh: Mesh, stiffness: sparse.spmatrix,
             raise NumericalError(
                 f"angular mode k={k[j]} has an eigenvalue at or below the "
                 f"radial d0={d0:.17g} (zpttrf info={info})")
-    return _gated_result(K, M, np.repeat(u[:, 0], n_cols), free,
-                         stiffness.shape[0], 0, 0, "radial")
+    broadcast = sparse.kron(sparse.eye(rows, rows - 2, k=-1),
+                            np.ones((n_cols, 1))) / math.sqrt(n_cols)
+    return _gated_result(K0, M0, u[:, 0], broadcast, 0, 0, "radial")
 
 
 def solve_truncated(dom: DomainSpec, n: int, target_h: float = 0.02
-                    ) -> tuple[EigenResult, Mesh, sparse.csr_matrix]:
-    """Mesh, assemble, and solve one truncation level: a wrapping strip in
-    its radial mode (`radial_eigen`), any other by `smallest_eigen` on the
-    non-boundary vertices."""
+                    ) -> tuple[EigenResult, Mesh]:
+    """Mesh and solve one truncation level: a wrapping strip from column 0's
+    triangles (`radial_eigen`), any other assembled in full and solved by
+    `smallest_eigen` on the non-boundary vertices."""
     mesh = mesh_truncated(dom, n, target_h)
     wp = WeightParams(R=dom.R, N=2)
-    stiffness, weighted_mass = assemble(mesh, wp)
     if mesh.meta["wrap"]:
-        res = radial_eigen(mesh, stiffness, weighted_mass)
-    else:
-        res = smallest_eigen(stiffness, weighted_mass, interior=~mesh.boundary)
-    return res, mesh, weighted_mass
+        return radial_eigen(mesh, wp), mesh
+    return smallest_eigen(*assemble(mesh, wp), interior=~mesh.boundary), mesh
 
 
 # ---------------------------------------------------------------------------
 # Extrapolation and concentration report
 # ---------------------------------------------------------------------------
 
-def _mass_fractions(mesh: Mesh, weighted_mass: sparse.spmatrix,
-                    vector: np.ndarray, widths: tuple, R: float
-                    ) -> list[tuple[float, float]]:
-    """Weighted-mass fractions in {|x| < w} and {|x| > R - w}, per width w."""
+def _mass_fractions(mesh: Mesh, density: np.ndarray, widths: tuple,
+                    R: float) -> list[tuple[float, float]]:
+    """Weighted-mass fractions in {|x| < w} and {|x| > R - w}, per width w,
+    summed from the per-vertex density ``x * (M x)`` of `EigenResult`."""
     radii = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    contrib = vector * (weighted_mass @ vector)
-    total = float(np.sum(contrib))
-    return [(float(np.sum(contrib[radii < w])) / total,
-             float(np.sum(contrib[radii > R - w])) / total) for w in widths]
+    total = float(np.sum(density))
+    return [(float(np.sum(density[radii < w])) / total,
+             float(np.sum(density[radii > R - w])) / total) for w in widths]
 
 
 @dataclass
@@ -550,9 +549,9 @@ def extrapolate_constant(dom: DomainSpec, schedule,
     per_n, values, windows = [], [], []
     warnings = []
     for n in sched.n_values:
-        res, mesh, wmass = solve_truncated(dom, n, target_h)
+        res, mesh = solve_truncated(dom, n, target_h)
         (c_in, c_out), (a_in, a_out) = _mass_fractions(
-            mesh, wmass, res.vector, (2.0 / n, 2.0 / n_first), dom.R)
+            mesh, res.density, (2.0 / n, 2.0 / n_first), dom.R)
         per_n.append({
             "n": n, "d_n": res.value, "window": mesh.meta["window_length"],
             "solver": res.solver, "iterations": res.iterations,

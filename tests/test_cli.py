@@ -224,7 +224,7 @@ class TestCommands:
         assert len(lines) == 10 + 2 * nv + 2 * nt
 
     def test_vtk_matches_row_by_row_writer(self, tmp_path):
-        res, mesh, _ = solve_truncated(DomainSpec.ball(1.0), 8)
+        res, mesh = solve_truncated(DomainSpec.ball(1.0), 8)
         cli._write_vtk(tmp_path / "fast.vtk", mesh, res.vector)
         reference_vtk(tmp_path / "ref.vtk", mesh, res.vector)
         assert (tmp_path / "fast.vtk").read_bytes() == \
@@ -253,6 +253,25 @@ class TestCommands:
         assert code == 1
         assert diag["error"] == "DomainRangeError"
         assert "conee" in diag["message"]
+
+    @pytest.mark.parametrize("doc, schedule", [
+        pytest.param({"kind": "ball_with_core_cutoff", "R": 1.0,
+                      "params": {"c": 0.8}}, "4,8", id="core_cutoff_0.8"),
+        pytest.param({"kind": "angular_profile", "R": 1.0,
+                      "contains_origin": True, "params": {"bands": [
+                          [0.0, 0.4, [[0.0, 2 * math.pi]]],
+                          [0.4, 0.45, [[0.0, math.pi]]],
+                          [0.45, 1.0, [[0.0, 2 * math.pi]]]]}},
+                     "4,8,16", id="band_gap"),
+    ])
+    def test_constant_rejects_unmeshable_domain(self, doc, schedule,
+                                                tmp_path, capsys):
+        dpath = tmp_path / "dom.json"
+        dpath.write_text(json.dumps(doc))
+        code, diag = cli_error(["constant", "--domain", str(dpath),
+                                "--schedule", schedule], capsys)
+        assert code == 1
+        assert diag["error"] == "ConstructionError"
 
     def test_parse_schedule_rejects_non_integers(self):
         assert cli._parse_schedule("4,8,") == [4, 8]

@@ -189,6 +189,28 @@ class TestMesh:
         est = extrapolate_constant(dom, [4, 8, 16, 32], target_h=0.02)
         assert 0.24 <= est.estimate <= 0.26
 
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_full_rows_around_a_partial_band_raise(self, n):
+        # full circles on [0, 0.4) and [0.45, 1), a half circle between:
+        # once meshed as the full annulus, which leaves Omega
+        dom = DomainSpec.angular_profile([
+            (0.0, 0.4, [(0.0, 2 * math.pi)]),
+            (0.4, 0.45, [(0.0, math.pi)]),
+            (0.45, 1.0, [(0.0, 2 * math.pi)])])
+        with pytest.raises(ConstructionError, match="full circle") as info:
+            mesh_truncated(dom, n)
+        r = float(re.search(r"r=([0-9.e-]+)", str(info.value)).group(1))
+        assert 0.4 <= r < 0.45
+
+    def test_core_cutoff_too_coarse_raises(self):
+        # cR = 0.8 is at R - 1/n for n = 5 and above it for n = 4
+        dom = DomainSpec.ball_with_core_cutoff(0.8)
+        for n in (4, 5):
+            with pytest.raises(ConstructionError,
+                               match=f"n={n} .* core cutoff c=0.8"):
+                mesh_truncated(dom, n)
+        assert mesh_truncated(dom, 8).meta["wrap"]
+
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_arc_over_angle_zero_is_one_strip(self, n):
         # beta0 > pi/2: the inner rows' arc crosses angle 0, so the slice
@@ -466,20 +488,20 @@ class TestSmallestEigen:
         # Hardy quotient on (t_out, t_in), whose truncated minimum is
         # 1/4 + (pi / log(t_in/t_out))^2
         for n in (4, 16):
-            res, mesh, _ = solve_truncated(ball, n, target_h=0.02)
+            res, mesh = solve_truncated(ball, n, target_h=0.02)
             t_in = math.log(n)
             t_out = -math.log1p(-1.0 / n)
             pred = 0.25 + (math.pi / math.log(t_in / t_out)) ** 2
             assert res.value == pytest.approx(pred, rel=0.03)
 
     def test_eigenvector_single_signed(self, ball):
-        res, mesh, _ = solve_truncated(ball, 8, target_h=0.04)
+        res, mesh = solve_truncated(ball, 8, target_h=0.04)
         interior = ~mesh.boundary
         v = res.vector[interior]
         assert v.min() >= -1e-8 * v.max()
 
     def test_lower_bound(self, ball):
-        res, _, _ = solve_truncated(ball, 4, target_h=0.05)
+        res, _ = solve_truncated(ball, 4, target_h=0.05)
         assert res.value >= 0.25 - 1e-6
 
 
@@ -502,14 +524,32 @@ class TestRadialEigen:
         wp = WeightParams(R=dom.R, N=2)
         for n in (4, 8, 16, 32):
             mesh = mesh_truncated(dom, n)
+            radial = radial_eigen(mesh, wp)
             K, M = assemble(mesh, wp)
-            radial = radial_eigen(mesh, K, M)
             lanczos = smallest_eigen(K, M, interior=~mesh.boundary)
             assert radial.solver == "radial"
             assert radial.iterations == radial.fill == 0
             assert radial.value == pytest.approx(lanczos.value, rel=1e-12)
             np.testing.assert_allclose(radial.vector, lanczos.vector,
                                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: DomainSpec.ball(1.0), id="ball"),
+        pytest.param(lambda: DomainSpec.ball_with_core_cutoff(0.5),
+                     id="core_cutoff"),
+    ])
+    def test_assembles_column_0_only(self, make, monkeypatch):
+        from crithardy import fem2d
+        calls = []
+
+        def spy(mesh, wp):
+            calls.append(mesh.num_triangles)
+            return assemble(mesh, wp)
+
+        monkeypatch.setattr(fem2d, "assemble", spy)
+        res, mesh = solve_truncated(make(), 8)
+        assert res.solver == "radial"
+        assert calls == [2 * (mesh.meta["n_radii"] - 1)]
 
     @pytest.mark.parametrize("R, h, n", [
         (0.905, 0.02, 32), (0.945, 0.02, 32), (0.985, 0.02, 32),
@@ -521,39 +561,47 @@ class TestRadialEigen:
         dom = DomainSpec.ball(R)
         mesh = mesh_truncated(dom, n, target_h=h)
         assert mesh.meta["min_angle_deg"] >= 3.0
-        K, M = assemble(mesh, WeightParams(R=R, N=2))
-        res = radial_eigen(mesh, K, M)
+        res = radial_eigen(mesh, WeightParams(R=R, N=2))
         assert res.residual <= 1e-10
         exact = 0.25 + (math.pi / mesh.meta["window_length"]) ** 2
         assert exact < res.value <= exact * (1 + 3e-3)
 
-    def test_certificate_rejects_a_lower_angular_mode(self, ball):
-        # alpha on every horizontal-neighbour coupling and -2 alpha on the
-        # diagonal: its symbol 2 alpha (cos(2 pi k / n_cols) - 1) is zero in
-        # the radial mode, so d0 does not move, and negative in every other
+    def test_certificate_rejects_a_lower_angular_mode(self, ball,
+                                                      monkeypatch):
+        # alpha (e_a - e_b)(e_a - e_b)^T taken off K for the edge (a, b) of
+        # every (a, b, d) triangle, which joins two neighbours in a row: its
+        # symbol 2 alpha (cos(2 pi k / n_cols) - 1) is zero in the radial
+        # mode, so d0 does not move, and negative in every other
+        from crithardy import fem2d
         mesh = mesh_truncated(ball, 4, target_h=0.1)
-        K, M = assemble(mesh, WP)
-        d0 = radial_eigen(mesh, K, M).value
-        ids = np.arange(mesh.num_vertices).reshape(mesh.meta["n_radii"],
-                                                   mesh.meta["n_cols"])
-        left, right = ids.ravel(), np.roll(ids, -1, axis=1).ravel()
-        alpha = 2.0
-        E = sparse.coo_matrix((np.full(left.size, alpha), (left, right)),
-                              shape=K.shape)
-        K_low = (K + E + E.T - 2.0 * alpha * sparse.identity(K.shape[0])
-                 ).tocsr()
+        d0 = radial_eigen(mesh, WP).value
+        rows, alpha = mesh.meta["n_radii"], 2.0
+
+        def lowered(strip, wp):
+            K, M = assemble(strip, wp)
+            a, b = strip.triangles.reshape(rows - 1, 2, -1, 3)[:, 0, :, :2
+                                                              ].reshape(-1, 2).T
+            ends = np.concatenate([a, b])
+            E = sparse.coo_matrix((np.full(a.size, alpha), (a, b)),
+                                  shape=K.shape)
+            D = sparse.coo_matrix((np.full(ends.size, alpha), (ends, ends)),
+                                  shape=K.shape)
+            return (K + E + E.T - D).tocsr(), M
+
+        # the column-0 stencil carries the perturbation
+        monkeypatch.setattr(fem2d, "assemble", lowered)
         with pytest.raises(NumericalError, match="angular mode k="):
-            radial_eigen(mesh, K_low, M)
+            radial_eigen(mesh, WP)
         # an eigenpair below d0 exists, so d0 would have been wrong
+        K_low, M = lowered(mesh, WP)
         assert smallest_eigen(K_low, M, interior=~mesh.boundary).value < d0
 
     def test_residual_above_tol_raises(self, ball, monkeypatch):
         from crithardy import fem2d
         monkeypatch.setattr(fem2d, "_TOL", 1e-300)
         mesh = mesh_truncated(ball, 4, target_h=0.1)
-        K, M = assemble(mesh, WP)
         with pytest.raises(NonConvergenceError) as info:
-            radial_eigen(mesh, K, M)
+            radial_eigen(mesh, WP)
         assert info.value.diagnostics["iterations"] == 0
 
     def test_needs_a_wrapping_strip(self, half_disk):
@@ -563,9 +611,8 @@ class TestRadialEigen:
                       triangles=np.array([[0, 1, 2], [0, 2, 3]]),
                       boundary=np.ones(4, dtype=bool))
         for mesh in (mesh_truncated(half_disk, 4, target_h=0.1), square):
-            K, M = assemble(mesh, WP)
             with pytest.raises(DomainRangeError, match="wrapping strip"):
-                radial_eigen(mesh, K, M)
+                radial_eigen(mesh, WP)
 
 
 class TestExtrapolation:
@@ -606,6 +653,33 @@ class TestExtrapolation:
         est = extrapolate_constant(dom, schedule)
         ea = dom.cusp.eigenvalue
         assert abs(est.estimate - ea) / ea <= 0.05
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: DomainSpec.ball(1.0), id="ball"),
+        pytest.param(lambda: DomainSpec.ball_with_core_cutoff(0.3),
+                     id="core_cutoff"),
+    ])
+    def test_fractions_match_full_assembly(self, make, monkeypatch):
+        # reference: v * (M v) with M assembled on every triangle
+        from crithardy import fem2d
+        dom, solved = make(), []
+        solve = fem2d.solve_truncated
+
+        def kept(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(fem2d, "solve_truncated", kept)
+        est = extrapolate_constant(dom, [4, 8, 16], target_h=0.02)
+        for row, (res, mesh) in zip(est.per_n, solved):
+            _, M = assemble(mesh, WeightParams(R=dom.R, N=2))
+            ref = res.vector * (M @ res.vector)
+            radii = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+            for name, w in (("collar", 2.0 / row["n"]), ("anchor", 0.5)):
+                inner = ref[radii < w].sum() / ref.sum()
+                outer = ref[radii > dom.R - w].sum() / ref.sum()
+                assert row[f"{name}_inner"] == pytest.approx(inner, abs=1e-12)
+                assert row[f"{name}_outer"] == pytest.approx(outer, abs=1e-12)
 
     def test_collar_paths_reported(self, ball, half_disk):
         for dom, solver in ((ball, "radial"), (half_disk, "shift_invert")):
