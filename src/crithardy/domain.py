@@ -180,19 +180,17 @@ class CuspProfile:
     rho_table: np.ndarray
     g_table: np.ndarray
     a_table: np.ndarray
-    _g_interp: _Pchip = field(repr=False, default=None)
     _a_interp: _Pchip = field(repr=False, default=None)
 
     def __post_init__(self):
-        self._g_interp = _Pchip(self.rho_table, self.g_table)
         self._a_interp = _Pchip(self.rho_table, self.a_table)
 
     def g(self, rho: float) -> float:
-        if rho <= self.rho_table[0]:
-            return float(self.g_table[0])
+        """Slice infimum of the weight ratio at tip distance ``rho`` in
+        (0, r0], in closed form."""
         if rho > self.r0:
             raise DomainRangeError(f"rho={rho} beyond profile extent {self.r0}")
-        return float(self._g_interp(rho))
+        return weight.cusp_ratio_infimum(rho, self.a)
 
     def a_of_r(self, rho):
         """Half-angle at tip distance ``rho``: a float for a float, an array
@@ -207,7 +205,8 @@ class CuspProfile:
         return weight._float_for_scalars(out, rho)
 
     def min_g(self, delta: float) -> float:
-        """Infimum of g over (0, delta], using the table plus the limit 1 at 0."""
+        """Infimum of g over (0, delta]: the smaller of g(delta) and the table
+        rows up to delta (g tends to 1 at 0)."""
         sel = self.g_table[self.rho_table <= delta]
         vals = [self.g(delta)] + list(sel)
         return float(min(vals))
@@ -277,7 +276,7 @@ def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
             f"profile extent r0={r0!r} is too close to the first row 1e-7")
     grid = 512
     e_a = oned.angular_eigenvalue(a, grid)
-    g_vals = np.array([weight.cusp_ratio_infimum(float(p), a) for p in rho])
+    g_vals = weight.cusp_ratio_infimum(rho, a)
     if np.any(g_vals >= 1.0):
         bad = rho[np.argmax(g_vals >= 1.0)]
         raise NumericalError(f"weight ratio not below 1 at rho={bad}")

@@ -168,8 +168,9 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
     Interior rows that mix full circles and arcs, which a strip that does not
     wrap would cut at angle 0, and a core cutoff with ``cR >= R - 1/n``
     raise `ConstructionError`.  The mesh records the log-window length used
-    by the extrapolation fit and the minimal angle quality.  ``target_h``
-    must be positive and finite.
+    by the extrapolation fit, the minimal angle quality and the radius of
+    each vertex row (``row_radii``).  ``target_h`` must be positive and
+    finite.
     """
     R = dom.R
     if not 0.0 < target_h < math.inf:
@@ -225,9 +226,11 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
 
     t_in = math.log(R / r_in)
     t_out = -math.log1p(-1.0 / (n * R))
-    return _strip_mesh(radii[:, None] * np.cos(theta),
+    mesh = _strip_mesh(radii[:, None] * np.cos(theta),
                        radii[:, None] * np.sin(theta), wrap,
                        math.log(t_in / t_out))
+    mesh.meta["row_radii"] = radii
+    return mesh
 
 
 def _mesh_cusp_tip(dom: DomainSpec, n: int, target_h: float) -> Mesh:
@@ -505,8 +508,16 @@ def solve_truncated(dom: DomainSpec, n: int, target_h: float = 0.02
 def _mass_fractions(mesh: Mesh, density: np.ndarray, widths: tuple,
                     R: float) -> list[tuple[float, float]]:
     """Weighted-mass fractions in {|x| < w} and {|x| > R - w}, per width w,
-    summed from the per-vertex density ``x * (M x)`` of `EigenResult`."""
-    radii = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    summed from the per-vertex density ``x * (M x)`` of `EigenResult`.
+
+    A polar strip's vertex is placed by its row's radius, so a row that sits
+    on a width boundary is counted whole; the ``hypot`` of its vertices
+    differs by an ulp from column to column.  Tip-frame meshes have no such
+    rows and use ``hypot``.
+    """
+    rows = mesh.meta.get("row_radii")
+    radii = (np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+             if rows is None else np.repeat(rows, mesh.meta["n_cols"]))
     total = float(np.sum(density))
     return [(float(np.sum(density[radii < w])) / total,
              float(np.sum(density[radii > R - w])) / total) for w in widths]

@@ -70,12 +70,10 @@ def rearrange_function(u: PolarGridFunction) -> PolarGridFunction:
 
 
 def polya_szego_check(u: PolarGridFunction) -> tuple[float, float, float]:
-    """(energy, rearranged energy, margin); margin >= 0 up to roundoff."""
-    p = WeightParams(R=u.domain.R, N=2)
-    star = rearrange_function(u)
-    e = quotient_polar(u, p).dirichlet_energy
-    e_star = quotient_polar(star, p).dirichlet_energy
-    return e, e_star, e - e_star
+    """(energy, rearranged energy, margin) of `rearrangement_report`; margin
+    >= 0 up to roundoff."""
+    rep = rearrangement_report(u)
+    return rep["energy"], rep["energy_star"], rep["polya_szego_margin"]
 
 
 def hardy_littlewood_check(u: PolarGridFunction,

@@ -249,28 +249,6 @@ def _halfspace_grid(A: float, B: float):
     return y1.ravel(), y2.ravel(), w.ravel()
 
 
-def _halfspace_sums(profile, y1, y2, w) -> tuple[np.ndarray, float, float]:
-    """The profile's values on a `_halfspace_grid`, and its half-space
-    energy and mass there."""
-    g1, g2 = profile.grad(y1, y2)
-    v = profile.value(y1, y2)
-    energy = float(np.sum((g1 * g1 + g2 * g2) * w))
-    mass = float(np.sum((v / y2) ** 2 * w))
-    return v, energy, mass
-
-
-def halfspace_profile_quotient(profile, params: HalfSpaceFamilyParams) -> dict:
-    """Half-space Hardy data of the profile: energy, mass, their ratio.
-
-    Both integrals are invariant under the shrink ``v(l y)``, so they are
-    computed once in profile coordinates.
-    """
-    _, energy, mass = _halfspace_sums(
-        profile, *_halfspace_grid(params.A, params.B))
-    return {"energy": energy, "mass": mass, "ratio": energy / mass,
-            "slack": energy / mass - 0.25}
-
-
 def halfspace_quotient(profile, params: HalfSpaceFamilyParams,
                        dom: DomainSpec) -> QuotientReport:
     """Quotient of the transplanted profile ``u(x) = v(l (x + R e_2))``.
@@ -290,7 +268,10 @@ def halfspace_quotient(profile, params: HalfSpaceFamilyParams,
             f"support escapes the domain: need l > (A+B)/(2R), got l={l}")
     wp = WeightParams(R=R, N=2)
     y1, y2, w = _halfspace_grid(params.A, params.B)
-    v, energy, half_mass = _halfspace_sums(profile, y1, y2, w)
+    g1, g2 = profile.grad(y1, y2)
+    v = profile.value(y1, y2)
+    energy = float(np.sum((g1 * g1 + g2 * g2) * w))
+    half_mass = float(np.sum((v / y2) ** 2 * w))
 
     x_norm = np.sqrt((y1 / l) ** 2 + (R - y2 / l) ** 2)
     if np.any(x_norm >= R):
@@ -407,30 +388,23 @@ def cusp_upper_bound(params: CuspFamilyParams, dom: DomainSpec) -> QuotientRepor
     int_phi2 = float(np.trapezoid(phi**2, theta))
     dphi = np.gradient(phi, theta)
     int_dphi2 = float(np.trapezoid(dphi**2, theta))
-    int_phi_over_sin2 = float(np.trapezoid((phi / np.sin(theta)) ** 2, theta))
 
-    # radial pieces of the energy, by quadrature (the ramp slopes make the
-    # rho-part exactly 3 * int phi^2; tested against that identity)
+    # radial pieces of the energy in closed form: the ramp slopes 1/eps and
+    # 2/delta make int psi'^2 rho drho = 3, and int psi^2 / rho drho is the
+    # plateau's log(delta / (4 eps)) plus log 2 - 1/2 and 4 log 2 - 5/2 from
+    # the two ramps
+    radial_part = 3.0 * int_phi2
+    log_plateau = math.log(delta / (4 * eps))
+    log_factor = log_plateau + 5 * math.log(2) - 3
+    energy = radial_part + log_factor * int_dphi2
+
+    # weighted mass: (y2^2 / weight normalizer) * (phi/sin)^2 * psi^2 / rho,
+    # by 8-point Gauss panels, graded geometrically on the plateau
     ramp_lo = np.linspace(eps, 2 * eps, 9)
     plateau = np.geomspace(2 * eps, delta / 2, 65)
     ramp_hi = np.linspace(delta / 2, delta, 9)
     edges = np.unique(np.concatenate([ramp_lo, plateau, ramp_hi]))
-
-    def dpsi2_rho(rho):
-        out = np.zeros_like(rho)
-        out[(rho > eps) & (rho < 2 * eps)] = (1.0 / eps) ** 2
-        out[(rho > delta / 2) & (rho < delta)] = (2.0 / delta) ** 2
-        return out * rho
-
-    def psi2_over_rho(rho):
-        return _plateau(rho, eps, delta) ** 2 / rho
-
     lo, hi = edges[:-1], edges[1:]
-    radial_factor = _cell_gauss(lo, hi, 16, dpsi2_rho)
-    log_factor = _cell_gauss(lo, hi, 16, psi2_over_rho)
-    energy = radial_factor * int_phi2 + log_factor * int_dphi2
-
-    # weighted mass: (y2^2 / weight normalizer) * (phi/sin)^2 * psi^2 / rho
     rho_pts, rho_wts = _cell_gauss(lo, hi, 8)
     psi2 = _plateau(rho_pts, eps, delta) ** 2 / rho_pts
     mass = float(np.sum(_tip_mass_rows(rho_pts, theta, phi) * psi2.ravel()
@@ -438,13 +412,11 @@ def cusp_upper_bound(params: CuspFamilyParams, dom: DomainSpec) -> QuotientRepor
 
     min_g = prof.min_g(delta)
     certified = eig.value / min_g
-    err = abs(log_factor - math.log(delta / (4 * eps))) * int_dphi2 * 0.01
+    err = abs(log_factor - log_plateau) * int_dphi2 * 0.01
     return QuotientReport(
         dirichlet_energy=energy, weighted_mass=mass, ratio=energy / mass,
         quad_error_estimate=err,
         extras={"certified_bound": certified, "eigenvalue": eig.value,
-                "min_g": min_g, "radial_part": radial_factor * int_phi2,
-                "radial_identity": 3.0 * int_phi2, "log_factor": log_factor,
-                "log_lower_bound": math.log(delta / (4.0 * eps)),
-                "int_phi2": int_phi2, "int_dphi2": int_dphi2,
-                "int_phi_over_sin2": int_phi_over_sin2})
+                "min_g": min_g, "radial_part": radial_part,
+                "log_factor": log_factor, "log_lower_bound": log_plateau,
+                "int_phi2": int_phi2, "int_dphi2": int_dphi2})

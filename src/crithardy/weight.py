@@ -132,7 +132,7 @@ def cusp_weight_ratio(r, theta):
     return _float_for_scalars(out, r, theta)
 
 
-def cusp_ratio_infimum(r: float, a: float) -> float:
+def cusp_ratio_infimum(r, a: float):
     """Minimum of `cusp_weight_ratio` over the cone slice theta in [a, pi - a].
 
     The minimum is the ratio at theta = a or at theta = pi/2, whichever is
@@ -143,12 +143,13 @@ def cusp_ratio_infimum(r: float, a: float) -> float:
     F(s) = r s (L + 2) + h L.  F'' = -4 r^3 s / h^2 < 0, and F = r^2 > 0 at
     s = r/2, the unit circle.  So inside the disk (s > r/2) the ratio rises
     and then may fall, but never falls and then rises: it has no interior
-    minimum.
+    minimum.  Takes a scalar or an array of ``r``.
     """
-    if not (0.0 < r < 1.0):
+    r_arr = np.asarray(r, dtype=float)
+    if not np.all((0.0 < r_arr) & (r_arr < 1.0)):
         raise DomainRangeError(f"r must lie in (0, 1), got {r}")
     if not (0.0 < a < math.pi / 2):
         raise DomainRangeError(f"a must lie in (0, pi/2), got {a}")
-    if 2.0 * math.sin(a) <= r:
-        return 0.0
-    return float(np.min(cusp_weight_ratio(r, np.array([a, math.pi / 2]))))
+    ends = cusp_weight_ratio(r_arr[..., None], np.array([a, math.pi / 2]))
+    out = np.where(2.0 * math.sin(a) <= r_arr, 0.0, ends.min(axis=-1))
+    return _float_for_scalars(out, r)

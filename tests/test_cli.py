@@ -102,6 +102,24 @@ class TestCommands:
         assert code == 0
         assert doc["ratio"] == pytest.approx(5.323394757, rel=1e-8)
 
+    @pytest.mark.parametrize("doc, error", [
+        pytest.param({"type": "radial", "R": 1.0, "N": 2,
+                      "r": [0.25, 0.5, 0.75], "values": [0.0, 0.0, 0.0]},
+                     "DegenerateInputError", id="zero_mass_radial"),
+        pytest.param({"type": "polar", "R": 1.0, "N": 2,
+                      "domain": DomainSpec.ball(1.0).to_json(),
+                      "r": [0.25, 0.5, 0.75], "theta_count": 8,
+                      "values": [[1.0] * 4] * 3},
+                     "GridMismatchError", id="polar_shape_mismatch"),
+    ])
+    def test_quotient_eval_error_line(self, doc, error, tmp_path, capsys):
+        path = tmp_path / "fn.json"
+        path.write_text(json.dumps(doc))
+        code, diag = cli_error(["quotient", "eval", "--input", str(path)],
+                               capsys)
+        assert code == 1
+        assert diag["error"] == error
+
     def test_upperbound_families(self, capsys):
         for fam in ("phi_alpha", "psi_beta", "halfspace"):
             code, out = run_cli(["upperbound", "--family", fam,

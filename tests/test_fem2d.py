@@ -12,7 +12,8 @@ from crithardy import (AssemblyError, ConstructionError, DomainRangeError,
                        radial_eigen, smallest_eigen, solve_truncated,
                        weight_eval)
 from crithardy.domain import tip_to_xy
-from crithardy.fem2d import _QUAD_MID, _QUAD_SUB, Mesh, _graded_rows
+from crithardy.fem2d import (_QUAD_MID, _QUAD_SUB, Mesh, _graded_rows,
+                             _mass_fractions)
 from conftest import scalar_opening
 
 WP = WeightParams(R=1.0, N=2)
@@ -660,7 +661,8 @@ class TestExtrapolation:
                      id="core_cutoff"),
     ])
     def test_fractions_match_full_assembly(self, make, monkeypatch):
-        # reference: v * (M v) with M assembled on every triangle
+        # reference: v * (M v) with M assembled on every triangle, each
+        # vertex at the radius of its row
         from crithardy import fem2d
         dom, solved = make(), []
         solve = fem2d.solve_truncated
@@ -674,12 +676,41 @@ class TestExtrapolation:
         for row, (res, mesh) in zip(est.per_n, solved):
             _, M = assemble(mesh, WeightParams(R=dom.R, N=2))
             ref = res.vector * (M @ res.vector)
-            radii = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+            radii = np.repeat(mesh.meta["row_radii"], mesh.meta["n_cols"])
             for name, w in (("collar", 2.0 / row["n"]), ("anchor", 0.5)):
                 inner = ref[radii < w].sum() / ref.sum()
                 outer = ref[radii > dom.R - w].sum() / ref.sum()
                 assert row[f"{name}_inner"] == pytest.approx(inner, abs=1e-12)
                 assert row[f"{name}_outer"] == pytest.approx(outer, abs=1e-12)
+
+    @pytest.mark.parametrize("make, anchor_outer", [
+        pytest.param(lambda: DomainSpec.ball_with_core_cutoff(0.4), 0.93980,
+                     id="core_cutoff_0.4"),
+        pytest.param(lambda: DomainSpec.ball(0.985), 0.66871, id="ball_0.985"),
+    ])
+    def test_row_on_a_width_boundary_counts_whole(self, make, anchor_outer):
+        # at n = 4 a vertex row sits at R - 1/2, on the anchor width; the
+        # hypot radius of its vertices differs by an ulp from column to
+        # column, so comparing it split the row (310 of 315 vertices on the
+        # core cutoff, 276 of 310 on the ball)
+        dom = make()
+        res, mesh = solve_truncated(dom, 4)
+        rows = mesh.meta["row_radii"]
+        on_edge = int(np.argmin(np.abs(rows - (dom.R - 0.5))))
+        assert abs(rows[on_edge] - (dom.R - 0.5)) < 1e-15
+        hypot = np.hypot(*mesh.vertices.reshape(rows.size, -1, 2).T)
+        assert np.ptp(hypot[:, on_edge]) > 0.0
+        per_row = res.density.reshape(rows.size, -1).sum(axis=1)
+        heads = np.cumsum(per_row) / per_row.sum()
+        tails = np.cumsum(per_row[::-1])[::-1] / per_row.sum()
+        for w in (0.5, 0.25):
+            (inner, outer), = _mass_fractions(mesh, res.density, (w,), dom.R)
+            # every row is counted all or nothing
+            assert np.min(np.abs(np.append(heads, 0.0) - inner)) < 1e-13
+            assert np.min(np.abs(tails - outer)) < 1e-13
+        (_, outer), = _mass_fractions(mesh, res.density, (0.5,), dom.R)
+        assert outer == pytest.approx(tails[on_edge], abs=1e-13)
+        assert outer == pytest.approx(anchor_outer, abs=1e-5)
 
     def test_collar_paths_reported(self, ball, half_disk):
         for dom, solver in ((ball, "radial"), (half_disk, "shift_invert")):

@@ -6,12 +6,12 @@ import pytest
 from crithardy import (ConstructionError, CuspFamilyParams, DomainRangeError,
                        DomainSpec, HalfSpaceFamilyParams, NumericalError,
                        HalfSpaceProfileDefault, PhiAlphaParams, PsiBetaParams,
-                       cusp_upper_bound, halfspace_quotient,
+                       cusp_ratio_infimum, cusp_upper_bound,
+                       halfspace_quotient,
                        phi_alpha_quotient, phi_alpha_schedule,
                        psi_beta_quotient, psi_beta_schedule)
 from crithardy.oned import _cell_gauss
-from crithardy.testfn import (_angular_mode, _plateau, _tip_mass_rows,
-                              halfspace_profile_quotient)
+from crithardy.testfn import _angular_mode, _plateau, _tip_mass_rows
 
 
 class TestPhiAlpha:
@@ -75,10 +75,11 @@ class TestPsiBeta:
 class TestHalfSpace:
     def test_profile_quotient_against_independent_quadrature(self):
         # oracle: adaptive scipy.integrate.quad of the same profile
-        half = halfspace_profile_quotient(HalfSpaceProfileDefault(),
-                                          HalfSpaceFamilyParams())
-        assert half["ratio"] == pytest.approx(1.5079729729729716, rel=1e-4)
-        assert half["ratio"] >= 0.25
+        rep = halfspace_quotient(HalfSpaceProfileDefault(),
+                                 HalfSpaceFamilyParams(), DomainSpec.ball(1.0))
+        half = rep.extras["halfspace_ratio"]
+        assert half == pytest.approx(1.5079729729729716, rel=1e-4)
+        assert half >= 0.25
 
     def test_shrink_invariance(self):
         # the half-space data enters through the profile integrals only, so
@@ -89,24 +90,25 @@ class TestHalfSpace:
         assert reps[0].dirichlet_energy == reps[1].dirichlet_energy
 
     def test_report_carries_profile_data(self):
-        # the transplanted quotient reads the half-space energy and ratio off
-        # the same grid sums as halfspace_profile_quotient
-        half = halfspace_profile_quotient(HalfSpaceProfileDefault(),
-                                          HalfSpaceFamilyParams())
-        rep = halfspace_quotient(None, HalfSpaceFamilyParams(l=8),
-                                 DomainSpec.ball(1.0))
-        assert rep.dirichlet_energy == half["energy"]
-        assert rep.extras["halfspace_ratio"] == half["ratio"]
+        # the half-space energy and mass are summed in profile coordinates,
+        # so the reported half-space ratio is one number at every l, and the
+        # default profile is the one built from the family's A and B
+        ball = DomainSpec.ball(1.0)
+        reps = [halfspace_quotient(None, HalfSpaceFamilyParams(l=l), ball)
+                for l in (4, 8, 16)]
+        reps.append(halfspace_quotient(HalfSpaceProfileDefault(),
+                                       HalfSpaceFamilyParams(l=8), ball))
+        assert len({rep.extras["halfspace_ratio"] for rep in reps}) == 1
+        assert len({rep.dirichlet_energy for rep in reps}) == 1
 
     def test_domain_ratio_converges_and_bounded(self):
         ball = DomainSpec.ball(1.0)
-        half = halfspace_profile_quotient(HalfSpaceProfileDefault(),
-                                          HalfSpaceFamilyParams())
         gaps = []
         for l in (4, 16, 64):
             rep = halfspace_quotient(None, HalfSpaceFamilyParams(l=l), ball)
-            gaps.append(abs(rep.ratio - half["ratio"]))
-            assert rep.ratio <= 0.25 + half["slack"] + 0.05
+            half = rep.extras["halfspace_ratio"]
+            gaps.append(abs(rep.ratio - half))
+            assert rep.ratio <= half + 0.05
         assert gaps[2] < gaps[1] < gaps[0]
 
     def test_support_containment(self):
@@ -206,12 +208,43 @@ class TestCuspFamily:
                 ref.append(float(total))
         np.testing.assert_allclose(rows, ref, rtol=1e-13, atol=0)
 
-    def test_radial_part_identity(self, calibrated_cusp):
-        params = CuspFamilyParams(a_prime=0.95, eps=0.05 * 2.0 ** (-8),
-                                  delta=0.05)
-        rep = cusp_upper_bound(params, calibrated_cusp)
-        assert rep.extras["radial_part"] == pytest.approx(
-            rep.extras["radial_identity"], rel=1e-10)
+    def test_radial_factors_match_quadrature(self, calibrated_cusp):
+        # closed forms: int psi'^2 rho drho = 3 and int psi^2 / rho drho =
+        # log(delta / (4 eps)) + 5 log 2 - 3; reference: 16-point Gauss
+        # panels, uniform on the ramps and geometric on the plateau
+        delta = 0.05
+        for k in (4, 8, 20):
+            eps = delta * 2.0 ** (-k)
+            rep = cusp_upper_bound(CuspFamilyParams(
+                a_prime=0.95, eps=eps, delta=delta), calibrated_cusp)
+            edges = np.unique(np.concatenate([
+                np.linspace(eps, 2 * eps, 9),
+                np.geomspace(2 * eps, delta / 2, 65),
+                np.linspace(delta / 2, delta, 9)]))
+            rho, w = _cell_gauss(edges[:-1], edges[1:], 16)
+            slope2 = np.where(rho < 2 * eps, eps ** -2.0,
+                              np.where(rho > delta / 2, (2 / delta) ** 2, 0.0))
+            radial = float(np.sum(slope2 * rho * w))
+            log_part = float(np.sum(_plateau(rho, eps, delta) ** 2 / rho * w))
+            assert radial == pytest.approx(3.0, rel=1e-13)
+            assert rep.extras["radial_part"] == pytest.approx(
+                radial * rep.extras["int_phi2"], rel=1e-13)
+            assert rep.extras["log_factor"] == pytest.approx(log_part,
+                                                             rel=1e-13)
+
+    @pytest.mark.parametrize("a, a_prime, delta", [
+        (0.9, 1.4, 0.455), (1.1, 1.45, 0.46)])
+    def test_min_g_is_the_slice_infimum(self, a, a_prime, delta):
+        # the certificate divides by inf g over (0, delta]; a PCHIP through
+        # the 96 table rows overstated it here by 1.2e-4 and 1.4e-4
+        dom = DomainSpec.calibrated_cusp(a)
+        rep = cusp_upper_bound(CuspFamilyParams(
+            a_prime=a_prime, eps=delta * 2.0 ** (-6), delta=delta), dom)
+        scan = cusp_ratio_infimum(np.linspace(1e-7, delta, 20001), a).min()
+        assert dom.cusp.min_g(delta) == rep.extras["min_g"]
+        assert rep.extras["min_g"] == pytest.approx(scan, rel=1e-12)
+        assert rep.extras["certified_bound"] == pytest.approx(
+            rep.extras["eigenvalue"] / scan, rel=1e-12)
 
     def test_log_divergence(self, calibrated_cusp):
         vals = []

@@ -141,6 +141,22 @@ class TestSliceInfimum:
         assert inf == pytest.approx(scan.min(), rel=1e-15, abs=0.0)
         assert np.argmin(scan) == (0 if end == "edge" else scan.size - 1)
 
+    @pytest.mark.parametrize("a", [0.3, 0.9, 1.1])
+    def test_array_matches_scalar_calls(self, a):
+        # both ends, and the zero branch from 2 sin a <= r on
+        edge = 2.0 * math.sin(a)
+        r = np.concatenate([np.geomspace(1e-7, 0.5, 96),
+                            [x for x in (np.nextafter(edge, 0.0), edge, 0.9,
+                                         1.0 - 1e-9) if x < 1.0]])
+        out = cusp_ratio_infimum(r, a)
+        ref = np.array([cusp_ratio_infimum(float(x), a) for x in r])
+        assert isinstance(out, np.ndarray) and out.shape == r.shape
+        assert type(cusp_ratio_infimum(float(r[0]), a)) is float
+        assert np.array_equal(out, ref)
+        assert np.all((out == 0.0) == (edge <= r))
+        with pytest.raises(DomainRangeError):
+            cusp_ratio_infimum(np.append(r, 1.0), a)
+
     def test_slice_through_unit_circle(self):
         # 2 sin(0.3) < 0.9: the slice meets the unit circle, where h = 1
         assert cusp_ratio_infimum(0.9, 0.3) == 0.0
