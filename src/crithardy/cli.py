@@ -63,9 +63,20 @@ def _load_domain(path: str) -> dm.DomainSpec:
         return dm.DomainSpec.from_json(json.load(fh))
 
 
+# The optional keys of every function document, and the keys of a polar grid
+_FUNCTION_KEYS = ("type", "R", "N")
+_GRID_KEYS = ("r", "values", "theta_count")
+
+
 def _polar_grid(doc: dict, dom: dm.DomainSpec) -> PolarGridFunction:
     """The polar-grid function of a JSON document with ``r``, ``values``
-    and ``theta_count`` equispaced angles from 0."""
+    and ``theta_count`` equispaced angles from 0.
+
+    Raises `DomainRangeError` on a missing or unknown key; a
+    ``quotient eval`` document may also carry its ``domain`` and the
+    function keys."""
+    dm._check_keys("polar function document", doc, _GRID_KEYS,
+                   _FUNCTION_KEYS + ("domain",))
     nt = int(doc["theta_count"])
     return PolarGridFunction(r=np.asarray(doc["r"]),
                              theta=np.arange(nt) * (2 * math.pi / nt),
@@ -98,8 +109,15 @@ def cmd_weight_sweep(args) -> int:
 def cmd_quotient(args) -> int:
     with open(args.input) as fh:
         doc = json.load(fh)
+    radial = isinstance(doc, dict) and doc.get("type", "radial") == "radial"
+    if radial:
+        dm._check_keys("radial function document", doc, ("r", "values"),
+                       _FUNCTION_KEYS + ("constant_core",))
+    else:
+        dm._check_keys("polar function document", doc,
+                       _GRID_KEYS + ("domain",), _FUNCTION_KEYS)
     wp = WeightParams(R=doc.get("R", 1.0), N=doc.get("N", 2))
-    if doc.get("type", "radial") == "radial":
+    if radial:
         u = RadialFunction(r=np.asarray(doc["r"]), values=np.asarray(doc["values"]),
                            N=wp.N, constant_core=doc.get("constant_core", False))
         rep = quotient_radial(u, wp)

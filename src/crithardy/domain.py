@@ -154,13 +154,24 @@ class _Pchip:
             return 3.0 * m0
         return d
 
-    def __call__(self, xi):
+    def _pieces(self, xi):
+        """Each point's piece coefficients and its offset in the piece."""
         xi = np.asarray(xi, dtype=float)
         i = np.searchsorted(self._inner, xi, side="right")
-        c0, c1, c2, c3 = self._c
-        s = xi - self._left[i]
+        return [c[i] for c in self._c], xi - self._left[i]
+
+    def __call__(self, xi):
+        (c0, c1, c2, c3), s = self._pieces(xi)
         ss = s * s
-        return c3[i] + c2[i] * s + c1[i] * ss + c0[i] * (ss * s)
+        return c3 + c2 * s + c1 * ss + c0 * (ss * s)
+
+    def with_slope(self, xi):
+        """Values at ``xi``, bit for bit as `__call__` gives them, and the
+        derivatives ``c2 + (2 c1 + 3 c0 s) s`` of the same pieces."""
+        (c0, c1, c2, c3), s = self._pieces(xi)
+        ss = s * s
+        return (c3 + c2 * s + c1 * ss + c0 * (ss * s),
+                c2 + (2.0 * c1 + 3.0 * c0 * s) * s)
 
 
 @dataclass
@@ -199,10 +210,17 @@ class CuspProfile:
         if np.any(rho > self.r0 * (1 + 1e-12)):
             raise DomainRangeError(
                 f"rho={rho.max()} beyond profile extent {self.r0}")
-        opening = np.minimum(self._a_interp(np.minimum(rho, self.r0)),
-                             math.pi / 2 - 1e-12)
-        out = np.where(rho <= self.rho_table[0], self.a, opening)
-        return weight._float_for_scalars(out, rho)
+        opening, _ = self._opening_with_slope(np.minimum(rho, self.r0))
+        return weight._float_for_scalars(opening, rho)
+
+    def _opening_with_slope(self, rho):
+        """`a_of_r` at tip distances ``rho`` in [0, r0] and its derivative
+        there, with no range check: the limit angle ``a`` up to the first
+        table row, the interpolant capped just below pi/2 beyond it."""
+        opening, slope = self._a_interp.with_slope(rho)
+        first, top = rho <= self.rho_table[0], math.pi / 2 - 1e-12
+        return (np.where(first, self.a, np.minimum(opening, top)),
+                np.where(first | (opening >= top), 0.0, slope))
 
     def min_g(self, delta: float) -> float:
         """Infimum of g over (0, delta]: the smaller of g(delta) and the table
@@ -314,28 +332,72 @@ def _tip_half_widths(prof: CuspProfile, r: np.ndarray) -> np.ndarray:
     """Calibrated-cusp slice half-widths on all radii at once.
 
     The point at angular offset ``s`` from the top direction lies in the cusp
-    when its tip-frame angle exceeds the opening at its tip distance (exact
-    shifted-frame membership); ``s`` is bisected 64 times on [0, pi].
+    when its tip distance ``rho`` is below ``r0`` and its tip-frame angle
+    ``ang`` exceeds the opening at ``rho`` (exact shifted-frame membership).
+    A slice reaches the cusp when ``0 < 1 - r < r0``, and then its point at
+    ``s = 0`` lies inside: it is on the vertical ray, where ``ang = pi/2``
+    exceeds every opening.  Every other slice is empty.
+
+    The half-width is the offset ``cap`` where ``rho = r0`` when the slice is
+    still inside there, and otherwise the sign change of
+    ``phi(s) = ang(s) - a_of_r(rho(s))`` on ``(0, cap)``.  That is solved by
+    Newton steps with the exact derivative, ``ang' = (X^2 - Y r cos s) /
+    rho^2`` and ``rho' = X / rho`` for ``X = r sin s`` and
+    ``Y = 1 - r cos s``, plus the interpolant's own slope.  The first guess
+    is interpolated from the profile's table rows, which are boundary points.
+    Each radius keeps a bracket ``phi(lo) > 0 >= phi(hi)`` and takes the
+    bracket's midpoint whenever a step leaves it; it is done once its step
+    or its bracket is at most four ulps (after 128 steps at most).
+    ``1 - r cos s`` is written ``(1 - r) + 2 r sin^2(s/2)`` and ``rho^2`` as
+    ``(1 - r)^2 + 4 r sin^2(s/2)``, so neither cancels as ``r -> 1``.
     """
-
-    def inside(s):
-        # 1 - r cos s and rho^2 = r^2 - 2 r cos s + 1, written through
-        # sin(s/2) so that neither cancels as r -> 1
-        h = 2.0 * r * np.sin(0.5 * s) ** 2
-        rho = np.sqrt((1.0 - r) ** 2 + 2.0 * h)
-        ang = np.arctan2((1.0 - r) + h, r * np.sin(s))
-        return (rho < prof.r0) & (ang > prof.a_of_r(np.minimum(rho, prof.r0)))
-
-    lo, hi = np.zeros_like(r), np.full_like(r, math.pi)
+    out = np.zeros(r.shape)
     found = (0.0 < 1.0 - r) & (1.0 - r < prof.r0)
     if not found.any():
-        return lo
-    found &= inside(lo)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        ok = inside(mid)
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-    return np.where(found, 0.5 * (lo + hi), 0.0)
+        return out
+    r = r[found]
+    d = 1.0 - r
+    # rho = r0 at the cap: 4 r sin^2(cap/2) = r0^2 - (1 - r)^2
+    cap = 2.0 * np.arcsin(np.sqrt(np.minimum(
+        (prof.r0 - d) * (prof.r0 + d) / (4.0 * r), 1.0)))
+    capped = np.arctan2(d + 2.0 * r * np.sin(0.5 * cap) ** 2,
+                        r * np.sin(cap)) > prof.a_of_r(prof.r0)
+    s = cap.copy()
+    # the table rows as points (r_i, s_i) of the plane, with 1 - r_i formed
+    # without cancellation; s is interpolated in 1 - r, from 0 at the tip
+    below = prof.rho_table * np.sin(prof.a_table)
+    x_i = prof.rho_table * np.cos(prof.a_table)
+    r_i = np.hypot(x_i, 1.0 - below)
+    d_i = (2.0 * below - prof.rho_table ** 2) / (1.0 + r_i)
+    idx = np.flatnonzero(~capped)
+    lo, hi = np.zeros(idx.size), cap[idx]
+    x = np.interp(d[idx], np.r_[0.0, d_i],
+                  np.r_[0.0, np.arctan2(x_i, 1.0 - below)])
+    x = np.where((lo < x) & (x < hi), x, 0.5 * hi)
+    for _ in range(128):
+        if idx.size == 0:
+            break
+        ri, di = r[idx], d[idx]
+        h = 2.0 * ri * np.sin(0.5 * x) ** 2
+        X, Y = ri * np.sin(x), di + h
+        rho2 = di * di + 2.0 * h
+        rho = np.sqrt(rho2)
+        a, da = prof._opening_with_slope(np.minimum(rho, prof.r0))
+        phi = np.arctan2(Y, X) - a
+        dphi = (X * X - Y * ri * np.cos(x)) / rho2 - da * X / rho
+        pos = phi > 0.0
+        lo, hi = np.where(pos, x, lo), np.where(pos, hi, x)
+        step = x - phi / dphi
+        ulps = 4.0 * np.spacing(x)
+        small = np.abs(step - x) <= ulps
+        step = np.where(small | ((lo < step) & (step < hi)), step,
+                        0.5 * (lo + hi))
+        done = small | (hi - lo <= ulps)
+        s[idx] = step
+        keep = ~done
+        idx, x, lo, hi = idx[keep], step[keep], lo[keep], hi[keep]
+    out[found] = s
+    return out
 
 
 # ---------------------------------------------------------------------------

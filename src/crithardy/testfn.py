@@ -202,7 +202,9 @@ class HalfSpaceProfileDefault:
     """Compactly supported half-space profile with finite Hardy mass.
 
     ``v(y1, y2) = y2^q (1 - y2/B)_+ (1 - y1^2/(A y2))_+``; the exponent
-    ``q > 1/2`` keeps ``int (v/y2)^2`` finite.
+    ``q > 1/2`` keeps ``int (v/y2)^2`` finite.  Frozen, so hashable: equal
+    profiles share one entry of the half-space sums' cache (any profile
+    passed to `halfspace_quotient` must be hashable).
     """
 
     A: float = 1.0
@@ -238,15 +240,32 @@ class HalfSpaceFamilyParams:
 
 def _halfspace_grid(A: float, B: float):
     """Gauss nodes/weights over the parabolic support {y1^2 < A y2, y2 < B}:
-    160 geometric panels in y2, one 16-point panel across each y2 row."""
+    160 geometric panels in y2, one 16-point panel across each y2 row.
+    ``y1`` and ``w`` have one row per y2 node; ``y2`` is a ``(rows, 1)``
+    column."""
     edges = np.concatenate([[0.0], np.geomspace(B * 1e-8, B, 160)])
     y2, w2 = _cell_gauss(edges[:-1], edges[1:], 8)
-    y2, w2 = y2.ravel(), w2.ravel()
-    width = np.sqrt(A * y2)
+    y2, w2 = y2.reshape(-1, 1), w2.reshape(-1, 1)
+    width = np.sqrt(A * y2[:, 0])
     y1, w1 = _cell_gauss(-width, width, 16)
-    w = w2[:, None] * w1
-    y2 = np.broadcast_to(y2[:, None], y1.shape)
-    return y1.ravel(), y2.ravel(), w.ravel()
+    return y1, y2, w2 * w1
+
+
+@lru_cache(maxsize=4)
+def _halfspace_sums(profile, A: float, B: float):
+    """The part of the contact family that does not depend on ``l``: the
+    grid ``(y1, y2, w)``, ``v * v``, the half-space energy and the Hardy
+    mass ``int (v/y2)^2``.  Computed once per ``(profile, A, B)``; the
+    arrays are read-only."""
+    y1, y2, w = _halfspace_grid(A, B)
+    g1, g2 = profile.grad(y1, y2)
+    v = profile.value(y1, y2)
+    energy = float(np.sum((g1 * g1 + g2 * g2) * w))
+    half_mass = float(np.sum((v / y2) ** 2 * w))
+    vv = v * v
+    for arr in (y1, y2, w, vv):
+        arr.flags.writeable = False
+    return y1, y2, w, vv, energy, half_mass
 
 
 def halfspace_quotient(profile, params: HalfSpaceFamilyParams,
@@ -256,7 +275,10 @@ def halfspace_quotient(profile, params: HalfSpaceFamilyParams,
     The contact point is fixed at the bottom pole of the outer circle.  The
     Dirichlet energy is conformally invariant under the shrink, so it equals
     the half-space energy exactly; the weighted mass is evaluated on the
-    profile grid through the exact weight.
+    profile grid through the exact weight.  The profile (None for the
+    default one of the family's A and B) must be hashable: its grid sums
+    are cached (`_halfspace_sums`), so a schedule over ``l`` evaluates only
+    the transplanted mass per step.
     """
     if profile is None:
         profile = HalfSpaceProfileDefault(A=params.A, B=params.B)
@@ -267,16 +289,13 @@ def halfspace_quotient(profile, params: HalfSpaceFamilyParams,
         raise ConstructionError(
             f"support escapes the domain: need l > (A+B)/(2R), got l={l}")
     wp = WeightParams(R=R, N=2)
-    y1, y2, w = _halfspace_grid(params.A, params.B)
-    g1, g2 = profile.grad(y1, y2)
-    v = profile.value(y1, y2)
-    energy = float(np.sum((g1 * g1 + g2 * g2) * w))
-    half_mass = float(np.sum((v / y2) ** 2 * w))
+    y1, y2, w, vv, energy, half_mass = _halfspace_sums(
+        profile, params.A, params.B)
 
     x_norm = np.sqrt((y1 / l) ** 2 + (R - y2 / l) ** 2)
     if np.any(x_norm >= R):
         raise ConstructionError("transplanted support touches the outer circle")
-    mass = float(np.sum(v * v * weight_eval(wp, x_norm) * w)) / l**2
+    mass = float(np.sum(vv * weight_eval(wp, x_norm) * w)) / l**2
     # crude error estimate: weight variation across the shrink scale
     err = abs(mass - half_mass) * 0.01
     return QuotientReport(

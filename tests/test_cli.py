@@ -111,6 +111,19 @@ class TestCommands:
                       "r": [0.25, 0.5, 0.75], "theta_count": 8,
                       "values": [[1.0] * 4] * 3},
                      "GridMismatchError", id="polar_shape_mismatch"),
+        pytest.param({"type": "radial", "values": [0, 1, 0]},
+                     "DomainRangeError", id="radial_missing_r"),
+        pytest.param({"type": "radial", "r": [0.25, 0.5, 0.75],
+                      "values": [0, 1, 0], "theta_count": 8},
+                     "DomainRangeError", id="radial_unknown_key"),
+        pytest.param({"type": "polar", "r": [0.25, 0.5, 0.75],
+                      "domain": DomainSpec.ball(1.0).to_json(),
+                      "values": [[1.0] * 8] * 3},
+                     "DomainRangeError", id="polar_missing_theta_count"),
+        pytest.param({"type": "polar", "r": [0.25, 0.5, 0.75],
+                      "theta_count": 8, "values": [[1.0] * 8] * 3},
+                     "DomainRangeError", id="polar_missing_domain"),
+        pytest.param([0.25, 0.5], "DomainRangeError", id="not_an_object"),
     ])
     def test_quotient_eval_error_line(self, doc, error, tmp_path, capsys):
         path = tmp_path / "fn.json"
@@ -159,6 +172,17 @@ class TestCommands:
         assert doc["checks"]["polya_szego_margin"] >= -1e-9
         np.testing.assert_allclose(doc["half_widths"], [math.pi / 2] * nr,
                                    rtol=1e-12)
+
+    def test_rearrange_rejects_missing_key(self, tmp_path, capsys):
+        dpath = tmp_path / "half.json"
+        dpath.write_text(json.dumps(DomainSpec.half_disk().to_json()))
+        fpath = tmp_path / "fn.json"
+        fpath.write_text(json.dumps({"r": [0.25, 0.5], "theta_count": 4}))
+        code, diag = cli_error(["rearrange", "--domain", str(dpath),
+                                "--fn", str(fpath)], capsys)
+        assert code == 1
+        assert diag["error"] == "DomainRangeError"
+        assert "['values']" in diag["message"]
 
     def test_rearrange_once(self, tmp_path, capsys, monkeypatch):
         # the report reuses the rearranged function the command writes out

@@ -353,9 +353,14 @@ class TestPchip:
 
     @staticmethod
     def assert_matches(x, y, pts):
-        np.testing.assert_allclose(_Pchip(x, y)(pts),
-                                   PchipInterpolator(x, y)(pts),
-                                   rtol=1e-15, atol=0.0)
+        interp, ref = _Pchip(x, y), PchipInterpolator(x, y)
+        np.testing.assert_allclose(interp(pts), ref(pts), rtol=1e-15, atol=0.0)
+        # the slope comes from the same pieces, next to the same values
+        value, slope = interp.with_slope(pts)
+        assert np.array_equal(value, interp(pts))
+        dref = ref.derivative()(pts)
+        np.testing.assert_allclose(slope, dref, rtol=1e-12,
+                                   atol=1e-14 * np.max(np.abs(dref)))
 
     @pytest.mark.parametrize("a", [0.8, 0.9, 1.0, 1.1])
     def test_profile_tables(self, a):
@@ -429,24 +434,39 @@ class TestHalfWidths:
         with pytest.raises(DomainRangeError):
             ball.half_widths([0.5, 1.0])
 
+    @staticmethod
+    def assert_brackets_sign_change(dom, radii, rel=1e-13):
+        """The half-width at each radius is within ``rel`` of the switch of
+        the independent membership test `_tip_inside`."""
+        prof = dom.cusp
+        s = dom.half_widths(radii)
+        assert np.all(s > 0.0)
+        for r, si in zip(radii, s):
+            assert _tip_inside(prof, r, si * (1 - rel)), r
+            assert not _tip_inside(prof, r, si * (1 + rel)), r
+
     @pytest.mark.parametrize("a", [0.85, 1.05])
     def test_calibrated_cusp_oracle(self, a):
         # toward r = 1, forming rho^2 as r^2 - 2 r cos s + 1 puts the
-        # half-width off by 1e-10 at 1 - 2^-23 and 2e-9 at 1 - 2^-25 (a = 0.9)
+        # half-width off by 1e-10 at 1 - 2^-23 and 2e-9 at 1 - 2^-25 (a = 0.9);
+        # a 64-step bisection of [0, pi] resolves only pi 2^-64 = 1.7e-19,
+        # 3e-12 of the half-width at 1 - 2^-24
         dom = DomainSpec.calibrated_cusp(a)
         prof = dom.cusp
         tail = 1.0 - 2.0 ** -np.arange(5, 27)
         bulk = np.linspace(1.0 - prof.r0, 1.0, 26)[1:-1]
-        radii = np.concatenate([bulk, tail])
-        s = dom.half_widths(radii)
-        assert np.all(s > 0.0)
-        for r, si in zip(radii, s):
-            assert _tip_inside(prof, r, si * (1 - 5e-11)), r
-            assert not _tip_inside(prof, r, si * (1 + 5e-11)), r
+        self.assert_brackets_sign_change(dom, np.concatenate([bulk, tail]))
         # radii below the cusp's reach meet an empty slice
         outside = np.linspace(0.05, 0.98 * (1.0 - prof.r0), 6)
         assert np.array_equal(dom.half_widths(outside), np.zeros(6))
         assert not any(_tip_inside(prof, r, 1e-9) for r in outside)
+
+    @pytest.mark.parametrize("a", [0.8, 0.85, 0.9, 1.0, 1.05, 1.1])
+    def test_calibrated_cusp_sweep(self, a):
+        # every radius whose slice meets the cusp, capped slices included
+        dom = DomainSpec.calibrated_cusp(a)
+        radii = np.linspace(1.0 - dom.cusp.r0, 1.0, 2002)[1:-1]
+        self.assert_brackets_sign_change(dom, radii)
 
     def test_profile_arcs_wraps_half_widths(self, calibrated_cusp):
         for r in (0.8, 0.9, 0.99):

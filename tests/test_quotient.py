@@ -232,8 +232,9 @@ class TestSliceMask:
         assert np.array_equal(u.mask, loop_mask(dom, u.r, u.theta))
 
     def test_calibrated_cusp_call_count(self, calibrated_cusp, monkeypatch):
-        # one vectorized bisection: 1 + 64 profile evaluations in all, where
-        # a per-radius bisection makes about 3000 on 48 radii
+        # one vectorized Newton solve: the opening at r0, then one
+        # evaluation of values and slopes per step, 7 in all; the 64-step
+        # bisection it replaced made 65, and a per-radius bisection about 3000
         r = np.linspace(0.05, 0.95, 48)
         theta = np.arange(64) * (2 * math.pi / 64)
         arcs_calls, interp_calls = [], []
@@ -241,20 +242,25 @@ class TestSliceMask:
         prof = calibrated_cusp.cusp
         interp = prof._a_interp
 
+        class Counted:
+            def __call__(self, x):
+                interp_calls.append(("value", np.size(x)))
+                return interp(x)
+
+            def with_slope(self, x):
+                interp_calls.append(("slope", np.size(x)))
+                return interp.with_slope(x)
+
         def counted_arcs(self, x):
             arcs_calls.append(x)
             return arcs(self, x)
 
-        def counted_interp(x):
-            interp_calls.append(np.size(x))
-            return interp(x)
-
         monkeypatch.setattr(DomainSpec, "profile_arcs", counted_arcs)
-        monkeypatch.setattr(prof, "_a_interp", counted_interp)
+        monkeypatch.setattr(prof, "_a_interp", Counted())
         u = PolarGridFunction(r=r, theta=theta, values=np.ones((48, 64)),
                               domain=calibrated_cusp)
         assert arcs_calls == []
-        assert len(interp_calls) <= 65
+        assert len(interp_calls) <= 7
         assert u.mask.any()
 
     def test_band_table_call_count(self, monkeypatch):

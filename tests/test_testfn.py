@@ -11,7 +11,9 @@ from crithardy import (ConstructionError, CuspFamilyParams, DomainRangeError,
                        phi_alpha_quotient, phi_alpha_schedule,
                        psi_beta_quotient, psi_beta_schedule)
 from crithardy.oned import _cell_gauss
-from crithardy.testfn import _angular_mode, _plateau, _tip_mass_rows
+from crithardy.testfn import (_angular_mode, _halfspace_sums, _plateau,
+                              _tip_mass_rows)
+from crithardy.weight import WeightParams, weight_eval
 
 
 class TestPhiAlpha:
@@ -116,6 +118,48 @@ class TestHalfSpace:
         rep = halfspace_quotient(None, HalfSpaceFamilyParams(l=8), ball)
         assert rep.extras["max_support_radius"] < 1.0
         assert rep.extras["support_depth_bound"] == pytest.approx(1.0 / 8)
+
+    def test_schedule_sums_profile_once(self, monkeypatch):
+        # a schedule over l evaluates the profile once; every report field
+        # is the direct evaluation on the flat grid, bit for bit
+        calls = []
+        grad = HalfSpaceProfileDefault.grad
+
+        def counted(self, y1, y2):
+            calls.append(y1.size)
+            return grad(self, y1, y2)
+
+        monkeypatch.setattr(HalfSpaceProfileDefault, "grad", counted)
+        _halfspace_sums.cache_clear()
+        ball = DomainSpec.ball(1.0)
+        reps = {l: halfspace_quotient(None, HalfSpaceFamilyParams(l=l), ball)
+                for l in (3, 16, 64)}
+        assert len(calls) == 1
+        prof = HalfSpaceProfileDefault()
+        edges = np.concatenate([[0.0], np.geomspace(1e-8, 1.0, 160)])
+        y2, w2 = _cell_gauss(edges[:-1], edges[1:], 8)
+        y2, w2 = y2.ravel(), w2.ravel()
+        width = np.sqrt(y2)
+        y1, w1 = _cell_gauss(-width, width, 16)
+        w = (w2[:, None] * w1).ravel()
+        y1, y2 = y1.ravel(), np.repeat(y2, 16)
+        g1, g2 = grad(prof, y1, y2)
+        v = prof.value(y1, y2)
+        energy = float(np.sum((g1 * g1 + g2 * g2) * w))
+        half_mass = float(np.sum((v / y2) ** 2 * w))
+        for l, rep in reps.items():
+            x_norm = np.sqrt((y1 / l) ** 2 + (1.0 - y2 / l) ** 2)
+            weights = weight_eval(WeightParams(R=1.0, N=2), x_norm)
+            mass = float(np.sum(v * v * weights * w)) / l**2
+            assert rep.dirichlet_energy == energy
+            assert rep.weighted_mass == mass
+            assert rep.ratio == energy / mass
+            assert rep.quad_error_estimate == abs(mass - half_mass) * 0.01
+            assert rep.extras == {
+                "halfspace_ratio": energy / half_mass, "l": l,
+                "max_support_radius": float(np.max(x_norm)),
+                "support_depth_bound": 1.0 / l}
+            assert rep.radial_energy is None and rep.angular_energy is None
 
     def test_support_escape_raises(self):
         ball = DomainSpec.ball(1.0)
