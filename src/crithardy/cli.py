@@ -68,19 +68,38 @@ _FUNCTION_KEYS = ("type", "R", "N")
 _GRID_KEYS = ("r", "values", "theta_count")
 
 
-def _polar_grid(doc: dict, dom: dm.DomainSpec) -> PolarGridFunction:
-    """The polar-grid function of a JSON document with ``r``, ``values``
-    and ``theta_count`` equispaced angles from 0.
+def _floats(what: str, value) -> np.ndarray:
+    """``value`` as a float array; `DomainRangeError` unless it is a number
+    or a rectangular nested list of numbers."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise DomainRangeError(f"{what} must hold numbers, got {value!r}")
+    return arr.astype(float)
 
-    Raises `DomainRangeError` on a missing or unknown key; a
-    ``quotient eval`` document may also carry its ``domain`` and the
-    function keys."""
-    dm._check_keys("polar function document", doc, _GRID_KEYS,
+
+def _count(what: str, value) -> int:
+    """``value``; `DomainRangeError` unless it is a positive integer."""
+    if type(value) is not int or value < 1:
+        raise DomainRangeError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
+def _polar_grid(doc, dom: dm.DomainSpec | None) -> PolarGridFunction:
+    """The polar-grid function of a JSON document with ``r``, ``values``
+    and ``theta_count`` equispaced angles from 0, on ``dom`` or, when it is
+    None, on the document's ``domain``.  Raises `DomainRangeError` on a
+    missing or unknown key and on a value that is not of its kind."""
+    own = ("domain",) if dom is None else ()
+    dm._check_keys("polar function document", doc, _GRID_KEYS + own,
                    _FUNCTION_KEYS + ("domain",))
-    nt = int(doc["theta_count"])
-    return PolarGridFunction(r=np.asarray(doc["r"]),
-                             theta=np.arange(nt) * (2 * math.pi / nt),
-                             values=np.asarray(doc["values"]), domain=dom)
+    nt = _count("theta_count", doc["theta_count"])
+    r, values = _floats("r", doc["r"]), _floats("values", doc["values"])
+    return PolarGridFunction(
+        r=r, theta=np.arange(nt) * (2 * math.pi / nt), values=values,
+        domain=dm.DomainSpec.from_json(doc["domain"]) if dom is None else dom)
 
 
 # ---------------------------------------------------------------------------
@@ -109,21 +128,18 @@ def cmd_weight_sweep(args) -> int:
 def cmd_quotient(args) -> int:
     with open(args.input) as fh:
         doc = json.load(fh)
-    radial = isinstance(doc, dict) and doc.get("type", "radial") == "radial"
-    if radial:
+    if isinstance(doc, dict) and doc.get("type", "radial") == "radial":
         dm._check_keys("radial function document", doc, ("r", "values"),
                        _FUNCTION_KEYS + ("constant_core",))
+        quotient = quotient_radial
+        u = RadialFunction(r=_floats("r", doc["r"]),
+                           values=_floats("values", doc["values"]),
+                           N=doc.get("N", 2),
+                           constant_core=doc.get("constant_core", False))
     else:
-        dm._check_keys("polar function document", doc,
-                       _GRID_KEYS + ("domain",), _FUNCTION_KEYS)
-    wp = WeightParams(R=doc.get("R", 1.0), N=doc.get("N", 2))
-    if radial:
-        u = RadialFunction(r=np.asarray(doc["r"]), values=np.asarray(doc["values"]),
-                           N=wp.N, constant_core=doc.get("constant_core", False))
-        rep = quotient_radial(u, wp)
-    else:
-        u = _polar_grid(doc, dm.DomainSpec.from_json(doc["domain"]))
-        rep = quotient_polar(u, wp)
+        quotient, u = quotient_polar, _polar_grid(doc, None)
+    rep = quotient(u, WeightParams(R=dm._real("R", doc.get("R", 1.0)),
+                                   N=_count("N", doc.get("N", 2))))
     out = {"meta": _meta(args), "dirichlet_energy": rep.dirichlet_energy,
            "weighted_mass": rep.weighted_mass, "ratio": rep.ratio,
            "quad_error_estimate": rep.quad_error_estimate}
@@ -149,7 +165,7 @@ def cmd_upperbound(args) -> int:
     if args.family == "phi_alpha":
         rows = list(testfn.phi_alpha_schedule(ks, c=args.c, R=args.R, N=args.N))
     elif args.family == "psi_beta":
-        rows = list(testfn.psi_beta_schedule(ks, R=args.R, N=args.N))
+        rows = list(testfn.psi_beta_schedule(ks, N=args.N))
     elif args.family == "halfspace":
         ball = dm.DomainSpec.ball(args.R)
         for l in (ks if args.schedule else (4, 16, 64)):

@@ -191,7 +191,7 @@ class CuspProfile:
     rho_table: np.ndarray
     g_table: np.ndarray
     a_table: np.ndarray
-    _a_interp: _Pchip = field(repr=False, default=None)
+    _a_interp: _Pchip = field(init=False, repr=False)
 
     def __post_init__(self):
         self._a_interp = _Pchip(self.rho_table, self.a_table)
@@ -223,11 +223,15 @@ class CuspProfile:
                 np.where(first | (opening >= top), 0.0, slope))
 
     def min_g(self, delta: float) -> float:
-        """Infimum of g over (0, delta]: the smaller of g(delta) and the table
-        rows up to delta (g tends to 1 at 0)."""
-        sel = self.g_table[self.rho_table <= delta]
-        vals = [self.g(delta)] + list(sel)
-        return float(min(vals))
+        """Infimum of g over (0, delta]: ``g(delta)``, as both factors of g
+        decrease on (0, 1).  On the vertical ray g is ``(x log(1/x) /
+        (1-x))^2`` at x = 1 - rho, and ``d/dx [x log(1/x) / (1-x)] = (log(1/x)
+        - 1 + x) / (1-x)^2 > 0``.  At the slice edge it is ``h m^2 / (2 rho sin
+        a)^2``, ``h = 1 - 2 rho sin a + rho^2`` in (0, 1), m = -log h; ``d/drho
+        log(sqrt(h) m / rho)`` has the sign of ``-(phi(m) + rho^2 (1 - m/2))``,
+        ``phi(m) = (1 + e^{-m}) (m/2 - tanh(m/2)) > 0``: linear in rho^2 in
+        [0, 1] and negative at both ends, -phi(m) and ``-e^{-m} (1 + m/2)``."""
+        return self.g(delta)
 
     def cone_fit_extent(self, a_prime: float) -> float:
         """Largest rho such that the opening stays inside the a_prime cone below it."""

@@ -456,17 +456,12 @@ def sin_power_quotient(alpha: float) -> float:
 # Arc Poincare constant and the radial reduction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArcPoincare:
-    eigenvalue: float
-
-
 def _pi_p(p: float) -> float:
     """Half-period of the p-Laplacian sine; pi for p = 2."""
     return 2.0 * math.pi * (p - 1.0) ** (1.0 / p) / (p * math.sin(math.pi / p))
 
 
-def arc_poincare_constant(arc_length: float, p: int = 2) -> ArcPoincare:
+def arc_poincare_constant(arc_length: float, p: int = 2) -> float:
     """First Dirichlet p-Laplacian eigenvalue of an arc of the given length.
 
     For intervals the eigenvalue is exact: (p-1) (pi_p / L)^p, i.e. (pi/L)^2
@@ -477,7 +472,7 @@ def arc_poincare_constant(arc_length: float, p: int = 2) -> ArcPoincare:
     if p < 1:
         raise DomainRangeError("p must be >= 1")
     c = 2.0 if p == 1 else (p - 1.0) * _pi_p(p) ** p  # p=1: Cheeger constant
-    return ArcPoincare(eigenvalue=c / arc_length**p)
+    return c / arc_length**p
 
 
 def _alpha_profile_grid(alpha: float) -> tuple[np.ndarray, np.ndarray]:

@@ -48,19 +48,16 @@ class QuotientReport:
 class RadialFunction:
     """Radial profile sampled on a strictly increasing grid inside (0, R).
 
-    ``boundary_zero`` requires the outer sample to vanish (the function is
-    extended by zero beyond the grid).  ``constant_core`` extends the profile
-    by its innermost value down to r = 0 with zero slope (boundary-layer
-    families equal a constant near the origin); otherwise the inner sample
-    must vanish as well.
+    The outer sample must vanish (the function is extended by zero beyond
+    the grid).  ``constant_core`` extends the profile by its innermost value
+    down to r = 0 with zero slope (boundary-layer families equal a constant
+    near the origin); otherwise the inner sample must vanish as well.
     """
 
     r: np.ndarray
     values: np.ndarray
-    boundary_zero: bool = True
     N: int = 2
     constant_core: bool = False
-    flags: tuple = ()
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
@@ -71,13 +68,10 @@ class RadialFunction:
             raise DomainRangeError("grid must be strictly increasing inside (0, R)")
         if not np.all(np.isfinite(self.values)):
             raise DomainRangeError("values must be finite")
-        if self.boundary_zero:
-            if self.values[-1] != 0.0:
-                raise DomainRangeError("boundary-zero requires a vanishing outer value")
-            if not self.constant_core and self.values[0] != 0.0:
-                raise DomainRangeError(
-                    "boundary-zero requires a vanishing inner value "
-                    "(or constant_core)")
+        if self.values[-1] != 0.0:
+            raise DomainRangeError("the outer value must vanish")
+        if not self.constant_core and self.values[0] != 0.0:
+            raise DomainRangeError("the inner value must vanish (or constant_core)")
 
 
 @dataclass
@@ -87,7 +81,6 @@ class LogProfile:
     t: np.ndarray
     values: np.ndarray
     N: int = 2
-    boundary_zero: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +136,6 @@ def quotient_radial(u: RadialFunction, p: WeightParams) -> QuotientReport:
     """
     if u.N != p.N:
         raise GridMismatchError(f"function N={u.N} disagrees with weight N={p.N}")
-    if not u.boundary_zero:
-        raise DomainRangeError("quotient requires a boundary-zero function")
     if u.r[-1] > p.R:
         raise DomainRangeError("grid must stay inside (0, R]")
     omega = sphere_area(p.N)
@@ -169,20 +160,18 @@ def hardy_scale(u: RadialFunction, lam: float, p: WeightParams) -> RadialFunctio
 
     In the log coordinate the transform is ``v(t) -> lam^{-(N-1)/N} v(lam t)``;
     on the radial grid this maps the nodes to ``R (r/R)^{1/lam}`` and rescales
-    the values, so no interpolation is involved.
+    the values, so no interpolation is involved.  Nodes that underflow or
+    collide are clipped into (0, R), keeping the innermost of equal nodes.
     """
     if lam <= 0:
         raise DomainRangeError(f"lambda must be positive, got {lam}")
     new_r = p.R * (u.r / p.R) ** (1.0 / lam)
     new_vals = lam ** (-(p.N - 1.0) / p.N) * u.values
-    flags = u.flags
     if new_r[0] <= 0.0 or new_r[-1] > p.R or np.any(np.diff(new_r) <= 0):
-        flags = flags + ("resample_degenerate",)
-        eps = np.finfo(float).tiny
-        new_r = np.clip(new_r, eps, p.R * (1 - 1e-16))
+        new_r = np.clip(new_r, np.finfo(float).tiny, p.R * (1 - 1e-16))
         keep = np.concatenate([[True], np.diff(new_r) > 0])
         new_r, new_vals = new_r[keep], new_vals[keep]
-    return replace(u, r=new_r, values=new_vals, flags=flags)
+    return replace(u, r=new_r, values=new_vals)
 
 
 def log_coordinate_transport(u: RadialFunction, p: WeightParams) -> LogProfile:
@@ -192,8 +181,7 @@ def log_coordinate_transport(u: RadialFunction, p: WeightParams) -> LogProfile:
     if u.constant_core:
         raise DomainRangeError("transport requires compact support (no constant core)")
     t = log_R_over(p, u.r)[::-1]
-    return LogProfile(t=t, values=u.values[::-1].copy(), N=p.N,
-                      boundary_zero=u.boundary_zero)
+    return LogProfile(t=t, values=u.values[::-1].copy(), N=p.N)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +200,6 @@ class PolarGridFunction:
     theta: np.ndarray
     values: np.ndarray
     domain: DomainSpec
-    boundary_zero: bool = True
     mask: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -278,16 +265,13 @@ def quotient_polar(u: PolarGridFunction, p: WeightParams) -> QuotientReport:
     # angular edges (cyclic): (du/(r dtheta))^2 * r * dtheta * w_r
     dval_t = np.roll(vals, -1, axis=1) - vals
     ang_energy = float(np.sum((dval_t**2).sum(axis=1) * w_r / (u.r * dth)))
-    # node-lumped weighted mass
-    w_vals = (u.r * log_R_over(p, u.r)) ** (-2)
-    row_sq = (vals**2).sum(axis=1)
-    mass = float(np.sum(row_sq * w_vals * u.r * w_r) * dth)
+    # node-lumped weighted mass: the trapezoid over the rows
+    f_rows = (vals**2).sum(axis=1) * (u.r * log_R_over(p, u.r)) ** (-2) * u.r
+    mass = float(np.sum(f_rows * w_r) * dth)
     # error estimate: trapezoid vs midpoint-refined row quadrature
-    f_rows = row_sq * w_vals * u.r
     mid_f = 0.5 * (f_rows[:-1] + f_rows[1:])
-    trap = float(np.sum(f_rows * w_r) * dth)
     refined = float(np.sum((f_rows[:-1] + 2 * mid_f + f_rows[1:]) / 4 * dr) * dth)
-    err = abs(trap - refined)
+    err = abs(mass - refined)
     if mass <= 0.0 or not math.isfinite(mass):
         raise DegenerateInputError("weighted mass vanishes")
     energy = rad_energy + ang_energy

@@ -65,8 +65,7 @@ def rearrange_function(u: PolarGridFunction) -> PolarGridFunction:
     counts = u.mask.sum(axis=1)
     new_mask[:, positions] = np.arange(nt) < counts[:, None]
     return PolarGridFunction(r=u.r.copy(), theta=u.theta.copy(), values=new_vals,
-                             domain=u.domain, boundary_zero=u.boundary_zero,
-                             mask=new_mask)
+                             domain=u.domain, mask=new_mask)
 
 
 def polya_szego_check(u: PolarGridFunction) -> tuple[float, float, float]:

@@ -129,11 +129,11 @@ class PsiBetaParams:
     """Log-power family concentrating at the outer boundary of the ball.
 
     The profile equals 1 inside ``r <= R/e`` and ``(log R/r)^beta`` outside;
-    ``beta > (N-1)/N`` makes the weighted mass finite.
+    ``beta > (N-1)/N`` makes the weighted mass finite.  In ``t = log(R/r)``
+    the quotient is the same on every ball, so ``R`` is no parameter.
     """
 
     beta: float
-    R: float = 1.0
     N: int = 2
 
     def __post_init__(self):
@@ -182,13 +182,13 @@ def psi_beta_quotient(p: PsiBetaParams) -> QuotientReport:
                 "quadrature_ratio": q_energy / q_mass})
 
 
-def psi_beta_schedule(ks=range(3, 11), R: float = 1.0,
-                      N: int = 2) -> list[tuple[float, float, float]]:
+def psi_beta_schedule(ks=range(3, 11), N: int = 2
+                      ) -> list[tuple[float, float, float]]:
     """(beta, ratio, error) along beta = (N-1)/N + 2^{-k}."""
     rows = []
     for k in ks:
         beta = (N - 1.0) / N + 2.0 ** (-k)
-        rep = psi_beta_quotient(PsiBetaParams(beta=beta, R=R, N=N))
+        rep = psi_beta_quotient(PsiBetaParams(beta=beta, N=N))
         rows.append((beta, rep.ratio, rep.quad_error_estimate))
     return rows
 
@@ -202,14 +202,13 @@ class HalfSpaceProfileDefault:
     """Compactly supported half-space profile with finite Hardy mass.
 
     ``v(y1, y2) = y2^q (1 - y2/B)_+ (1 - y1^2/(A y2))_+``; the exponent
-    ``q > 1/2`` keeps ``int (v/y2)^2`` finite.  Frozen, so hashable: equal
-    profiles share one entry of the half-space sums' cache (any profile
-    passed to `halfspace_quotient` must be hashable).
+    ``q > 1/2`` keeps ``int (v/y2)^2`` finite.  ``A``, ``B`` and ``q`` are
+    class constants, not fields, so the support that `halfspace_quotient`
+    integrates over is the profile's own, and every instance is one entry
+    of the half-space sums' cache.
     """
 
-    A: float = 1.0
-    B: float = 1.0
-    q: float = 0.6
+    A, B, q = 1.0, 1.0, 0.6
 
     def value(self, y1, y2):
         s = y1 * y1 / (self.A * y2)
@@ -227,22 +226,21 @@ class HalfSpaceProfileDefault:
 
 @dataclass(frozen=True)
 class HalfSpaceFamilyParams:
-    """Shrink index l and support aperture constants of the contact family."""
+    """Shrink index l of the contact family."""
 
     l: int = 8
-    A: float = 1.0
-    B: float = 1.0
 
     def __post_init__(self):
         if self.l < 1:
             raise DomainRangeError("l must be a positive integer")
 
 
-def _halfspace_grid(A: float, B: float):
-    """Gauss nodes/weights over the parabolic support {y1^2 < A y2, y2 < B}:
-    160 geometric panels in y2, one 16-point panel across each y2 row.
-    ``y1`` and ``w`` have one row per y2 node; ``y2`` is a ``(rows, 1)``
-    column."""
+def _halfspace_grid(profile):
+    """Gauss nodes/weights over the profile's parabolic support
+    {y1^2 < A y2, y2 < B}: 160 geometric panels in y2, one 16-point panel
+    across each y2 row.  ``y1`` and ``w`` have one row per y2 node; ``y2``
+    is a ``(rows, 1)`` column."""
+    A, B = profile.A, profile.B
     edges = np.concatenate([[0.0], np.geomspace(B * 1e-8, B, 160)])
     y2, w2 = _cell_gauss(edges[:-1], edges[1:], 8)
     y2, w2 = y2.reshape(-1, 1), w2.reshape(-1, 1)
@@ -252,12 +250,12 @@ def _halfspace_grid(A: float, B: float):
 
 
 @lru_cache(maxsize=4)
-def _halfspace_sums(profile, A: float, B: float):
+def _halfspace_sums(profile):
     """The part of the contact family that does not depend on ``l``: the
     grid ``(y1, y2, w)``, ``v * v``, the half-space energy and the Hardy
-    mass ``int (v/y2)^2``.  Computed once per ``(profile, A, B)``; the
-    arrays are read-only."""
-    y1, y2, w = _halfspace_grid(A, B)
+    mass ``int (v/y2)^2``.  Computed once per profile; the arrays are
+    read-only."""
+    y1, y2, w = _halfspace_grid(profile)
     g1, g2 = profile.grad(y1, y2)
     v = profile.value(y1, y2)
     energy = float(np.sum((g1 * g1 + g2 * g2) * w))
@@ -275,35 +273,34 @@ def halfspace_quotient(profile, params: HalfSpaceFamilyParams,
     The contact point is fixed at the bottom pole of the outer circle.  The
     Dirichlet energy is conformally invariant under the shrink, so it equals
     the half-space energy exactly; the weighted mass is evaluated on the
-    profile grid through the exact weight.  The profile (None for the
-    default one of the family's A and B) must be hashable: its grid sums
-    are cached (`_halfspace_sums`), so a schedule over ``l`` evaluates only
-    the transplanted mass per step.
+    profile grid through the exact weight.  The profile (None for
+    `HalfSpaceProfileDefault`) carries its support constants ``A`` and ``B``
+    and must be hashable: its grid sums are cached (`_halfspace_sums`), so a
+    schedule over ``l`` evaluates only the transplanted mass per step.
+    ``quad_error_estimate`` is 1% of the gap between the transplanted and
+    the half-space Hardy mass: a modelling gap, not a quadrature error.
     """
     if profile is None:
-        profile = HalfSpaceProfileDefault(A=params.A, B=params.B)
+        profile = HalfSpaceProfileDefault()
     if dom.kind is not DomainKind.BALL:
         raise DomainRangeError("contact family is built on the ball")
     R, l = dom.R, params.l
-    if params.A + params.B >= 2.0 * R * l:
+    if profile.A + profile.B >= 2.0 * R * l:
         raise ConstructionError(
             f"support escapes the domain: need l > (A+B)/(2R), got l={l}")
-    wp = WeightParams(R=R, N=2)
-    y1, y2, w, vv, energy, half_mass = _halfspace_sums(
-        profile, params.A, params.B)
+    y1, y2, w, vv, energy, half_mass = _halfspace_sums(profile)
 
     x_norm = np.sqrt((y1 / l) ** 2 + (R - y2 / l) ** 2)
     if np.any(x_norm >= R):
         raise ConstructionError("transplanted support touches the outer circle")
-    mass = float(np.sum(vv * weight_eval(wp, x_norm) * w)) / l**2
-    # crude error estimate: weight variation across the shrink scale
+    mass = float(np.sum(vv * weight_eval(WeightParams(R=R), x_norm) * w)) / l**2
     err = abs(mass - half_mass) * 0.01
     return QuotientReport(
         dirichlet_energy=energy, weighted_mass=mass, ratio=energy / mass,
         quad_error_estimate=err,
         extras={"halfspace_ratio": energy / half_mass,
                 "l": l, "max_support_radius": float(np.max(x_norm)),
-                "support_depth_bound": params.B / l})
+                "support_depth_bound": profile.B / l})
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +387,9 @@ def cusp_upper_bound(params: CuspFamilyParams, dom: DomainSpec) -> QuotientRepor
     The profile is ``psi(rho) * phi(theta)`` in the tip frame, with phi the
     angular eigenfunction at ``a_prime``.  The report carries the certified
     upper bound ``eigenvalue(a') / min g`` next to the evaluated quotient.
+    ``quad_error_estimate`` is ``(5 log 2 - 3) int phi'^2 / 100``, the same
+    at every ``eps``: it sees neither the mass quadrature nor the angular
+    trapezoid, where the error sits.
     """
     if dom.cusp is None:
         raise DomainRangeError("tip family requires the calibrated cusp domain")

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import crithardy
-from crithardy import (DomainRangeError, DomainSpec, angular_eigenvalue, cli,
+from crithardy import (DomainRangeError, DomainSpec, PolarGridFunction,
+                       WeightParams, angular_eigenvalue, cli, quotient_polar,
                        solve_truncated)
 from conftest import SECTOR
 
@@ -46,6 +47,34 @@ def reference_vtk(path, mesh, vector):
     ]
     with open(path, "w") as fh:
         fh.writelines(f"{text}\n" for text in sections)
+
+
+def _polar_doc(**kw):
+    doc = {"type": "polar", "domain": DomainSpec.half_disk().to_json(),
+           "r": [0.25, 0.5, 0.75], "theta_count": 8,
+           "values": [[1.0] * 8] * 3}
+    doc.update(kw)
+    return doc
+
+
+def _radial_doc(**kw):
+    doc = {"type": "radial", "r": [0.25, 0.5, 0.75], "values": [0, 1, 0]}
+    doc.update(kw)
+    return doc
+
+
+# function documents with one value of the wrong kind, by test id
+BAD_POLAR = {
+    "polar_theta_count_text": _polar_doc(theta_count="two"),
+    "polar_r_text": _polar_doc(r="abc"),
+    "polar_values_text": _polar_doc(values="abc"),
+}
+BAD_RADIAL = {
+    "radial_r_text": _radial_doc(r="abc"),
+    "radial_values_text": _radial_doc(values="abc"),
+    "radial_R_text": _radial_doc(R="abc"),
+    "radial_N_text": _radial_doc(N="two"),
+}
 
 
 class TestCommands:
@@ -124,6 +153,8 @@ class TestCommands:
                       "theta_count": 8, "values": [[1.0] * 8] * 3},
                      "DomainRangeError", id="polar_missing_domain"),
         pytest.param([0.25, 0.5], "DomainRangeError", id="not_an_object"),
+        *[pytest.param(doc, "DomainRangeError", id=name)
+          for name, doc in {**BAD_POLAR, **BAD_RADIAL}.items()],
     ])
     def test_quotient_eval_error_line(self, doc, error, tmp_path, capsys):
         path = tmp_path / "fn.json"
@@ -132,6 +163,35 @@ class TestCommands:
                                capsys)
         assert code == 1
         assert diag["error"] == error
+
+    def test_quotient_eval_polar(self, tmp_path, capsys):
+        half = DomainSpec.half_disk()
+        r = np.linspace(0.1, 0.9, 8)
+        vals = np.random.default_rng(0).uniform(0, 1, (8, 16))
+        path = tmp_path / "fn.json"
+        path.write_text(json.dumps({
+            "type": "polar", "domain": half.to_json(), "r": r.tolist(),
+            "theta_count": 16, "values": vals.tolist()}))
+        code, out = run_cli(["quotient", "eval", "--input", str(path)], capsys)
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["dirichlet_energy"] == \
+            doc["radial_energy"] + doc["angular_energy"]
+        u = PolarGridFunction(r=r, theta=np.arange(16) * (2 * math.pi / 16),
+                              values=vals, domain=half)
+        assert doc["ratio"] == quotient_polar(u, WeightParams(R=1.0)).ratio
+
+    @pytest.mark.parametrize("doc", [pytest.param(doc, id=name)
+                                     for name, doc in BAD_POLAR.items()])
+    def test_rearrange_bad_value(self, doc, tmp_path, capsys):
+        dpath = tmp_path / "half.json"
+        dpath.write_text(json.dumps(DomainSpec.half_disk().to_json()))
+        fpath = tmp_path / "fn.json"
+        fpath.write_text(json.dumps(doc))
+        code, diag = cli_error(["rearrange", "--domain", str(dpath),
+                                "--fn", str(fpath)], capsys)
+        assert code == 1
+        assert diag["error"] == "DomainRangeError"
 
     def test_upperbound_families(self, capsys):
         for fam in ("phi_alpha", "psi_beta", "halfspace"):
@@ -353,6 +413,20 @@ class TestCommands:
         code = cli.main(["constant", "--domain", str(dpath),
                          "--schedule", "1"])
         assert code == 1
+
+    def test_error_line_carries_diagnostics(self, tmp_path, capsys,
+                                            monkeypatch):
+        # the eigen residual cannot fall below 1e-300, so the ball's solve
+        # fails its gate and the error line reports the residual
+        from crithardy import fem2d
+        monkeypatch.setattr(fem2d, "_TOL", 1e-300)
+        dpath = tmp_path / "ball.json"
+        dpath.write_text(json.dumps(DomainSpec.ball(1.0).to_json()))
+        code, diag = cli_error(["constant", "--domain", str(dpath),
+                                "--schedule", "4", "--h", "0.08"], capsys)
+        assert code == 1
+        assert diag["error"] == "NonConvergenceError"
+        assert diag["diagnostics"]["residual"] > 1e-300
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

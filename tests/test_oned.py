@@ -426,16 +426,16 @@ class TestSinPower:
 
 class TestArcPoincare:
     def test_pi_arc(self):
-        assert arc_poincare_constant(math.pi, 2).eigenvalue == pytest.approx(1.0)
+        assert arc_poincare_constant(math.pi, 2) == pytest.approx(1.0)
 
     def test_half_pi_arc(self):
-        assert arc_poincare_constant(math.pi / 2, 2).eigenvalue == pytest.approx(4.0)
+        assert arc_poincare_constant(math.pi / 2, 2) == pytest.approx(4.0)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_scaling(self, p):
         for L in (2.0, 1.0):
-            lam = arc_poincare_constant(L, p).eigenvalue
-            lam_half = arc_poincare_constant(L / 2, p).eigenvalue
+            lam = arc_poincare_constant(L, p)
+            lam_half = arc_poincare_constant(L / 2, p)
             assert lam_half == pytest.approx(2**p * lam, rel=1e-12)
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crithardy import (DegenerateInputError, DomainSpec, PolarGridFunction,
-                       RadialFunction,
+from crithardy import (DegenerateInputError, DomainRangeError, DomainSpec,
+                       PolarGridFunction, RadialFunction,
                        WeightParams, hardy_1d_quotient, hardy_scale,
                        log_coordinate_transport, quotient_polar,
                        quotient_radial)
@@ -65,7 +65,7 @@ class TestQuotientRadial:
             quotient_radial(u, WP)
 
     def test_boundary_zero_enforced(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DomainRangeError):
             RadialFunction(r=np.array([0.2, 0.4]), values=np.array([0.0, 1.0]))
 
     def test_constant_core_tail(self):
@@ -92,6 +92,19 @@ class TestHardyScale:
         q0 = quotient_radial(u, WP).ratio
         q1 = quotient_radial(hardy_scale(u, lam, WP), WP).ratio
         assert abs(q1 - q0) / q0 <= 1e-4
+
+    def test_underflowing_nodes_are_clipped(self):
+        # at lam = 1e-3 the nodes below r = exp(-0.745) map to (r/R)^1000,
+        # which underflows; they are clipped and collapse onto one node
+        u = log_bump_profile()
+        with np.errstate(under="ignore"):
+            assert np.count_nonzero(u.r ** 1000.0 == 0.0) > 1
+        s = hardy_scale(u, 1e-3, WP)
+        assert isinstance(s, RadialFunction)
+        assert s.r[0] == np.finfo(float).tiny
+        assert np.all(np.diff(s.r) > 0) and s.r[-1] < WP.R
+        rep = quotient_radial(s, WP)
+        assert math.isfinite(rep.ratio) and rep.ratio > 0
 
     def test_support_map(self):
         # support [t1, t2] in the log coordinate maps to [t1/lam, t2/lam]

@@ -179,7 +179,7 @@ class TestHardyLittlewood:
         u = polar_random_bumps(half_disk, rng)
         ones = PolarGridFunction(r=u.r, theta=u.theta,
                                  values=np.ones_like(u.values),
-                                 domain=half_disk, boundary_zero=False)
+                                 domain=half_disk)
         lhs, rhs = hardy_littlewood_check(u, ones)
         assert rhs == pytest.approx(lhs, rel=1e-12)
 

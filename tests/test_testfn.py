@@ -93,8 +93,8 @@ class TestHalfSpace:
 
     def test_report_carries_profile_data(self):
         # the half-space energy and mass are summed in profile coordinates,
-        # so the reported half-space ratio is one number at every l, and the
-        # default profile is the one built from the family's A and B
+        # so the reported half-space ratio is one number at every l, and
+        # passing the default profile explicitly changes nothing
         ball = DomainSpec.ball(1.0)
         reps = [halfspace_quotient(None, HalfSpaceFamilyParams(l=l), ball)
                 for l in (4, 8, 16)]
@@ -164,7 +164,7 @@ class TestHalfSpace:
     def test_support_escape_raises(self):
         ball = DomainSpec.ball(1.0)
         with pytest.raises(ConstructionError):
-            halfspace_quotient(None, HalfSpaceFamilyParams(l=1, A=3.0), ball)
+            halfspace_quotient(None, HalfSpaceFamilyParams(l=1), ball)
 
 
 def unfolded_rows(rho_pts, theta, phi):
