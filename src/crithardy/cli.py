@@ -227,6 +227,13 @@ def _write_vtk(path: str, mesh: fem2d.Mesh, vector: np.ndarray) -> None:
     """Legacy ASCII VTK of the mesh and a vertex field; floats are written as
     their shortest round-trip decimal (Python ``repr``)."""
     nv, nt = mesh.num_vertices, mesh.num_triangles
+    # a radial mode repeats each row's value along the row: format each
+    # distinct bit pattern once (bits, not values, keep -0.0 apart from 0.0)
+    bits, where = np.unique(
+        np.ascontiguousarray(vector, dtype=np.float64).view(np.int64),
+        return_inverse=True)
+    lines = np.array([repr(v) + "\n" for v in bits.view(np.float64).tolist()],
+                     dtype=object)
     # one %-format per section over the flattened arrays
     sections = [
         "# vtk DataFile Version 3.0\neigenvector\nASCII\n"
@@ -238,7 +245,7 @@ def _write_vtk(path: str, mesh: fem2d.Mesh, vector: np.ndarray) -> None:
         "5\n" * nt,
         f"POINT_DATA {nv}\nSCALARS eigenvector double 1\n"
         "LOOKUP_TABLE default\n",
-        "%r\n" * nv % tuple(vector.tolist()),
+        "".join(lines[where]),
     ]
     with open(path, "w") as fh:
         fh.writelines(sections)

@@ -82,17 +82,41 @@ class EigenResult:
     solver: str                   # "shift_invert" or "radial"
 
 
-def _min_angle(vertices: np.ndarray, triangles: np.ndarray) -> float:
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
-    angs = []
-    for a, b, c in ((p0, p1, p2), (p1, p2, p0), (p2, p0, p1)):
-        u, v = b - a, c - a
-        cosang = np.sum(u * v, axis=1) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-        angs.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
-    return float(np.min(np.stack(angs)))
+def _grid_min_angle(x: np.ndarray, y: np.ndarray, wrap: bool) -> float:
+    """Smallest angle, in degrees, of the `_strip_mesh` triangles on the
+    vertex grid ``(x, y)``.
+
+    Each row edge ``b - a``, column edge ``c - a`` and diagonal ``d - a`` is
+    formed once, with its length; the other edges of a cell are their
+    negatives, which floating-point subtraction gives exactly.  Dot products
+    and lengths are written ``u0*v0 + u1*v1`` and ``sqrt(u0*u0 + u1*u1)``, the
+    same operations as the per-triangle ``np.sum`` and ``np.linalg.norm``, and
+    ``arccos`` is decreasing, so the result is the per-triangle minimum bit
+    for bit.  A NaN cosine (a collapsed cell) gives NaN.
+    """
+    if wrap:  # column 0 closes the last cell of each row
+        x, y = np.hstack([x, x[:, :1]]), np.hstack([y, y[:, :1]])
+
+    def edge(u0, u1):
+        return u0, u1, np.sqrt(u0 * u0 + u1 * u1)
+
+    rx, ry, rn = edge(np.diff(x, axis=1), np.diff(y, axis=1))
+    cx, cy, cn = edge(np.diff(x, axis=0), np.diff(y, axis=0))
+    dx, dy, dn = edge(x[1:, 1:] - x[:-1, :-1], y[1:, 1:] - y[:-1, :-1])
+    # row edges a->b (bottom) and c->d (top); column edges a->c and b->d
+    bx, by, bn = rx[:-1], ry[:-1], rn[:-1]
+    tx, ty, tn = rx[1:], ry[1:], rn[1:]
+    lx, ly, ln = cx[:, :-1], cy[:, :-1], cn[:, :-1]
+    qx, qy, qn = cx[:, 1:], cy[:, 1:], cn[:, 1:]
+    cosines = np.stack([
+        (bx * dx + by * dy) / (bn * dn),       # (a, b, d) at a
+        -(qx * bx + qy * by) / (qn * bn),      # at b
+        (dx * qx + dy * qy) / (dn * qn),       # at d
+        (dx * lx + dy * ly) / (dn * ln),       # (a, d, c) at a
+        (tx * dx + ty * dy) / (tn * dn),       # at d
+        -(lx * tx + ly * ty) / (ln * tn),      # at c
+    ])
+    return float(np.degrees(np.arccos(np.clip(np.max(cosines), -1, 1))))
 
 
 def _strip_mesh(x: np.ndarray, y: np.ndarray, wrap: bool,
@@ -121,7 +145,7 @@ def _strip_mesh(x: np.ndarray, y: np.ndarray, wrap: bool,
     if not wrap:
         boundary[:, [0, -1]] = True
     meta = {"window_length": window_length,
-            "min_angle_deg": _min_angle(verts, tris),
+            "min_angle_deg": _grid_min_angle(x, y, wrap),
             "n_radii": n_rows, "n_cols": n_cols, "wrap": wrap}
     return Mesh(vertices=verts, triangles=tris, boundary=boundary.ravel(),
                 meta=meta)

@@ -160,17 +160,21 @@ def hardy_scale(u: RadialFunction, lam: float, p: WeightParams) -> RadialFunctio
 
     In the log coordinate the transform is ``v(t) -> lam^{-(N-1)/N} v(lam t)``;
     on the radial grid this maps the nodes to ``R (r/R)^{1/lam}`` and rescales
-    the values, so no interpolation is involved.  Nodes that underflow or
-    collide are clipped into (0, R), keeping the innermost of equal nodes.
+    the values, so no interpolation is involved.  Mapped nodes that underflow
+    to 0, do not exceed the node below or lie beyond R would change the
+    quotient; then `DomainRangeError` names ``lam`` and the number of such
+    nodes.
     """
     if lam <= 0:
         raise DomainRangeError(f"lambda must be positive, got {lam}")
     new_r = p.R * (u.r / p.R) ** (1.0 / lam)
+    collapsed = (np.concatenate([[new_r[0] <= 0.0], np.diff(new_r) <= 0])
+                 | (new_r > p.R))
+    if collapsed.any():
+        raise DomainRangeError(
+            f"hardy_scale at lam={lam!r} collapses {int(collapsed.sum())} of "
+            f"{new_r.size} nodes (underflow, collision or beyond R)")
     new_vals = lam ** (-(p.N - 1.0) / p.N) * u.values
-    if new_r[0] <= 0.0 or new_r[-1] > p.R or np.any(np.diff(new_r) <= 0):
-        new_r = np.clip(new_r, np.finfo(float).tiny, p.R * (1 - 1e-16))
-        keep = np.concatenate([[True], np.diff(new_r) > 0])
-        new_r, new_vals = new_r[keep], new_vals[keep]
     return replace(u, r=new_r, values=new_vals)
 
 
@@ -250,7 +254,10 @@ def quotient_polar(u: PolarGridFunction, p: WeightParams) -> QuotientReport:
     ``sum (du/dr)^2 r dA + sum (du/dtheta)^2 / r^2 dA`` (the function is
     extended by zero outside the domain arcs, so wall edges contribute);
     the mass is node-lumped, which keeps it exactly invariant under
-    per-row equimeasurable rearrangement.
+    per-row equimeasurable rearrangement.  ``quad_error_estimate`` is the
+    gap between the mass trapezoid over every row and over every other row
+    (first and last rows kept); it bounds the row quadrature only, not the
+    angular sum.
     """
     if p.N != 2:
         raise DomainRangeError("polar quotient is implemented for N = 2")
@@ -268,10 +275,12 @@ def quotient_polar(u: PolarGridFunction, p: WeightParams) -> QuotientReport:
     # node-lumped weighted mass: the trapezoid over the rows
     f_rows = (vals**2).sum(axis=1) * (u.r * log_R_over(p, u.r)) ** (-2) * u.r
     mass = float(np.sum(f_rows * w_r) * dth)
-    # error estimate: trapezoid vs midpoint-refined row quadrature
-    mid_f = 0.5 * (f_rows[:-1] + f_rows[1:])
-    refined = float(np.sum((f_rows[:-1] + 2 * mid_f + f_rows[1:]) / 4 * dr) * dth)
-    err = abs(mass - refined)
+    # error estimate: the same trapezoid over every other row, end rows kept
+    keep = np.minimum(np.arange(0, u.r.size + 1, 2), u.r.size - 1)
+    f_keep = f_rows[keep]
+    coarse = float(np.sum((f_keep[:-1] + f_keep[1:]) / 2
+                          * np.diff(u.r[keep])) * dth)
+    err = abs(mass - coarse)
     if mass <= 0.0 or not math.isfinite(mass):
         raise DegenerateInputError("weighted mass vanishes")
     energy = rad_energy + ang_energy

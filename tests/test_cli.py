@@ -11,8 +11,8 @@ import pytest
 
 import crithardy
 from crithardy import (DomainRangeError, DomainSpec, PolarGridFunction,
-                       WeightParams, angular_eigenvalue, cli, quotient_polar,
-                       solve_truncated)
+                       WeightParams, angular_eigenvalue, cli, mesh_truncated,
+                       quotient_polar, solve_truncated)
 from conftest import SECTOR
 
 
@@ -325,10 +325,29 @@ class TestCommands:
         assert np.array_equal(values, est.vector)
         assert len(lines) == 10 + 2 * nv + 2 * nt
 
-    def test_vtk_matches_row_by_row_writer(self, tmp_path):
-        res, mesh = solve_truncated(DomainSpec.ball(1.0), 8)
-        cli._write_vtk(tmp_path / "fast.vtk", mesh, res.vector)
-        reference_vtk(tmp_path / "ref.vtk", mesh, res.vector)
+    def test_vtk_matches_row_by_row_writer(self, tmp_path, ball,
+                                           calibrated_cusp):
+        # the ball's vector repeats each row's value along the row; the cusp
+        # strip does not wrap and its values are mostly distinct
+        for dom, n, wrap in ((ball, 8, True), (calibrated_cusp, 16, False)):
+            res, mesh = solve_truncated(dom, n)
+            assert mesh.meta["wrap"] == wrap
+            cli._write_vtk(tmp_path / "fast.vtk", mesh, res.vector)
+            reference_vtk(tmp_path / "ref.vtk", mesh, res.vector)
+            assert (tmp_path / "fast.vtk").read_bytes() == \
+                (tmp_path / "ref.vtk").read_bytes()
+
+    def test_vtk_keeps_signed_zeros_and_subnormals(self, tmp_path):
+        # 0.0 and -0.0 compare equal but print differently; each value is
+        # formatted from its own bits
+        mesh = mesh_truncated(DomainSpec.half_disk(1.0), 4, target_h=0.2)
+        values = [0.0, -0.0, 5e-324, -2.5e-310, 0.25, 0.25, 1 / 3, -0.0]
+        vector = np.resize(values, mesh.num_vertices)
+        assert np.count_nonzero(vector == 0.0) > 2
+        cli._write_vtk(tmp_path / "fast.vtk", mesh, vector)
+        reference_vtk(tmp_path / "ref.vtk", mesh, vector)
+        text = (tmp_path / "fast.vtk").read_text()
+        assert "\n-0.0\n" in text and "\n0.0\n" in text and "\n5e-324\n" in text
         assert (tmp_path / "fast.vtk").read_bytes() == \
             (tmp_path / "ref.vtk").read_bytes()
 

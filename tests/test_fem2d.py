@@ -13,7 +13,7 @@ from crithardy import (AssemblyError, ConstructionError, DomainRangeError,
                        weight_eval)
 from crithardy.domain import tip_to_xy
 from crithardy.fem2d import (_QUAD_MID, _QUAD_SUB, Mesh, _graded_rows,
-                             _mass_fractions)
+                             _mass_fractions, _strip_mesh)
 from conftest import scalar_opening
 
 WP = WeightParams(R=1.0, N=2)
@@ -50,6 +50,33 @@ STRIP_CASES = {
     "quadratic_cusp": (lambda: DomainSpec.quadratic_cusp(0.5), 8),
     "calibrated_cusp": (None, 16),
     "core_cutoff": (lambda: DomainSpec.ball_with_core_cutoff(0.5), 8),
+}
+
+
+def per_triangle_min_angle(vertices, triangles):
+    """Smallest triangle angle in degrees, three angles per triangle: the
+    bit-for-bit reference for the grid-edge ``min_angle_deg``."""
+    p0 = vertices[triangles[:, 0]]
+    p1 = vertices[triangles[:, 1]]
+    p2 = vertices[triangles[:, 2]]
+    angs = []
+    for a, b, c in ((p0, p1, p2), (p1, p2, p0), (p2, p0, p1)):
+        u, v = b - a, c - a
+        cosang = np.sum(u * v, axis=1) / (
+            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        angs.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
+    return float(np.min(np.stack(angs)))
+
+
+# (domain, two n) for the min-angle reference: wrapping strips (ball, core
+# cutoff) and single arcs, the cusp tip frame among them
+MIN_ANGLE_CASES = {
+    "ball": (lambda: DomainSpec.ball(0.97), (4, 16)),
+    "core_cutoff": (lambda: DomainSpec.ball_with_core_cutoff(0.5), (4, 16)),
+    "half_disk": (lambda: DomainSpec.half_disk(1.0), (4, 16)),
+    "cone": (lambda: DomainSpec.cone(0.7), (4, 16)),
+    "quadratic_cusp": (lambda: DomainSpec.quadratic_cusp(0.5), (4, 16)),
+    "calibrated_cusp": (None, (16, 1024)),
 }
 
 
@@ -142,6 +169,40 @@ class TestMesh:
     def test_quality_reported(self, ball):
         mesh = mesh_truncated(ball, 4, target_h=0.05)
         assert 0 < mesh.meta["min_angle_deg"] <= 60.0
+
+    @pytest.mark.parametrize("h", [0.04, 0.02])
+    @pytest.mark.parametrize("kind", list(MIN_ANGLE_CASES))
+    def test_min_angle_matches_per_triangle(self, kind, h, calibrated_cusp):
+        make, ns = MIN_ANGLE_CASES[kind]
+        dom = calibrated_cusp if make is None else make()
+        for n in ns:
+            mesh = mesh_truncated(dom, n, target_h=h)
+            assert mesh.meta["wrap"] == (kind in ("ball", "core_cutoff"))
+            want = per_triangle_min_angle(mesh.vertices, mesh.triangles)
+            assert mesh.meta["min_angle_deg"].hex() == want.hex()
+
+    def test_min_angle_sees_the_closing_cell(self):
+        # a wrapping ring whose cells between the last column and column 0
+        # are the thinnest: they alone set the minimal angle
+        theta = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.2])
+        r = np.array([1.0, 2.0, 3.0])[:, None]
+        mesh = _strip_mesh(r * np.cos(theta), r * np.sin(theta), True, 1.0)
+        cells = mesh.triangles.reshape(2, 2, 7, 3)  # (rows, 2, cells, 3)
+        want = per_triangle_min_angle(mesh.vertices, mesh.triangles)
+        assert want < per_triangle_min_angle(
+            mesh.vertices, cells[:, :, :-1].reshape(-1, 3))
+        assert mesh.meta["min_angle_deg"].hex() == want.hex()
+
+    def test_min_angle_of_a_collapsed_cell_is_nan(self):
+        # a non-wrapping 3 x 3 grid with one vertex moved onto its right
+        # neighbour: the zero-length edge gives a 0/0 cosine
+        x, y = np.meshgrid(np.arange(3.0), np.arange(3.0))
+        x[1, 1] = 2.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mesh = _strip_mesh(x, y, False, 1.0)
+            want = per_triangle_min_angle(mesh.vertices, mesh.triangles)
+        assert math.isnan(want)
+        assert math.isnan(mesh.meta["min_angle_deg"])
 
     def test_degenerate_truncation(self, ball):
         with pytest.raises(ConstructionError):

@@ -93,18 +93,18 @@ class TestHardyScale:
         q1 = quotient_radial(hardy_scale(u, lam, WP), WP).ratio
         assert abs(q1 - q0) / q0 <= 1e-4
 
-    def test_underflowing_nodes_are_clipped(self):
+    def test_underflowing_nodes_raise(self):
         # at lam = 1e-3 the nodes below r = exp(-0.745) map to (r/R)^1000,
-        # which underflows; they are clipped and collapse onto one node
+        # which underflows to 0; the scaled function has no grid that keeps
+        # its quotient, so the scaling refuses it
         u = log_bump_profile()
         with np.errstate(under="ignore"):
-            assert np.count_nonzero(u.r ** 1000.0 == 0.0) > 1
-        s = hardy_scale(u, 1e-3, WP)
-        assert isinstance(s, RadialFunction)
-        assert s.r[0] == np.finfo(float).tiny
-        assert np.all(np.diff(s.r) > 0) and s.r[-1] < WP.R
-        rep = quotient_radial(s, WP)
-        assert math.isfinite(rep.ratio) and rep.ratio > 0
+            zeros = np.count_nonzero(u.r ** 1000.0 == 0.0)
+        assert zeros > 1
+        with pytest.raises(DomainRangeError,
+                           match=r"lam=0\.001 collapses \d+ of 2000") as err:
+            hardy_scale(u, 1e-3, WP)
+        assert int(err.value.args[0].split()[4]) >= zeros
 
     def test_support_map(self):
         # support [t1, t2] in the log coordinate maps to [t1/lam, t2/lam]
@@ -205,6 +205,26 @@ class TestQuotientPolar:
         cont = (math.pi / 2) * (np.trapezoid(fp**2 * r, r)
                                 + np.trapezoid(f**2 / r, r))
         assert rep.dirichlet_energy == pytest.approx(cont, rel=2e-2)
+
+    def test_quad_error_tracks_row_grid(self, half_disk):
+        # the gap to the trapezoid over rows 0, 2, ..., nr - 2 and the last
+        # row (nr is even) is nonzero on a smooth field and falls when the
+        # row spacing about halves
+        theta = np.arange(32) * (2 * math.pi / 32)
+        errs = []
+        for nr in (42, 82):
+            r = np.linspace(0.05, 0.95, nr)
+            f = np.sin(math.pi * (r - 0.05) / 0.9)[:, None] * np.sin(theta)
+            u = PolarGridFunction(r=r, theta=theta, values=f, domain=half_disk)
+            rep = quotient_polar(u, WP)
+            f_rows = (u.values**2).sum(axis=1) / (r * np.log(1 / r)) ** 2 * r
+            rows = [*range(0, nr, 2), nr - 1]
+            coarse = np.trapezoid(f_rows[rows], r[rows]) * (2 * math.pi / 32)
+            assert rep.quad_error_estimate == pytest.approx(
+                abs(rep.weighted_mass - coarse), rel=1e-9)
+            assert 1e-6 < rep.quad_error_estimate / rep.weighted_mass < 1e-2
+            errs.append(rep.quad_error_estimate)
+        assert errs[1] < 0.25 * errs[0]
 
     @given(st.floats(0.2, 5.0))
     @settings(max_examples=20, deadline=None)
