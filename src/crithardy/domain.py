@@ -273,14 +273,17 @@ def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
     defaults to 0.5; the weight-ratio infimum ``g`` is below 1 at every tip
     distance (see `weight`).  The 96-row half-angle table, geometric in the tip
     distance from 1e-7 to ``r0``, is obtained by inverting the angular
-    eigenvalue on the 512 grid at each tip distance
-    (`oned.invert_angular_eigenvalue`, a bracketed secant).  The rows are
-    solved in order of increasing target ``E(a) / g``, each bracketed from
-    below by the previous root, since E is non-decreasing in the angle.
-    Each row starts from a predicted root: the polynomial in
-    ``u = 1/sqrt(E)`` through the last four distinct roots (``a`` itself
-    first), evaluated at the row's target; its slope there steers the next
-    step when the prediction misses.
+    eigenvalue on the 512 grid at each tip distance (the bracketed secant
+    of `oned.invert_angular_eigenvalue`).  The rows are solved in order of
+    increasing target ``E(a) / g``, each bracketed from below by the
+    previous root, since E is non-decreasing in the angle.  Each row starts
+    from a predicted root: the polynomial in ``u = 1/sqrt(E)`` through the
+    last four distinct roots (``a`` itself first), evaluated at the row's
+    target; its slope there steers the next step when the prediction
+    misses.  Only ``E(a)`` is solved cold.  Every later evaluation starts
+    from the solution at its bracket's lower end (the previous root, then
+    the secant's lower end), a certified start that cuts a pair solve from
+    5 inverse-iteration steps to about 2.
     """
     if not (math.pi / 4 < a < math.pi / 2):
         raise DomainRangeError(f"limit angle must lie in (pi/4, pi/2), got {a}")
@@ -297,14 +300,14 @@ def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
         raise DomainRangeError(
             f"profile extent r0={r0!r} is too close to the first row 1e-7")
     grid = 512
-    e_a = oned.angular_eigenvalue(a, grid)
+    root = oned._solved(a, grid)
+    e_a = root.value
     g_vals = weight.cusp_ratio_infimum(rho, a)
     if np.any(g_vals >= 1.0):
         bad = rho[np.argmax(g_vals >= 1.0)]
         raise NumericalError(f"weight ratio not below 1 at rho={bad}")
     targets = e_a / g_vals
     a_vals = np.empty_like(rho)
-    a_lo = a
     u_done, a_done = [1.0 / math.sqrt(e_a)], [a]
     for i in np.argsort(targets, kind="stable"):
         u = 1.0 / math.sqrt(targets[i])
@@ -314,15 +317,14 @@ def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
             guess = _extrapolate(us, xs, u)
             slope = (_extrapolate(us, xs, u + 1e-6)
                      - _extrapolate(us, xs, u - 1e-6)) / 2e-6
-        a_lo = a_vals[i] = oned.invert_angular_eigenvalue(
-            targets[i], a_lo, grid_size=grid, guess=guess, slope=slope)
-        if a_lo != a_done[-1]:
-            # u at the root's own eigenvalue (a cache hit), not at its target:
-            # the tolerance band scatters the targets, and extrapolation
-            # amplifies the scatter past the tolerance
-            u_done.append(
-                1.0 / math.sqrt(oned.angular_eigenvalue(a_lo, grid)))
-            a_done.append(a_lo)
+        root = oned._invert(targets[i], root, grid, guess, slope)
+        a_vals[i] = root.a
+        if root.a != a_done[-1]:
+            # u at the root's own eigenvalue, which the inversion returns,
+            # not at its target: the tolerance band scatters the targets,
+            # and extrapolation amplifies the scatter past the tolerance
+            u_done.append(1.0 / math.sqrt(root.value))
+            a_done.append(root.a)
     return CuspProfile(a=a, r0=float(r0), eigenvalue=e_a, rho_table=rho,
                        g_table=g_vals, a_table=a_vals)
 

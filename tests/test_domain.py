@@ -297,20 +297,30 @@ class TestCalibratedProfile:
         # plain bisection on E makes 2093 angular solves at a = 0.9, the
         # secant from the bracket ends about 250; a predicted start makes
         # most rows one solve, and a missed one takes its next step along
-        # the predictor's tangent (112, 111 and 106 solves)
-        calls = []
-        solve = oned.solve_angular
+        # the predictor's tangent (112, 111 and 106 solves).  A solve is a
+        # coarse and a fine ground pair, whichever path makes it.  Each pair
+        # after the first starts from a certified neighbour and settles in
+        # about 2.2 inverse-iteration steps, where a cold pair takes 5
+        pairs, steps = [], []
+        pair, trs = oned._smallest_pair, oned.dpttrs
 
-        def counted(prob):
-            calls.append(prob.a)
-            return solve(prob)
+        def counted_pair(*args):
+            pairs.append(1)
+            return pair(*args)
 
-        monkeypatch.setattr(oned, "solve_angular", counted)
+        def counted_trs(*args, **kwargs):
+            steps.append(1)
+            return trs(*args, **kwargs)
+
+        monkeypatch.setattr(oned, "_smallest_pair", counted_pair)
+        monkeypatch.setattr(oned, "dpttrs", counted_trs)
         oned.angular_eigenvalue.cache_clear()
         build_cusp_profile.cache_clear()
         prof = build_cusp_profile(a)
         assert prof.a_table.size == 96
-        assert len(calls) <= 113
+        assert len(pairs) % 2 == 0
+        assert len(pairs) // 2 <= 113
+        assert len(steps) / len(pairs) <= 2.5
 
     @pytest.mark.parametrize("a", [0.82, 0.9, 1.08])
     def test_default_extent(self, a):

@@ -256,6 +256,118 @@ class TestGroundState:
             _smallest_pair(nodes)
 
 
+def _count_steps(monkeypatch):
+    """A list that gains one entry per inverse-iteration step (dpttrs call)."""
+    steps = []
+    trs = oned.dpttrs
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return trs(*args, **kwargs)
+
+    monkeypatch.setattr(oned, "dpttrs", counted)
+    return steps
+
+
+_SEED_A = [1e-11, 1e-4, 0.06, 0.3, 0.79, 0.9, 1.1, 1.4]  # graded and uniform
+
+
+class TestCertifiedStart:
+    """`_smallest_pair` adopts a start only when its shift factors; any other
+    start leaves the cold solve as it is, bit for bit."""
+
+    @staticmethod
+    def assert_cold(nodes, start):
+        mu, phi, rnorm = _smallest_pair(nodes)
+        mu_s, phi_s, rnorm_s = _smallest_pair(nodes, start)
+        assert mu_s == mu and rnorm_s == rnorm
+        assert np.array_equal(phi_s, phi)
+
+    @pytest.mark.parametrize("a", [0.3, 0.9, 1.4])
+    def test_shift_above_eigenvalue_runs_cold(self, a):
+        nodes = _angular_nodes(a, 512)
+        mu, phi, _ = _smallest_pair(nodes)
+        self.assert_cold(nodes, (phi, mu * 1.01))
+
+    @pytest.mark.parametrize("entry", [0.0, -1e-3, math.nan])
+    @pytest.mark.parametrize("at", [0, 200, -1])
+    def test_nonpositive_vector_runs_cold(self, entry, at):
+        mu, phi, _ = _smallest_pair(_angular_nodes(0.89, 512))
+        phi = phi.copy()
+        phi[at] = entry
+        self.assert_cold(_angular_nodes(0.9, 512), (phi, mu))
+
+    @pytest.mark.parametrize("start", [
+        pytest.param(lambda mu, phi: (phi, 0.0), id="zero-shift"),
+        pytest.param(lambda mu, phi: (phi, -mu), id="negative-shift"),
+        pytest.param(lambda mu, phi: (phi[1:], mu), id="short-vector"),
+    ])
+    def test_unusable_start_runs_cold(self, start):
+        mu, phi, _ = _smallest_pair(_angular_nodes(0.89, 512))
+        self.assert_cold(_angular_nodes(0.9, 512), start(mu, phi))
+
+    def test_rejected_start_on_indefinite_matrix_raises(self):
+        nodes = _angular_nodes(0.9, 512).copy()
+        nodes[100] = nodes[99] - 0.25 * (nodes[101] - nodes[99])
+        with pytest.raises(NumericalError, match="not positive definite"):
+            _smallest_pair(nodes, (np.ones(511), 1.0))
+
+    @pytest.mark.parametrize("m", [512, 2048])
+    @pytest.mark.parametrize("a, gap", [(0.82, 1e-6), (0.9, 1e-3),
+                                        (1.08, 1e-2)])
+    def test_lower_angle_start(self, a, gap, m, monkeypatch):
+        # E is non-decreasing in the angle, so a lower angle's eigenvalue on
+        # the same grid size is a shift below the smallest eigenvalue
+        mu_lo, phi_lo, _ = _smallest_pair(_angular_nodes(a - gap, m))
+        nodes = _angular_nodes(a, m)
+        mu_cold = _smallest_pair(nodes)[0]
+        t_diag, t_off = _angular_matrix(nodes)[5:]
+        assert dpttrf(t_diag - mu_lo, t_off)[2] == 0
+        steps = _count_steps(monkeypatch)
+        mu, phi, _ = _smallest_pair(nodes, (phi_lo, mu_lo))
+        assert len(steps) <= 3
+        assert mu == pytest.approx(mu_cold, rel=4e-15, abs=0.0)
+        assert np.all(phi > 0.0)
+
+    @pytest.mark.parametrize("m", [512, 1024, 2048])
+    @pytest.mark.parametrize("a", _SEED_A)
+    def test_fine_seed_accepted(self, a, m, monkeypatch):
+        # the coarse eigenvalue lies below the fine one, so the prolongated
+        # coarse pair is a certified start for the fine solve
+        coarse, fine = _both_grids(a, m)
+        mu_c, phi_c, _ = _smallest_pair(coarse)
+        mu_cold = _smallest_pair(fine)[0]
+        t_diag, t_off = _angular_matrix(fine)[5:]
+        assert dpttrf(t_diag - mu_c, t_off)[2] == 0
+        steps = _count_steps(monkeypatch)
+        mu_f = _smallest_pair(fine, (oned._prolong(phi_c), mu_c))[0]
+        assert len(steps) <= 3
+        assert mu_c < mu_f
+        assert mu_f == pytest.approx(mu_cold, rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("m", [512, 1024, 2048])
+    @pytest.mark.parametrize("a", _SEED_A)
+    def test_value_matches_cold_pairs(self, a, m):
+        coarse, fine = _both_grids(a, m)
+        cold = (4.0 * _smallest_pair(fine)[0] - _smallest_pair(coarse)[0]) / 3.0
+        assert angular_eigenvalue(a, m) == pytest.approx(cold, rel=1e-15,
+                                                         abs=0.0)
+
+    def test_prolong_keeps_coarse_values(self):
+        phi_c = np.array([1.0, 4.0, 2.0])
+        assert np.array_equal(oned._prolong(phi_c),
+                              [0.5, 1.0, 2.5, 4.0, 3.0, 2.0, 1.0])
+
+    def test_inversion_returns_root_eigenvalue(self):
+        lower = oned._solved(0.9, 512)
+        target = lower.value * 1.07
+        root = oned._invert(target, lower, 512)
+        assert abs(root.value - target) <= 1e-10
+        assert root.value == pytest.approx(angular_eigenvalue(root.a, 512),
+                                           rel=1e-15, abs=0.0)
+        assert invert_angular_eigenvalue(target, 0.9, 512) == root.a
+
+
 def _ball_windows(ns):
     """Log-window lengths of the unit ball's truncations, as `mesh_truncated`
     records them."""
