@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.linalg.lapack import zpttrf
-from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
-                                  splu)
+from scipy.linalg.lapack import dpbtrf, dpbtrs, zpttrf
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+# unused: perfbench/tracing.py resolves fem2d.splu when it installs
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from ._errors import (AssemblyError, ConstructionError, DomainRangeError,
                       NonConvergenceError, NumericalError)
@@ -34,6 +35,8 @@ from .weight import WeightParams, weight_eval
 
 # relative residual the eigen solve must reach, read at call time
 _TOL = 1e-10
+# K - (1 - _CERT_MARGIN) d M must factor: no eigenvalue at or below that shift
+_CERT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ class EigenResult:
     density: np.ndarray           # x * (M x) per vertex; sums to 1
     iterations: int
     residual: float
-    fill: int                     # nonzeros of the factor, nnz(L) + nnz(U)
+    fill: int                     # entries of the band Cholesky factor
     solver: str                   # "shift_invert" or "radial"
 
 
@@ -337,8 +340,10 @@ def assemble(mesh: Mesh, wp: WeightParams
         raise AssemblyError("degenerate triangle")
     area = 0.5 * np.abs(area2)
 
-    edges = np.stack([e0, e1, e2], axis=1)     # (nt, 3, 2)
-    k_local = np.einsum("tid,tjd->tij", edges, edges) / (4.0 * area)[:, None, None]
+    e = np.stack([e0, e1, e2], axis=1)         # (nt, 3, 2)
+    k_local = (e[:, :, None, 0] * e[:, None, :, 0]
+               + e[:, :, None, 1] * e[:, None, :, 1]
+               ) / (4.0 * area)[:, None, None]
 
     w_mid = _weight_at(_QUAD_MID, p, wp)
     # refine quadrature (4 sub-triangles) on elements whose mid-edge weights
@@ -375,45 +380,66 @@ def assemble(mesh: Mesh, wp: WeightParams
 
 def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
                    interior: np.ndarray) -> EigenResult:
-    """Smallest generalized eigenpair by shift-invert Lanczos (ARPACK).
+    """Smallest generalized eigenpair by shift-invert Lanczos (ARPACK) on a
+    band Cholesky factor.
 
-    The shift is 0: ``K`` is factored once, with diagonal pivots;
-    ``iterations`` counts the solves with that factor and ``fill`` its
-    nonzeros.  The start vector is fixed, so results are deterministic.
-    ``interior`` is the bool mask of the free (non-Dirichlet) unknowns, one
-    entry per row of ``K``.  The returned vector is embedded with zeros
-    elsewhere, normalized to unit weighted mass and sign-normalized to
-    nonnegative mean.  The residual is the relative 2-norm
-    ``|Kx - d Mx| / |Kx|`` at the Rayleigh quotient ``d``; it must reach
-    ``_TOL`` (1e-10).
+    ``interior`` holds the free (non-Dirichlet) unknowns as distinct row
+    indices of ``K``, in elimination order; ``K`` and ``M`` are sliced to
+    that block in that order.  The lower band of ``K``, of the width ``kd``
+    read off the nonzero pattern of both blocks, is factored once at shift 0
+    by LAPACK ``dpbtrf``; ``iterations`` counts the ``dpbtrs`` solves with
+    that factor and ``fill`` its entries, ``n (kd + 1) - kd (kd + 1) / 2``
+    for ``n`` unknowns.  A strip's interior grid raveled along its shorter
+    axis (`_band_order`) has ``kd = min(rows, cols) - 1``.  The start
+    vector is fixed, so results are deterministic.  The returned vector is
+    embedded with zeros elsewhere, normalized to unit weighted mass and
+    sign-normalized to nonnegative mean.  The residual is the relative
+    2-norm ``|Kx - d Mx| / |Kx|`` at the Rayleigh quotient ``d``; it must
+    reach ``_TOL`` (1e-10).
+
+    Certificate: after the gate, ``K - (1 - 1e-9) d M`` must factor by
+    ``dpbtrf``.  By Sylvester's law of inertia no eigenvalue then lies at or
+    below ``(1 - 1e-9) d``; otherwise, as when ``K`` itself is not positive
+    definite, `NumericalError` is raised.
     """
     tol = _TOL
     nv = stiffness.shape[0]
-    interior = np.asarray(interior)
-    if interior.dtype != bool or interior.shape != (nv,):
+    idx = np.asarray(interior)
+    distinct = (idx.ndim == 1 and idx.dtype.kind in "iu"
+                and bool(np.all((0 <= idx) & (idx < nv))))
+    if distinct:
+        seen = np.zeros(nv, dtype=bool)
+        seen[idx] = True
+        distinct = np.count_nonzero(seen) == idx.size
+    if not distinct:
         raise DomainRangeError(
-            f"interior must be a bool mask of shape ({nv},) (got "
-            f"{interior.dtype} of shape {interior.shape})")
-    idx = np.flatnonzero(interior)
+            f"interior must be distinct row indices in [0, {nv}) (got "
+            f"{idx.dtype} of shape {idx.shape})")
     if idx.size < 2:
         raise NonConvergenceError("eigen solve needs two free unknowns",
                                   {"iterations": 0, "unknowns": int(idx.size)})
-    K = stiffness[np.ix_(idx, idx)].tocsc()
-    # entries that cancel in assembly are stored zeros; the factor is taken
-    # on the pattern of the nonzeros
-    K.eliminate_zeros()
-    M = weighted_mass[np.ix_(idx, idx)].tocsc()
-    # K is SPD once the Dirichlet rows are gone, so diagonal pivots in a
-    # symmetric order lose nothing; a minimum-degree order of K + K^T cuts
-    # the fill by a quarter to a third against the default column order
-    lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options={"SymmetricMode": True})
-    fill = lu.L.nnz + lu.U.nnz
+    K, M = (a.tocsr()[idx][:, idx] for a in (stiffness, weighted_mass))
+    lower = []
+    for a in (K, M):
+        c = a.tocoo()
+        keep = (c.row >= c.col) & (c.data != 0.0)
+        lower.append((c.row[keep] - c.col[keep], c.col[keep], c.data[keep]))
+    kd = int(max(off.max(initial=0) for off, _, _ in lower))
+    # LAPACK's lower band storage, band[i - j, j] = a[i, j], column-major
+    k_band, m_band = (
+        np.bincount(off + (kd + 1) * col, weights=data,
+                    minlength=(kd + 1) * idx.size).reshape(idx.size, kd + 1).T
+        for off, col, data in lower)
+    factor, info = dpbtrf(k_band, lower=1)
+    if info != 0:
+        raise NumericalError(
+            f"stiffness block is not positive definite (dpbtrf info={info})")
+    fill = idx.size * (kd + 1) - kd * (kd + 1) // 2
     solves = []
 
     def solve(b):
         solves.append(b.size)
-        return lu.solve(b)
+        return dpbtrs(factor, b, lower=1)[0]
 
     op_inv = LinearOperator(K.shape, matvec=solve, dtype=float)
     try:
@@ -423,9 +449,16 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
         raise NonConvergenceError(
             f"shift-invert Lanczos did not reach tol={tol}",
             {"iterations": len(solves), "message": str(exc)}) from exc
-    return _gated_result(K, M, vecs[:, 0],
-                         sparse.eye(nv, format="csc")[:, idx], len(solves),
-                         fill, "shift_invert")
+    res = _gated_result(K, M, vecs[:, 0],
+                        sparse.eye(nv, format="csc")[:, idx], len(solves),
+                        fill, "shift_invert")
+    shift = (1.0 - _CERT_MARGIN) * res.value
+    _, info = dpbtrf(k_band - shift * m_band, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise NumericalError(
+            f"an eigenvalue lies at or below {shift:.17g}, under the Lanczos "
+            f"d={res.value:.17g} (dpbtrf info={info})")
+    return res
 
 
 def _gated_result(K, M, x: np.ndarray, embed: sparse.spmatrix,
@@ -513,16 +546,26 @@ def radial_eigen(mesh: Mesh, wp: WeightParams) -> EigenResult:
     return _gated_result(K0, M0, u[:, 0], broadcast, 0, 0, "radial")
 
 
+def _band_order(mesh: Mesh) -> np.ndarray:
+    """Free vertices of a strip that does not wrap in band order: the
+    interior grid ``[1:-1, 1:-1]`` raveled along its shorter axis, so every
+    triangle joins vertices at most ``min(rows, cols) - 1`` apart."""
+    rows, cols = mesh.meta["n_radii"], mesh.meta["n_cols"]
+    grid = np.arange(rows * cols).reshape(rows, cols)[1:-1, 1:-1]
+    return (grid if cols <= rows else grid.T).ravel()
+
+
 def solve_truncated(dom: DomainSpec, n: int, target_h: float = 0.02
                     ) -> tuple[EigenResult, Mesh]:
     """Mesh and solve one truncation level: a wrapping strip from column 0's
     triangles (`radial_eigen`), any other assembled in full and solved by
-    `smallest_eigen` on the non-boundary vertices."""
+    `smallest_eigen` on its free vertices in band order (`_band_order`)."""
     mesh = mesh_truncated(dom, n, target_h)
     wp = WeightParams(R=dom.R, N=2)
     if mesh.meta["wrap"]:
         return radial_eigen(mesh, wp), mesh
-    return smallest_eigen(*assemble(mesh, wp), interior=~mesh.boundary), mesh
+    K, M = assemble(mesh, wp)
+    return smallest_eigen(K, M, interior=_band_order(mesh)), mesh
 
 
 # ---------------------------------------------------------------------------

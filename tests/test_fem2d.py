@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import eigh
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from crithardy import (AssemblyError, ConstructionError, DomainRangeError,
                        DomainSpec, NonConvergenceError, NumericalError,
@@ -12,8 +14,8 @@ from crithardy import (AssemblyError, ConstructionError, DomainRangeError,
                        radial_eigen, smallest_eigen, solve_truncated,
                        weight_eval)
 from crithardy.domain import tip_to_xy
-from crithardy.fem2d import (_QUAD_MID, _QUAD_SUB, Mesh, _graded_rows,
-                             _mass_fractions, _strip_mesh)
+from crithardy.fem2d import (_QUAD_MID, _QUAD_SUB, Mesh, _band_order,
+                             _graded_rows, _mass_fractions, _strip_mesh)
 from conftest import scalar_opening
 
 WP = WeightParams(R=1.0, N=2)
@@ -132,6 +134,27 @@ def einsum_assemble(mesh, wp):
     return tuple(sparse.coo_matrix((m.ravel(), (rows, cols)),
                                    shape=(nv, nv)).tocsr()
                  for m in (k_local, m_local))
+
+
+def splu_eigen(K, M, interior):
+    """Smallest generalized eigenpair on the free block ``interior`` (a bool
+    mask) by shift-invert ARPACK on one SuperLU factor of ``K``, taken with
+    diagonal pivots in a symmetric minimum-degree order: the reference for
+    the band Cholesky solve of `smallest_eigen`.  The vector has unit
+    weighted mass and nonnegative mean, embedded with zeros elsewhere."""
+    idx = np.flatnonzero(interior)
+    K = K[np.ix_(idx, idx)].tocsc()
+    K.eliminate_zeros()
+    M = M[np.ix_(idx, idx)].tocsc()
+    lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    op_inv = LinearOperator(K.shape, matvec=lu.solve, dtype=float)
+    _, vecs = eigsh(K, k=1, M=M, sigma=0.0, OPinv=op_inv, tol=1e-10,
+                    v0=np.ones(idx.size))
+    x = vecs[:, 0] / math.sqrt(vecs[:, 0] @ (M @ vecs[:, 0]))
+    full = np.zeros(interior.size)
+    full[idx] = x
+    return float(x @ (K @ x)), full if full.sum() >= 0 else -full
 
 
 class TestMesh:
@@ -439,67 +462,108 @@ class TestSmallestEigen:
     def test_diag(self):
         K = sparse.diags([2.0, 3.0]).tocsr()
         M = sparse.identity(2, format="csr")
-        res = smallest_eigen(K, M, interior=np.ones(2, dtype=bool))
+        res = smallest_eigen(K, M, interior=np.arange(2))
         assert res.value == pytest.approx(2.0, abs=1e-10)
         assert res.iterations <= 12
 
-    def test_one_factor_counted_solves(self, ball, monkeypatch):
+    def test_one_factor_counted_solves(self, half_disk, monkeypatch):
         from crithardy import fem2d
-        mesh = mesh_truncated(ball, 8, target_h=0.05)
+        mesh = mesh_truncated(half_disk, 8, target_h=0.05)
         K, M = assemble(mesh, WP)
+        order = _band_order(mesh)
         factors, solves = [], []
+        real_dpbtrf, real_dpbtrs = fem2d.dpbtrf, fem2d.dpbtrs
 
-        class Counting:
-            def __init__(self, lu):
-                self.lu = lu
+        def dpbtrf(ab, *args, **kwargs):
+            factors.append(ab.copy())
+            return real_dpbtrf(ab, *args, **kwargs)
 
-            def solve(self, b):
-                solves.append(1)
-                return self.lu.solve(b)
+        def dpbtrs(*args, **kwargs):
+            solves.append(1)
+            return real_dpbtrs(*args, **kwargs)
 
-            def __getattr__(self, name):
-                return getattr(self.lu, name)
-
-        real_splu = fem2d.splu
-
-        def splu(a, *args, **kwargs):
-            factors.append(a.shape)
-            return Counting(real_splu(a, *args, **kwargs))
-
-        monkeypatch.setattr(fem2d, "splu", splu)
-        res = smallest_eigen(K, M, interior=~mesh.boundary)
-        assert len(factors) == 1
+        monkeypatch.setattr(fem2d, "dpbtrf", dpbtrf)
+        monkeypatch.setattr(fem2d, "dpbtrs", dpbtrs)
+        res = smallest_eigen(K, M, interior=order)
+        # K at shift 0, then the certificate's K - (1 - 1e-9) d M
+        at_zero, shifted = factors
+        diag_k, diag_m = K.diagonal()[order], M.diagonal()[order]
+        assert np.array_equal(at_zero[0], diag_k)
+        np.testing.assert_allclose(
+            shifted[0], diag_k - (1 - 1e-9) * res.value * diag_m, rtol=1e-14)
         assert res.iterations == len(solves) > 0
         assert res.residual <= 1e-10
 
     def test_matches_dense_oracle(self, ball):
-        from scipy.linalg import eigh
         mesh = mesh_truncated(ball, 4, target_h=0.1)
         K, M = assemble(mesh, WP)
         idx = np.where(~mesh.boundary)[0]
         sub = np.ix_(idx, idx)
         dense = eigh(K[sub].toarray(), M[sub].toarray(), eigvals_only=True,
                      subset_by_index=[0, 0])
-        res = smallest_eigen(K, M, interior=~mesh.boundary)
+        res = smallest_eigen(K, M, interior=idx)
         assert res.value == pytest.approx(dense[0], rel=1e-12)
 
-    def test_symmetric_order_cuts_fill(self, half_disk, monkeypatch):
+    @pytest.mark.parametrize("make, n, shape", [
+        pytest.param(lambda: DomainSpec.half_disk(1.0), 32, "wide",
+                     id="half_disk_32"),
+        pytest.param(None, 16, "wide", id="cusp_16"),
+        pytest.param(None, 16384, "tall", id="cusp_16384"),
+    ])
+    def test_band_width_is_the_short_side(self, make, n, shape,
+                                          calibrated_cusp, monkeypatch):
         from crithardy import fem2d
-        mesh = mesh_truncated(half_disk, 8)
+        widths = []
+        real_dpbtrf = fem2d.dpbtrf
+
+        def dpbtrf(ab, *args, **kwargs):
+            widths.append(ab.shape[0] - 1)
+            return real_dpbtrf(ab, *args, **kwargs)
+
+        monkeypatch.setattr(fem2d, "dpbtrf", dpbtrf)
+        res, mesh = solve_truncated(
+            calibrated_cusp if make is None else make(), n)
+        rows, cols = mesh.meta["n_radii"], mesh.meta["n_cols"]
+        assert (rows < cols) == (shape == "wide")
+        kd = min(rows, cols) - 1
+        assert widths == [kd, kd]
+        free = (rows - 2) * (cols - 2)
+        assert res.fill == free * (kd + 1) - kd * (kd + 1) // 2
+
+    @pytest.mark.parametrize("make, ns", [
+        pytest.param(lambda: DomainSpec.half_disk(1.0), (4, 8),
+                     id="half_disk"),
+        pytest.param(lambda: DomainSpec.cone(0.7), (4, 8), id="cone_0.7"),
+        pytest.param(lambda: DomainSpec.quadratic_cusp(0.5), (8, 32),
+                     id="quadratic_cusp"),
+        pytest.param(None, (16, 1024, 16384), id="calibrated_cusp"),
+    ])
+    def test_matches_splu_reference(self, make, ns, calibrated_cusp):
+        dom = calibrated_cusp if make is None else make()
+        wp = WeightParams(R=dom.R, N=2)
+        for n in ns:
+            res, mesh = solve_truncated(dom, n)
+            value, vector = splu_eigen(*assemble(mesh, wp), ~mesh.boundary)
+            assert res.solver == "shift_invert"
+            assert res.value == pytest.approx(value, rel=1e-13)
+            np.testing.assert_allclose(res.vector, vector, rtol=0,
+                                       atol=1e-12 * np.abs(vector).max())
+
+    def test_certificate_rejects_a_higher_pair(self, half_disk, monkeypatch):
+        # a Lanczos solve that returns the second eigenpair passes the
+        # residual gate; only the certificate can tell
+        from crithardy import fem2d
+        real_eigsh = fem2d.eigsh
+
+        def second(*args, **kwargs):
+            vals, vecs = real_eigsh(*args, **{**kwargs, "k": 2})
+            return vals[1:], vecs[:, 1:]
+
+        mesh = mesh_truncated(half_disk, 4, target_h=0.1)
         K, M = assemble(mesh, WP)
-        factors = []
-        real_splu = fem2d.splu
-
-        def splu(a, *args, **kwargs):
-            lu = real_splu(a, *args, **kwargs)
-            factors.append((a, lu))
-            return lu
-
-        monkeypatch.setattr(fem2d, "splu", splu)
-        smallest_eigen(K, M, interior=~mesh.boundary)
-        (a, lu), = factors
-        default = real_splu(a)
-        assert lu.L.nnz + lu.U.nnz < 0.8 * (default.L.nnz + default.U.nnz)
+        monkeypatch.setattr(fem2d, "eigsh", second)
+        with pytest.raises(NumericalError, match="eigenvalue lies at or below"):
+            smallest_eigen(K, M, interior=_band_order(mesh))
 
     def test_residual_above_tol_raises(self, monkeypatch):
         # the 2-norm residual cannot fall below rounding
@@ -508,7 +572,7 @@ class TestSmallestEigen:
         K = sparse.diags([2.0, 3.0]).tocsr()
         M = sparse.identity(2, format="csr")
         with pytest.raises(NonConvergenceError) as info:
-            smallest_eigen(K, M, interior=np.ones(2, dtype=bool))
+            smallest_eigen(K, M, interior=np.arange(2))
         assert info.value.diagnostics["iterations"] > 0
 
     def test_no_free_unknowns_raises(self):
@@ -516,19 +580,19 @@ class TestSmallestEigen:
         K = sparse.diags([2.0, 3.0, 4.0]).tocsr()
         M = sparse.identity(3, format="csr")
         with pytest.raises(NonConvergenceError) as info:
-            smallest_eigen(K, M, interior=np.array([False, True, False]))
+            smallest_eigen(K, M, interior=np.array([1]))
         assert info.value.diagnostics["unknowns"] == 1
 
     @pytest.mark.parametrize("interior", [
-        # one entry short: read as a mask, it would solve a 3 x 3 subproblem
-        pytest.param(np.array([True, True, True]), id="short_mask"),
-        # an index array is not a mask; cast to bool it would free rows 1-3
-        pytest.param(np.array([0, 1, 2, 3]), id="index_array"),
+        # a mask, cast to indices, would free rows 0 and 1 only
+        pytest.param(np.ones(4, dtype=bool), id="bool_mask"),
+        pytest.param(np.array([0, 1, 1, 2]), id="repeated"),
+        pytest.param(np.array([0, 1, 4]), id="out_of_range"),
     ])
-    def test_interior_must_be_a_full_bool_mask(self, interior):
+    def test_interior_must_be_distinct_indices(self, interior):
         K = sparse.diags([1.0, 2.0, 3.0, 4.0]).tocsr()
         M = sparse.identity(4, format="csr")
-        with pytest.raises(DomainRangeError, match="bool mask of shape"):
+        with pytest.raises(DomainRangeError, match="distinct row indices"):
             smallest_eigen(K, M, interior=interior)
 
     def test_arpack_failure_raises(self, monkeypatch):
@@ -542,7 +606,7 @@ class TestSmallestEigen:
         K = sparse.diags([2.0, 3.0, 4.0]).tocsr()
         M = sparse.identity(3, format="csr")
         with pytest.raises(NonConvergenceError) as info:
-            smallest_eigen(K, M, interior=np.ones(3, dtype=bool))
+            smallest_eigen(K, M, interior=np.arange(3))
         assert "iterations" in info.value.diagnostics
 
     def test_ball_matches_log_window_oracle(self, ball):
@@ -587,13 +651,12 @@ class TestRadialEigen:
         for n in (4, 8, 16, 32):
             mesh = mesh_truncated(dom, n)
             radial = radial_eigen(mesh, wp)
-            K, M = assemble(mesh, wp)
-            lanczos = smallest_eigen(K, M, interior=~mesh.boundary)
+            value, vector = splu_eigen(*assemble(mesh, wp), ~mesh.boundary)
             assert radial.solver == "radial"
             assert radial.iterations == radial.fill == 0
-            assert radial.value == pytest.approx(lanczos.value, rel=1e-12)
-            np.testing.assert_allclose(radial.vector, lanczos.vector,
-                                       rtol=0, atol=1e-12)
+            assert radial.value == pytest.approx(value, rel=1e-12)
+            np.testing.assert_allclose(radial.vector, vector, rtol=0,
+                                       atol=1e-12)
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: DomainSpec.ball(1.0), id="ball"),
@@ -654,9 +717,16 @@ class TestRadialEigen:
         monkeypatch.setattr(fem2d, "assemble", lowered)
         with pytest.raises(NumericalError, match="angular mode k="):
             radial_eigen(mesh, WP)
-        # an eigenpair below d0 exists, so d0 would have been wrong
+        # K_low is indefinite, so its Cholesky factor fails
         K_low, M = lowered(mesh, WP)
-        assert smallest_eigen(K_low, M, interior=~mesh.boundary).value < d0
+        idx = np.flatnonzero(~mesh.boundary)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            smallest_eigen(K_low, M, interior=idx)
+        # an eigenpair below d0 exists, so d0 would have been wrong
+        sub = np.ix_(idx, idx)
+        (low,), _ = eigh(K_low[sub].toarray(), M[sub].toarray(),
+                         subset_by_index=[0, 0])
+        assert low < d0
 
     def test_residual_above_tol_raises(self, ball, monkeypatch):
         from crithardy import fem2d
@@ -785,7 +855,8 @@ class TestExtrapolation:
                     # no sparse factor or solve
                     assert row["fill"] == row["iterations"] == 0
                 else:
-                    # L and U each hold the diagonal of every free unknown
+                    # the band factor: kd + 1 entries per free unknown,
+                    # less a corner
                     assert row["fill"] > row["vertices"]
                 assert 0.0 <= row["collar_outer"] <= 1.0
                 assert 0.0 <= row["anchor_outer"] <= 1.0
