@@ -20,7 +20,7 @@ from .domain import (ArcSet, CuspProfile, DomainKind, DomainSpec,
 from .fem2d import (ConstantEstimate, EigenResult, Mesh, TruncationSchedule,
                     assemble, extrapolate_constant, mesh_truncated,
                     radial_eigen, smallest_eigen, solve_truncated)
-from .oned import (AngularEigenProblem, AngularEigenResult, angular_eigenvalue,
+from .oned import (AngularEigenResult, angular_eigenvalue,
                    angular_identity_residual, arc_poincare_constant,
                    extrapolate_angular_zero_limit, hardy_1d_quotient,
                    invert_angular_eigenvalue, radial_reduction_constant,

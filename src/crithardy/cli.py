@@ -189,13 +189,11 @@ def cmd_ea(args) -> int:
         grid = np.linspace(args.lo, args.hi, args.num)
         rows = []
         for a in grid:
-            res = oned.solve_angular(oned.AngularEigenProblem(
-                a=float(a), grid_size=args.grid_size))
+            res = oned.solve_angular(float(a), args.grid_size)
             rows.append((float(a), res.value, res.residual))
         _emit_csv(["a", "eigenvalue", "residual"], rows, _meta(args), args.out)
     else:
-        res = oned.solve_angular(oned.AngularEigenProblem(
-            a=args.a, grid_size=args.grid_size))
+        res = oned.solve_angular(args.a, args.grid_size)
         _emit_json({"meta": _meta(args), "a": args.a, "eigenvalue": res.value,
                     "residual": res.residual, "grid_size": res.grid_size},
                    args.out)

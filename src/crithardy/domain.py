@@ -154,21 +154,12 @@ class _Pchip:
             return 3.0 * m0
         return d
 
-    def _pieces(self, xi):
-        """Each point's piece coefficients and its offset in the piece."""
+    def with_slope(self, xi):
+        """Values at ``xi`` and the derivatives ``c2 + (2 c1 + 3 c0 s) s``
+        of the same pieces, ``s`` the offset of each point in its piece."""
         xi = np.asarray(xi, dtype=float)
         i = np.searchsorted(self._inner, xi, side="right")
-        return [c[i] for c in self._c], xi - self._left[i]
-
-    def __call__(self, xi):
-        (c0, c1, c2, c3), s = self._pieces(xi)
-        ss = s * s
-        return c3 + c2 * s + c1 * ss + c0 * (ss * s)
-
-    def with_slope(self, xi):
-        """Values at ``xi``, bit for bit as `__call__` gives them, and the
-        derivatives ``c2 + (2 c1 + 3 c0 s) s`` of the same pieces."""
-        (c0, c1, c2, c3), s = self._pieces(xi)
+        (c0, c1, c2, c3), s = [c[i] for c in self._c], xi - self._left[i]
         ss = s * s
         return (c3 + c2 * s + c1 * ss + c0 * (ss * s),
                 c2 + (2.0 * c1 + 3.0 * c0 * s) * s)
@@ -204,12 +195,15 @@ class CuspProfile:
         return weight.cusp_ratio_infimum(rho, self.a)
 
     def a_of_r(self, rho):
-        """Half-angle at tip distance ``rho``: a float for a float, an array
-        for an array (one interpolator call either way)."""
+        """Half-angle at tip distance ``rho`` in [0, r0]: a float for a
+        float, an array for an array (one interpolator call either way).
+        A negative or NaN ``rho``, or one beyond r0, raises
+        `DomainRangeError`."""
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho > self.r0 * (1 + 1e-12)):
+        inside = (rho >= 0.0) & (rho <= self.r0 * (1 + 1e-12))
+        if not np.all(inside):
             raise DomainRangeError(
-                f"rho={rho.max()} beyond profile extent {self.r0}")
+                f"rho={rho[~inside][0]} outside profile extent [0, {self.r0}]")
         opening, _ = self._opening_with_slope(np.minimum(rho, self.r0))
         return weight._float_for_scalars(opening, rho)
 
@@ -299,8 +293,7 @@ def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
         # 1e-14 of 1e-7
         raise DomainRangeError(
             f"profile extent r0={r0!r} is too close to the first row 1e-7")
-    grid = 512
-    root = oned._solved(a, grid)
+    root = oned.solve_angular(a, 512)  # each inversion keeps its grid
     e_a = root.value
     g_vals = weight.cusp_ratio_infimum(rho, a)
     if np.any(g_vals >= 1.0):
@@ -317,7 +310,7 @@ def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
             guess = _extrapolate(us, xs, u)
             slope = (_extrapolate(us, xs, u + 1e-6)
                      - _extrapolate(us, xs, u - 1e-6)) / 2e-6
-        root = oned._invert(targets[i], root, grid, guess, slope)
+        root = oned.invert_angular_eigenvalue(targets[i], root, guess, slope)
         a_vals[i] = root.a
         if root.a != a_done[-1]:
             # u at the root's own eigenvalue, which the inversion returns,

@@ -11,9 +11,8 @@ critical quotient to the 1-D Hardy quotient with ``p = N``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -91,27 +90,30 @@ def hardy_1d_quotient(t, v, p: int = 2) -> float:
 # Angular eigenvalue problem on (a, pi - a)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AngularEigenProblem:
-    """First Dirichlet eigenvalue of -phi'' = mu phi / sin^2 on (a, pi - a)."""
-
-    a: float
-    grid_size: int = 2048
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.a < math.pi / 2):
-            raise DomainRangeError(f"a must lie in [0, pi/2), got {self.a}")
-        if self.grid_size < 16:
-            raise DomainRangeError("grid_size must be >= 16")
-
-
 @dataclass
 class AngularEigenResult:
+    """The angular problem solved at angle ``a`` over the (M, 2M) grids.
+
+    ``value`` is the Richardson value, ``theta`` the fine nodes and
+    ``residual`` the fine eigenvector's.  ``start`` is the coarse pair
+    ``(phi_c, mu_c)``, a `_smallest_pair` start for a solve at a larger angle
+    on the same grid size.  ``phi`` is the fine eigenvector with its boundary
+    zeros, normalized in L2 when first read.
+    """
+
+    a: float
     value: float
     theta: np.ndarray
-    phi: np.ndarray
     residual: float
     grid_size: int
+    start: tuple[np.ndarray, float]
+    _interior: np.ndarray = field(repr=False)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        phi = np.concatenate([[0.0], self._interior, [0.0]])
+        nrm = math.sqrt(np.trapezoid(phi**2, self.theta))
+        return phi / nrm
 
 
 def _angular_nodes(a: float, m: int) -> np.ndarray:
@@ -249,24 +251,28 @@ def _prolong(phi_c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _angular_pairs(prob: AngularEigenProblem,
-                   below: tuple[np.ndarray, float] | None = None):
-    """Richardson value of the angular problem over the (M, 2M) grids.
+def solve_angular(a: float, grid_size: int = 2048,
+                  below: tuple[np.ndarray, float] | None = None,
+                  ) -> AngularEigenResult:
+    """Solve the angular problem at ``a`` with Richardson extrapolation over
+    the (M, 2M) grids, ``M = grid_size``.
 
-    Returns the value, the coarse pair as a `_smallest_pair` start ``(phi_c,
-    mu_c)``, the fine nodes, the fine eigenvector and its residual.  The
-    coarse solve starts from ``below`` (a lower angle's coarse start on the
-    same grid size, or None for a cold solve); the fine solve starts from the
-    coarse eigenvector, prolongated by midpoints, at the coarse eigenvalue.
-    That lies 1.5e-7 to 1.3e-3 below the fine one on the 512 to 2048 grids
-    for a from 1e-11 to 1.55; where it did not, the certificate would refuse
-    the start and the fine solve would run cold.
+    The coarse solve starts from ``below``: a smaller angle's ``start`` on
+    the same grid size, or None for a cold solve.  The fine solve starts
+    from the coarse eigenvector, prolongated by midpoints, at the coarse
+    eigenvalue.  That lies 1.5e-7 to 1.3e-3 below the fine one on the 512 to
+    2048 grids for a from 1e-11 to 1.55; where it did not, the certificate
+    would refuse the start and the fine solve would run cold.
     """
-    if prob.a == 0.0:
+    if not (0.0 <= a < math.pi / 2):
+        raise DomainRangeError(f"a must lie in [0, pi/2), got {a}")
+    if grid_size < 16:
+        raise DomainRangeError("grid_size must be >= 16")
+    if a == 0.0:
         raise DomainRangeError(
             "a = 0 is not solved directly (non-integrable endpoint weight); "
             "use extrapolate_angular_zero_limit")
-    coarse_nodes = _angular_nodes(prob.a, prob.grid_size)
+    coarse_nodes = _angular_nodes(a, grid_size)
     # each midpoint lies between its two nodes, so interleaving them gives
     # the sorted union
     fine_nodes = np.empty(2 * coarse_nodes.size - 1)
@@ -275,48 +281,25 @@ def _angular_pairs(prob: AngularEigenProblem,
     mu_c, phi_c, _ = _smallest_pair(coarse_nodes, below)
     mu_f, phi_f, rnorm = _smallest_pair(fine_nodes, (_prolong(phi_c), mu_c))
     if not (math.isfinite(mu_c) and math.isfinite(mu_f)):
-        raise NumericalError(f"angular eigen-iteration failed at a={prob.a}")
-    return (4.0 * mu_f - mu_c) / 3.0, (phi_c, mu_c), fine_nodes, phi_f, rnorm
-
-
-def solve_angular(prob: AngularEigenProblem) -> AngularEigenResult:
-    """Solve the angular problem with Richardson extrapolation over (M, 2M) grids."""
-    value, _, fine_nodes, phi_f, rnorm = _angular_pairs(prob)
-    phi = np.concatenate([[0.0], phi_f, [0.0]])
-    nrm = math.sqrt(np.trapezoid(phi**2, fine_nodes))
+        raise NumericalError(f"angular eigen-iteration failed at a={a}")
     return AngularEigenResult(
-        value=value, theta=fine_nodes, phi=phi / nrm, residual=rnorm,
-        grid_size=prob.grid_size)
+        a=a, value=(4.0 * mu_f - mu_c) / 3.0, theta=fine_nodes,
+        residual=rnorm, grid_size=grid_size, start=(phi_c, mu_c),
+        _interior=phi_f)
 
 
 @lru_cache(maxsize=4096)
 def angular_eigenvalue(a: float, grid_size: int = 2048) -> float:
     """Richardson-extrapolated smallest eigenvalue for opening parameter ``a``."""
-    return solve_angular(AngularEigenProblem(a=a, grid_size=grid_size)).value
+    return solve_angular(a, grid_size).value
 
 
-class _Solved(NamedTuple):
-    """An angle, its eigenvalue, and its coarse pair as a solve's start."""
-
-    a: float
-    value: float
-    start: tuple[np.ndarray, float]
-
-
-def _solved(a: float, grid_size: int,
-            below: tuple[np.ndarray, float] | None = None) -> _Solved:
-    """The eigenvalue of angle ``a`` with its coarse pair; cold without
-    ``below``, and then bit for bit `angular_eigenvalue`'s value."""
-    value, start = _angular_pairs(AngularEigenProblem(a=a, grid_size=grid_size),
-                                  below)[:2]
-    return _Solved(a, value, start)
-
-
-def invert_angular_eigenvalue(target: float, a_lo: float,
-                              grid_size: int = 1024,
+def invert_angular_eigenvalue(target: float, lower: AngularEigenResult,
                               guess: float | None = None,
-                              slope: float | None = None) -> float:
-    """Find a in (a_lo, pi/2) with eigenvalue(a) = target by a bracketed secant.
+                              slope: float | None = None,
+                              ) -> AngularEigenResult:
+    """Solve for a in (lower.a, pi/2) with eigenvalue(a) = target by a
+    bracketed secant on ``lower``'s grid size; returns the root solved.
 
     Relies on the eigenvalue being non-decreasing in ``a``; terminates when the
     eigenvalue matches within 1e-10 and raises `NonConvergenceError`
@@ -329,20 +312,12 @@ def invert_angular_eigenvalue(target: float, a_lo: float,
     counts as such: outside the bracket it is replaced by a bisection step.
     A ``slope`` ``da/du`` of the predictor that made the guess steers the
     step after a missed guess in place of the chord to the lower end.
+    A target within the tolerance of ``lower.value`` returns ``lower``.
 
-    The lower end is solved cold; every later evaluation starts its coarse
-    solve from the bracket's current lower end, whose eigenvalue lies below
-    that of every larger angle on the same grid (see `_smallest_pair`).
+    Every evaluation starts its coarse solve from the bracket's current
+    lower end, whose eigenvalue lies below that of every larger angle on the
+    same grid (see `_smallest_pair`).
     """
-    return _invert(target, _solved(a_lo, grid_size), grid_size,
-                   guess, slope).a
-
-
-def _invert(target: float, lower: _Solved, grid_size: int,
-            guess: float | None = None,
-            slope: float | None = None) -> _Solved:
-    """`invert_angular_eigenvalue` from a solved lower end; returns the
-    root solved, its eigenvalue and coarse pair included."""
     tol = 1e-10
     lo, f_lo = lower.a, lower.value
     hi = math.pi / 2 - 1e-9
@@ -366,7 +341,7 @@ def _invert(target: float, lower: _Solved, grid_size: int,
         if not lo < x < hi:
             secant = False
             x = 0.5 * (lo + hi)
-        solved = _solved(x, grid_size, lower.start)
+        solved = solve_angular(x, lower.grid_size, lower.start)
         f = solved.value
         if abs(f - target) <= tol:
             return solved

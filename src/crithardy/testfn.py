@@ -337,8 +337,7 @@ def _plateau(rho, eps: float, delta: float):
 def _angular_mode(a_prime: float) -> oned.AngularEigenResult:
     """The angular eigenpair at ``a_prime`` on the 2048 grid, solved once per
     angle; callers share the arrays and must not write to them."""
-    return oned.solve_angular(oned.AngularEigenProblem(a=a_prime,
-                                                       grid_size=2048))
+    return oned.solve_angular(a_prime, 2048)
 
 
 def _tip_mass_rows(rho_pts: np.ndarray, theta: np.ndarray,

@@ -36,7 +36,8 @@ def scalar_opening(prof, rho: float) -> float:
     """Reference for `CuspProfile.a_of_r`, one tip distance at a time."""
     if rho <= prof.rho_table[0]:
         return prof.a
-    return min(float(prof._a_interp(min(rho, prof.r0))), math.pi / 2 - 1e-12)
+    value = prof._a_interp.with_slope(min(rho, prof.r0))[0]
+    return min(float(value), math.pi / 2 - 1e-12)
 
 
 def polar_random_bumps(dom, rng, nr=60, ntheta=64, n_bumps=4,

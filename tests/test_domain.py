@@ -297,30 +297,35 @@ class TestCalibratedProfile:
         # plain bisection on E makes 2093 angular solves at a = 0.9, the
         # secant from the bracket ends about 250; a predicted start makes
         # most rows one solve, and a missed one takes its next step along
-        # the predictor's tangent (112, 111 and 106 solves).  A solve is a
-        # coarse and a fine ground pair, whichever path makes it.  Each pair
-        # after the first starts from a certified neighbour and settles in
-        # about 2.2 inverse-iteration steps, where a cold pair takes 5
-        pairs, steps = [], []
-        pair, trs = oned._smallest_pair, oned.dpttrs
+        # the predictor's tangent.  A solve is a coarse and a fine ground
+        # pair, and the build makes every one through the public
+        # `oned.solve_angular`, called as a module attribute: one for E(a),
+        # the rest inside one `oned.invert_angular_eigenvalue` per row.
+        # Each pair after the first starts from a certified neighbour and
+        # settles in about 2.2 inverse-iteration steps, where a cold pair
+        # takes 5
+        calls = {"_smallest_pair": 0, "dpttrs": 0, "solve_angular": 0,
+                 "invert_angular_eigenvalue": 0}
 
-        def counted_pair(*args):
-            pairs.append(1)
-            return pair(*args)
+        def counted(name):
+            inner = getattr(oned, name)
 
-        def counted_trs(*args, **kwargs):
-            steps.append(1)
-            return trs(*args, **kwargs)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(oned, "_smallest_pair", counted_pair)
-        monkeypatch.setattr(oned, "dpttrs", counted_trs)
+        for name in calls:
+            monkeypatch.setattr(oned, name, counted(name))
         oned.angular_eigenvalue.cache_clear()
         build_cusp_profile.cache_clear()
         prof = build_cusp_profile(a)
         assert prof.a_table.size == 96
-        assert len(pairs) % 2 == 0
-        assert len(pairs) // 2 <= 113
-        assert len(steps) / len(pairs) <= 2.5
+        assert calls["invert_angular_eigenvalue"] == 96
+        solves = {0.82: 112, 0.9: 111, 1.08: 106}[a]
+        assert calls["solve_angular"] == solves
+        assert calls["_smallest_pair"] == 2 * solves
+        assert calls["dpttrs"] / calls["_smallest_pair"] <= 2.5
 
     @pytest.mark.parametrize("a", [0.82, 0.9, 1.08])
     def test_default_extent(self, a):
@@ -339,10 +344,10 @@ class TestCalibratedProfile:
         prof = build_cusp_profile(a)
         targets = prof.eigenvalue / prof.g_table
         ref = np.empty_like(targets)
-        a_lo = a
+        root = oned.solve_angular(a, 512)
         for i in np.argsort(targets, kind="stable"):
-            a_lo = ref[i] = oned.invert_angular_eigenvalue(
-                targets[i], a_lo, grid_size=512)
+            root = oned.invert_angular_eigenvalue(targets[i], root)
+            ref[i] = root.a
         np.testing.assert_allclose(prof.a_table, ref, rtol=0, atol=1e-10)
 
     def test_opening_tends_to_limit(self, calibrated_cusp):
@@ -364,10 +369,8 @@ class TestPchip:
     @staticmethod
     def assert_matches(x, y, pts):
         interp, ref = _Pchip(x, y), PchipInterpolator(x, y)
-        np.testing.assert_allclose(interp(pts), ref(pts), rtol=1e-15, atol=0.0)
-        # the slope comes from the same pieces, next to the same values
         value, slope = interp.with_slope(pts)
-        assert np.array_equal(value, interp(pts))
+        np.testing.assert_allclose(value, ref(pts), rtol=1e-15, atol=0.0)
         dref = ref.derivative()(pts)
         np.testing.assert_allclose(slope, dref, rtol=1e-12,
                                    atol=1e-14 * np.max(np.abs(dref)))
@@ -490,5 +493,9 @@ class TestHalfWidths:
         assert np.array_equal(prof.a_of_r(rho),
                               [scalar_opening(prof, p) for p in rho])
         assert isinstance(prof.a_of_r(0.01), float)
-        with pytest.raises(DomainRangeError):
-            prof.a_of_r(np.array([0.1, 1.01 * prof.r0]))
+        # g's range, except rho = 0, where the opening is the limit angle
+        for rho in (1.01 * prof.r0, -1.0, -1e-300, math.nan):
+            with pytest.raises(DomainRangeError):
+                prof.a_of_r(rho)
+            with pytest.raises(DomainRangeError):
+                prof.a_of_r(np.array([0.1, rho]))

@@ -10,7 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf
 from scipy.optimize import least_squares
 
-from crithardy import (AngularEigenProblem, DomainRangeError,
+from crithardy import (DomainRangeError,
                        NonConvergenceError, NumericalError,
                        angular_eigenvalue, angular_identity_residual,
                        arc_poincare_constant,
@@ -91,14 +91,21 @@ class TestAngularEigenvalue:
 
     def test_zero_not_solved_directly(self):
         with pytest.raises(DomainRangeError):
-            solve_angular(AngularEigenProblem(a=0.0))
+            solve_angular(0.0)
+
+    @pytest.mark.parametrize("a, m", [(-0.1, 2048), (math.pi / 2, 2048),
+                                      (math.nan, 2048), (0.9, 8)])
+    def test_out_of_range_rejected(self, a, m):
+        with pytest.raises(DomainRangeError):
+            solve_angular(a, m)
 
     def test_eigenfunction_positive(self):
-        res = solve_angular(AngularEigenProblem(a=0.7))
+        res = solve_angular(0.7)
         assert np.all(res.phi[1:-1] > 0)
+        assert np.trapezoid(res.phi ** 2, res.theta) == pytest.approx(1.0)
 
     def test_richardson_consistency(self):
-        res = solve_angular(AngularEigenProblem(a=0.9, grid_size=512))
+        res = solve_angular(0.9, 512)
         assert res.value == pytest.approx(angular_eigenvalue(0.9), rel=1e-6)
 
     @pytest.mark.parametrize("a", [0.5, 0.9, 1.2, 1.4])
@@ -129,31 +136,34 @@ class TestAngularEigenvalue:
 
     def test_inversion(self):
         target = angular_eigenvalue(0.9, 1024) * 1.07
-        a_r = invert_angular_eigenvalue(target, 0.9)
+        a_r = invert_angular_eigenvalue(target, solve_angular(0.9, 1024)).a
         assert angular_eigenvalue(a_r, 1024) == pytest.approx(target, abs=1e-9)
         assert a_r > 0.9
 
     @pytest.mark.parametrize("guess", [1.0, 1.2, 1.5, 0.5, 0.9, math.pi / 2])
     def test_inversion_any_guess_converges(self, guess):
         # 1.0 is the root; 1.2 and 1.5 lie in the bracket on the wrong side
-        # of it, 0.5, 0.9 (= a_lo) and pi/2 outside the open bracket
+        # of it, 0.5, 0.9 (= lower.a) and pi/2 outside the open bracket
         target = angular_eigenvalue(1.0, 1024)
-        a_r = invert_angular_eigenvalue(target, 0.9, guess=guess)
+        a_r = invert_angular_eigenvalue(target, solve_angular(0.9, 1024),
+                                        guess=guess).a
         assert abs(angular_eigenvalue(a_r, 1024) - target) <= 1e-10
         assert a_r == pytest.approx(1.0, abs=1e-10)
 
     def test_inversion_target_at_lower_end(self):
-        assert invert_angular_eigenvalue(angular_eigenvalue(0.9, 1024), 0.9) == 0.9
+        lower = solve_angular(0.9, 1024)
+        assert invert_angular_eigenvalue(lower.value, lower) is lower
 
     def test_inversion_target_below_lower_end(self):
+        lower = solve_angular(0.9, 1024)
         with pytest.raises(DomainRangeError):
-            invert_angular_eigenvalue(angular_eigenvalue(0.9, 1024) - 1e-6, 0.9)
+            invert_angular_eigenvalue(lower.value - 1e-6, lower)
 
     def test_inversion_unresolvable_target_raises(self):
         # E(a) on the 1024 grid steps by more than 1e-10 per 1e-14 in the
         # angle near pi/2, so the bracket runs out before value_tol is met
         with pytest.raises(NonConvergenceError) as info:
-            invert_angular_eigenvalue(1e6, 0.3, 1024)
+            invert_angular_eigenvalue(1e6, solve_angular(0.3, 1024))
         diag = info.value.diagnostics
         assert diag["target"] == 1e6
         assert 0.3 < diag["a"] < math.pi / 2
@@ -162,7 +172,7 @@ class TestAngularEigenvalue:
     def test_inversion_steep_target(self):
         # E(1.5) ~ 492 with dE/da ~ 1.4e4: 1e-10 in E is 7e-15 in the angle
         target = angular_eigenvalue(1.5, 1024)
-        a_r = invert_angular_eigenvalue(target, 0.9)
+        a_r = invert_angular_eigenvalue(target, solve_angular(0.9, 1024)).a
         assert abs(angular_eigenvalue(a_r, 1024) - target) <= 1e-10
         assert a_r == pytest.approx(1.5, abs=1e-13)
 
@@ -237,7 +247,7 @@ class TestGroundState:
     @pytest.mark.parametrize("m", [512, 2048])
     @pytest.mark.parametrize("a", [0.9, 1e-11])  # uniform and graded nodes
     def test_solve_angular_interleaves_midpoints(self, a, m):
-        theta = solve_angular(AngularEigenProblem(a=a, grid_size=m)).theta
+        theta = solve_angular(a, m).theta
         assert np.array_equal(theta, _both_grids(a, m)[1])
 
     def test_step_cap_raises(self, monkeypatch):
@@ -359,13 +369,13 @@ class TestCertifiedStart:
                               [0.5, 1.0, 2.5, 4.0, 3.0, 2.0, 1.0])
 
     def test_inversion_returns_root_eigenvalue(self):
-        lower = oned._solved(0.9, 512)
+        lower = solve_angular(0.9, 512)
         target = lower.value * 1.07
-        root = oned._invert(target, lower, 512)
+        root = invert_angular_eigenvalue(target, lower)
         assert abs(root.value - target) <= 1e-10
         assert root.value == pytest.approx(angular_eigenvalue(root.a, 512),
                                            rel=1e-15, abs=0.0)
-        assert invert_angular_eigenvalue(target, 0.9, 512) == root.a
+        assert root.grid_size == 512
 
 
 def _ball_windows(ns):
