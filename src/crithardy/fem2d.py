@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dpbtrf, dpbtrs, zpttrf
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dstev, zpttrf
 # unused: perfbench/tracing.py resolves fem2d.splu when it installs
 from scipy.sparse.linalg import splu  # noqa: F401
 
@@ -37,6 +36,12 @@ from .weight import WeightParams, weight_eval
 _TOL = 1e-10
 # K - (1 - _CERT_MARGIN) d M must factor: no eigenvalue at or below that shift
 _CERT_MARGIN = 1e-9
+# the shift-invert Lanczos keeps at most this many basis vectors and their M
+# products, then restarts; it gives up after _LANCZOS_STEPS solves
+_LANCZOS_BASIS = 20
+_LANCZOS_STEPS = 200
+# it stops once the residual it predicts for its vector is at most this
+_RITZ_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -378,31 +383,141 @@ def assemble(mesh: Mesh, wp: WeightParams
 # Eigen solve
 # ---------------------------------------------------------------------------
 
+def _lower_end(d: float) -> float:
+    """The shift ``(1 - 1e-9) d`` at which a certificate factors ``K - s M``:
+    the proven lower end of the bracket whose upper end is ``d``."""
+    return (1.0 - _CERT_MARGIN) * d
+
+
+def _band_product(band: np.ndarray, offsets: np.ndarray):
+    """``x -> A x`` for the symmetric matrix whose lower band is ``band``
+    (``band[i - j, j] = a[i, j]``), read on its nonzero diagonals
+    ``offsets`` only.  Each row is summed in ascending column order, as a
+    CSR product sums it: summed main diagonal first, the Rayleigh quotients
+    of a 96-level sweep strayed up to 7.9e-15 from their long-double values,
+    in this order up to 5.5e-15."""
+    n = band.shape[1]
+    diagonals = [(d, np.ascontiguousarray(band[d, :n - d]))
+                 for d in offsets if d]
+    main = np.ascontiguousarray(band[0])
+
+    def product(x: np.ndarray) -> np.ndarray:
+        y = np.zeros(n)
+        for d, b in reversed(diagonals):
+            y[d:] += b * x[:n - d]
+        y += main * x
+        for d, b in diagonals:
+            y[:n - d] += b * x[d:]
+        return y
+
+    return product
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` by numpy's own loop.  OpenBLAS threads ``ddot`` above
+    10,000 entries, and right after a threaded factorization each such call
+    cost about 2 ms at 16,128 (cone(0.7), n = 32, h = 0.01, 2 CPUs), more
+    than the solve it follows."""
+    return float(np.einsum("i,i", a, b))
+
+
+def _shift_invert_lanczos(factor: np.ndarray, mmul, n: int
+                          ) -> tuple[np.ndarray, int]:
+    """Eigenvector of the largest eigenvalue ``1/d`` of ``K^{-1} M`` and the
+    number of solves taken, by Lanczos in the ``M`` inner product.
+
+    Each step solves once with the band Cholesky ``factor`` of ``K`` and
+    forms one ``M`` product (``mmul``); the new vector is orthogonalized
+    against the two before it and then, once more, against the whole stored
+    basis.  After each step the tridiagonal's largest pair ``(theta, s)``
+    gives the Ritz vector ``y`` and the relative residual ``|s_last|
+    |M w| / (theta |M y|)`` that ``x = K^{-1} M y`` has, with ``w`` the
+    unnormalized next Lanczos vector (``K x - M x / theta = -(s_last /
+    theta) M w``).  Once that is at most ``_RITZ_TOL``, or the basis spans
+    all ``n`` unknowns, ``x`` is returned: the closing solve also clears
+    the rounding that the Ritz combination leaves where the eigenvector is
+    far below its maximum, as in a cusp's tip.  A full basis of
+    ``_LANCZOS_BASIS`` vectors restarts thick (Wu & Simon, SIAM J. Matrix
+    Anal. Appl. 22, 2000, with one kept vector): it keeps ``y`` with
+    ``theta`` and the next vector ``w / beta``, coupled to ``y`` by
+    ``s_last beta``, so the projected matrix stays tridiagonal.  The start
+    vector is all ones, so results are deterministic.  `NonConvergenceError`
+    is raised after ``_LANCZOS_STEPS`` steps.
+    """
+    size = min(_LANCZOS_BASIS, n)
+    basis, m_basis = np.empty((size, n)), np.empty((size, n))
+    alpha, beta = np.empty(size), np.empty(size)
+    v = np.ones(n)
+    mv = mmul(v)
+    norm = math.sqrt(_dot(v, mv))
+    basis[0], m_basis[0] = v / norm, mv / norm
+    j = 0
+    for step in range(1, _LANCZOS_STEPS + 1):
+        q, mq = basis[j], m_basis[j]
+        w = dpbtrs(factor, mq, lower=1)[0]
+        alpha[j] = _dot(mq, w)
+        w -= alpha[j] * q
+        if j:
+            w -= beta[j - 1] * basis[j - 1]
+        c = m_basis[:j + 1] @ w
+        w -= c @ basis[:j + 1]
+        alpha[j] += c[j]
+        mw = mmul(w)
+        beta[j] = math.sqrt(max(_dot(w, mw), 0.0))
+        # LAPACK wants one off-diagonal entry even for a 1 x 1 matrix
+        theta, z, info = dstev(alpha[:j + 1], beta[:max(j, 1)], compute_v=1)
+        if info != 0:
+            raise NumericalError(f"tridiagonal eigen solve failed (dstev "
+                                 f"info={info})")
+        s = z[:, -1]
+        my = s @ m_basis[:j + 1]
+        rho = abs(s[-1]) * math.sqrt(_dot(mw, mw) / _dot(my, my)) / theta[-1]
+        if rho <= _RITZ_TOL or j + 1 == n:
+            return dpbtrs(factor, my, lower=1)[0], step + 1
+        b = beta[j]
+        if j + 1 == size:
+            # thick restart: keep the Ritz pair; since A y = theta y +
+            # s_last w, the next vector couples to y by s_last beta
+            basis[0], m_basis[0] = s @ basis, my
+            alpha[0], beta[0] = theta[-1], s[-1] * b
+            j = 0
+        basis[j + 1], m_basis[j + 1] = w / b, mw / b
+        j += 1
+    raise NonConvergenceError(
+        f"shift-invert Lanczos did not reach tol={_RITZ_TOL} in "
+        f"{_LANCZOS_STEPS} solves",
+        {"iterations": _LANCZOS_STEPS, "residual_estimate": float(rho)})
+
+
 def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
                    interior: np.ndarray) -> EigenResult:
-    """Smallest generalized eigenpair by shift-invert Lanczos (ARPACK) on a
-    band Cholesky factor.
+    """Smallest generalized eigenpair by shift-invert Lanczos on a band
+    Cholesky factor.
 
     ``interior`` holds the free (non-Dirichlet) unknowns as distinct row
-    indices of ``K``, in elimination order; ``K`` and ``M`` are sliced to
-    that block in that order.  The lower band of ``K``, of the width ``kd``
-    read off the nonzero pattern of both blocks, is factored once at shift 0
-    by LAPACK ``dpbtrf``; ``iterations`` counts the ``dpbtrs`` solves with
-    that factor and ``fill`` its entries, ``n (kd + 1) - kd (kd + 1) / 2``
-    for ``n`` unknowns.  A strip's interior grid raveled along its shorter
-    axis (`_band_order`) has ``kd = min(rows, cols) - 1``.  The start
-    vector is fixed, so results are deterministic.  The returned vector is
-    embedded with zeros elsewhere, normalized to unit weighted mass and
-    sign-normalized to nonnegative mean.  The residual is the relative
-    2-norm ``|Kx - d Mx| / |Kx|`` at the Rayleigh quotient ``d``; it must
-    reach ``_TOL`` (1e-10).
+    indices of ``K``, in elimination order.  One position map sends the
+    COO entries of ``K`` and ``M`` that couple two free unknowns to that
+    order, and each block's lower band, of the width ``kd`` read off both
+    patterns, is scattered from them.  The band of ``K`` is factored once at
+    shift 0 by LAPACK ``dpbtrf``; ``iterations`` counts the ``dpbtrs``
+    solves with that factor and ``fill`` its entries, ``n (kd + 1) -
+    kd (kd + 1) / 2`` for ``n`` unknowns.  A strip's interior grid raveled
+    along its shorter axis (`_band_order`) has ``kd = min(rows, cols) - 1``.
+    The Lanczos loop is `_shift_invert_lanczos`; its ``M`` products read
+    only the nonzero diagonals of the band of ``M`` (four on a strip: the
+    main one, a row step, a column step and a cell diagonal).  The returned
+    vector is embedded with zeros elsewhere, normalized to unit weighted
+    mass and sign-normalized to nonnegative mean.  The residual is the
+    relative 2-norm ``|Kx - d Mx| / |Kx|`` at the Rayleigh quotient ``d``;
+    it must reach ``_TOL`` (1e-10).
 
     Certificate: after the gate, ``K - (1 - 1e-9) d M`` must factor by
     ``dpbtrf``.  By Sylvester's law of inertia no eigenvalue then lies at or
-    below ``(1 - 1e-9) d``; otherwise, as when ``K`` itself is not positive
-    definite, `NumericalError` is raised.
+    below ``(1 - 1e-9) d``, so the smallest eigenvalue lies in
+    ``((1 - 1e-9) d, d]``; otherwise, as when ``K`` itself is not positive
+    definite, `NumericalError` is raised.  The certificate and the gate,
+    not the loop's stop rule, prove the answer.
     """
-    tol = _TOL
     nv = stiffness.shape[0]
     idx = np.asarray(interior)
     distinct = (idx.ndim == 1 and idx.dtype.kind in "iu"
@@ -415,44 +530,41 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
         raise DomainRangeError(
             f"interior must be distinct row indices in [0, {nv}) (got "
             f"{idx.dtype} of shape {idx.shape})")
-    if idx.size < 2:
+    n = idx.size
+    if n < 2:
         raise NonConvergenceError("eigen solve needs two free unknowns",
-                                  {"iterations": 0, "unknowns": int(idx.size)})
-    K, M = (a.tocsr()[idx][:, idx] for a in (stiffness, weighted_mass))
+                                  {"iterations": 0, "unknowns": int(n)})
+    position = np.full(nv, -1)
+    position[idx] = np.arange(n)
     lower = []
-    for a in (K, M):
+    for a in (stiffness, weighted_mass):
         c = a.tocoo()
-        keep = (c.row >= c.col) & (c.data != 0.0)
-        lower.append((c.row[keep] - c.col[keep], c.col[keep], c.data[keep]))
+        row, col = position[c.row], position[c.col]
+        keep = (col >= 0) & (row >= col) & (c.data != 0.0)
+        lower.append((row[keep] - col[keep], col[keep], c.data[keep]))
     kd = int(max(off.max(initial=0) for off, _, _ in lower))
     # LAPACK's lower band storage, band[i - j, j] = a[i, j], column-major
     k_band, m_band = (
         np.bincount(off + (kd + 1) * col, weights=data,
-                    minlength=(kd + 1) * idx.size).reshape(idx.size, kd + 1).T
+                    minlength=(kd + 1) * n).reshape(n, kd + 1).T
         for off, col, data in lower)
+    kmul, mmul = (
+        _band_product(band, np.flatnonzero(np.bincount(off, minlength=kd + 1)))
+        for band, (off, _, _) in zip((k_band, m_band), lower))
     factor, info = dpbtrf(k_band, lower=1)
     if info != 0:
         raise NumericalError(
             f"stiffness block is not positive definite (dpbtrf info={info})")
-    fill = idx.size * (kd + 1) - kd * (kd + 1) // 2
-    solves = []
+    fill = n * (kd + 1) - kd * (kd + 1) // 2
+    x, solves = _shift_invert_lanczos(factor, mmul, n)
 
-    def solve(b):
-        solves.append(b.size)
-        return dpbtrs(factor, b, lower=1)[0]
+    def embed(v):
+        full = np.zeros(nv)
+        full[idx] = v
+        return full
 
-    op_inv = LinearOperator(K.shape, matvec=solve, dtype=float)
-    try:
-        _, vecs = eigsh(K, k=1, M=M, sigma=0.0, OPinv=op_inv, tol=tol,
-                        v0=np.ones(idx.size))
-    except ArpackNoConvergence as exc:
-        raise NonConvergenceError(
-            f"shift-invert Lanczos did not reach tol={tol}",
-            {"iterations": len(solves), "message": str(exc)}) from exc
-    res = _gated_result(K, M, vecs[:, 0],
-                        sparse.eye(nv, format="csc")[:, idx], len(solves),
-                        fill, "shift_invert")
-    shift = (1.0 - _CERT_MARGIN) * res.value
+    res = _gated_result(x, kmul, mmul, embed, solves, fill, "shift_invert")
+    shift = _lower_end(res.value)
     _, info = dpbtrf(k_band - shift * m_band, lower=1, overwrite_ab=1)
     if info != 0:
         raise NumericalError(
@@ -461,22 +573,23 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
     return res
 
 
-def _gated_result(K, M, x: np.ndarray, embed: sparse.spmatrix,
-                  iterations: int, fill: int, solver: str) -> EigenResult:
+def _gated_result(x: np.ndarray, kmul, mmul, embed, iterations: int,
+                  fill: int, solver: str) -> EigenResult:
     """Normalize the free vector ``x`` to unit weighted mass, take its
     Rayleigh quotient ``d``, gate the residual ``|Kx - d Mx| / |Kx|`` at
     ``_TOL`` and map ``x`` and its density ``x * Mx`` onto the mesh vertices
-    by ``embed``, the vector with nonnegative mean."""
-    x = x / math.sqrt(x @ (M @ x))
-    kx, mx = K @ x, M @ x
+    by ``embed``, the vector with nonnegative mean.  ``kmul`` and ``mmul``
+    are the products with ``K`` and ``M``."""
+    x = x / math.sqrt(x @ mmul(x))
+    kx, mx = kmul(x), mmul(x)
     value = float(x @ kx)
     rnorm = float(np.linalg.norm(kx - value * mx) / np.linalg.norm(kx))
     if not rnorm <= _TOL:
         raise NonConvergenceError(
             f"eigen residual {rnorm:.3g} above tol={_TOL}",
             {"iterations": iterations, "residual": rnorm, "value": value})
-    full = embed @ x
-    density = full * (embed @ mx)
+    full = embed(x)
+    density = full * embed(mx)
     if np.sum(full) < 0:
         full = -full
     return EigenResult(value=value, vector=full, density=density,
@@ -499,12 +612,14 @@ def radial_eigen(mesh: Mesh, wp: WeightParams) -> EigenResult:
     broadcasts each interior row to its columns), ``M0`` alike; a dense
     ``eigh`` gives its smallest pair ``(d0, u)``.
 
-    Certificate: for every ``k = 1 .. n_cols // 2`` (``n_cols - k`` is the
-    conjugate mode) the Hermitian tridiagonal symbol of ``K - d0 M``, ``coef``
-    weighted by ``exp(2 pi i k (s - 1) / n_cols)``, must factor as
-    ``L D L^H`` with positive pivots (LAPACK ``zpttrf``).  By Sylvester's
-    inertia law no other mode then has an eigenvalue at or below ``d0``;
-    otherwise `NumericalError` is raised.
+    Certificate: ``K0 - (1 - 1e-9) d0 M0`` must factor as ``L D L^T`` with
+    positive pivots (LAPACK ``dpttrf``), and for every ``k = 1 ..
+    n_cols // 2`` (``n_cols - k`` is the conjugate mode) so must the
+    Hermitian tridiagonal symbol of ``K - d0 M``, ``coef`` weighted by
+    ``exp(2 pi i k (s - 1) / n_cols)`` (``zpttrf``).  By Sylvester's inertia
+    law no eigenvalue of the strip then lies at or below ``(1 - 1e-9) d0``,
+    so the smallest lies in ``((1 - 1e-9) d0, d0]``, the bracket that
+    `smallest_eigen` proves; otherwise `NumericalError` is raised.
 
     The residual gate of `smallest_eigen` is taken on ``K0``, ``M0`` and
     ``u``; it equals the strip's own, since ``K P u = P K0 u``.  The vector
@@ -526,9 +641,17 @@ def radial_eigen(mesh: Mesh, wp: WeightParams) -> EigenResult:
         return coef[1:-1]
 
     kc, mc = (stencil(a) for a in assemble(cell, wp))
+    k0, m0 = kc.sum(axis=2), mc.sum(axis=2)
     K0, M0 = (np.diag(c[:, 1]) + np.diag(c[:-1, 2], 1) + np.diag(c[1:, 0], -1)
-              for c in (kc.sum(axis=2), mc.sum(axis=2)))
+              for c in (k0, m0))
     (d0,), u = eigh(K0, M0, subset_by_index=[0, 0])
+    shift = _lower_end(d0)
+    _, _, info = dpttrf(k0[:, 1] - shift * m0[:, 1],
+                        k0[:-1, 2] - shift * m0[:-1, 2])
+    if info != 0:
+        raise NumericalError(
+            f"the radial mode has an eigenvalue at or below {shift:.17g}, "
+            f"under d0={d0:.17g} (dpttrf info={info})")
 
     k = np.arange(1, n_cols // 2 + 1)
     # (m, 3, modes): row i's coupling to rows i-1, i, i+1 in mode k
@@ -543,7 +666,8 @@ def radial_eigen(mesh: Mesh, wp: WeightParams) -> EigenResult:
                 f"radial d0={d0:.17g} (zpttrf info={info})")
     broadcast = sparse.kron(sparse.eye(rows, rows - 2, k=-1),
                             np.ones((n_cols, 1))) / math.sqrt(n_cols)
-    return _gated_result(K0, M0, u[:, 0], broadcast, 0, 0, "radial")
+    return _gated_result(u[:, 0], K0.dot, M0.dot, broadcast.dot, 0, 0,
+                         "radial")
 
 
 def _band_order(mesh: Mesh) -> np.ndarray:
@@ -617,8 +741,10 @@ def extrapolate_constant(dom: DomainSpec, schedule,
                          target_h: float = 0.02) -> ConstantEstimate:
     """Solve the truncation schedule and extrapolate the best constant.
 
-    Reports the raw non-increasing sequence d_n, Aitken extrapolation of the
-    last three values, the log-window rate fit, and the concentration report:
+    Reports the raw non-increasing sequence d_n, each with the certified
+    lower end ``d_n_lower = (1 - 1e-9) d_n`` of its bracket, Aitken
+    extrapolation of the last three values, the log-window rate fit, and the
+    concentration report:
     per-n collar fractions in {|x|<2/n} and {|x|>R-2/n}, plus the anchor
     collars fixed by the first schedule point (the escape-signature windows).
     """
@@ -631,7 +757,8 @@ def extrapolate_constant(dom: DomainSpec, schedule,
         (c_in, c_out), (a_in, a_out) = _mass_fractions(
             mesh, res.density, (2.0 / n, 2.0 / n_first), dom.R)
         per_n.append({
-            "n": n, "d_n": res.value, "window": mesh.meta["window_length"],
+            "n": n, "d_n": res.value, "d_n_lower": _lower_end(res.value),
+            "window": mesh.meta["window_length"],
             "solver": res.solver, "iterations": res.iterations,
             "fill": res.fill,
             "residual": res.residual,

@@ -460,11 +460,30 @@ class TestAssemble:
 
 class TestSmallestEigen:
     def test_diag(self):
+        # the second step's vector is orthogonalized to zero: the basis is
+        # an invariant subspace and the loop stops without dividing by it
         K = sparse.diags([2.0, 3.0]).tocsr()
         M = sparse.identity(2, format="csr")
         res = smallest_eigen(K, M, interior=np.arange(2))
         assert res.value == pytest.approx(2.0, abs=1e-10)
-        assert res.iterations <= 12
+        assert res.iterations <= 3  # two steps and the closing solve
+        assert np.all(np.isfinite(res.vector))
+        assert np.all(np.isfinite(res.density))
+
+    def test_fewer_unknowns_than_the_basis_holds(self):
+        # a 1-D Laplacian against a varying diagonal mass on 12 unknowns:
+        # the loop stops by the time its basis spans them all
+        from crithardy import fem2d
+        n = 12
+        assert n < fem2d._LANCZOS_BASIS
+        K = sparse.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                         [-1, 0, 1]).tocsr()
+        M = sparse.diags(1.0 + np.arange(n) / n).tocsr()
+        res = smallest_eigen(K, M, interior=np.arange(n))
+        (dense,), _ = eigh(K.toarray(), M.toarray(), subset_by_index=[0, 0])
+        assert res.iterations <= n + 1
+        assert np.all(np.isfinite(res.vector))
+        assert res.value == pytest.approx(dense, rel=1e-12)
 
     def test_one_factor_counted_solves(self, half_disk, monkeypatch):
         from crithardy import fem2d
@@ -503,6 +522,34 @@ class TestSmallestEigen:
                      subset_by_index=[0, 0])
         res = smallest_eigen(K, M, interior=idx)
         assert res.value == pytest.approx(dense[0], rel=1e-12)
+
+    @pytest.mark.parametrize("make, n", [
+        pytest.param(lambda: DomainSpec.half_disk(1.0), 4, id="half_disk"),
+        pytest.param(lambda: DomainSpec.cone(0.7), 4, id="cone_0.7"),
+        pytest.param(lambda: DomainSpec.quadratic_cusp(0.5), 8,
+                     id="quadratic_cusp"),
+        pytest.param(lambda: DomainSpec.calibrated_cusp(0.95), 64,
+                     id="calibrated_cusp_0.95"),
+        pytest.param(lambda: DomainSpec.ball(1.0), 4, id="ball_radial"),
+    ])
+    def test_bracket_holds_the_dense_value(self, make, n):
+        # one level through extrapolate_constant: d_n is the Lanczos (or
+        # radial) value, d_n_lower the certified lower end
+        dom = make()
+        est = extrapolate_constant(dom, [n], target_h=0.05)
+        (row,) = est.per_n
+        idx = np.flatnonzero(~est.mesh.boundary)
+        K, M = assemble(est.mesh, WeightParams(R=dom.R, N=2))
+        sub = np.ix_(idx, idx)
+        (dense,), _ = eigh(K[sub].toarray(), M[sub].toarray(),
+                           subset_by_index=[0, 0])
+        assert row["solver"] == ("radial" if est.mesh.meta["wrap"]
+                                 else "shift_invert")
+        assert row["d_n"] == pytest.approx(dense, rel=1e-12)
+        assert row["d_n_lower"] == (1 - 1e-9) * row["d_n"]
+        # d_n is a Rayleigh quotient, an upper end up to the dense solve's
+        # own rounding (1.3e-13 relative on the quadratic cusp)
+        assert row["d_n_lower"] < dense <= row["d_n"] * (1 + 1e-12)
 
     @pytest.mark.parametrize("make, n, shape", [
         pytest.param(lambda: DomainSpec.half_disk(1.0), 32, "wide",
@@ -550,18 +597,20 @@ class TestSmallestEigen:
                                        atol=1e-12 * np.abs(vector).max())
 
     def test_certificate_rejects_a_higher_pair(self, half_disk, monkeypatch):
-        # a Lanczos solve that returns the second eigenpair passes the
-        # residual gate; only the certificate can tell
+        # a Lanczos loop that follows the second Ritz pair converges to the
+        # second eigenpair and passes the residual gate; only the
+        # certificate can tell
         from crithardy import fem2d
-        real_eigsh = fem2d.eigsh
+        real_dstev = fem2d.dstev
 
         def second(*args, **kwargs):
-            vals, vecs = real_eigsh(*args, **{**kwargs, "k": 2})
-            return vals[1:], vecs[:, 1:]
+            theta, z, info = real_dstev(*args, **kwargs)
+            return (theta, z, info) if theta.size < 2 else (
+                theta[:-1], z[:, :-1], info)
 
         mesh = mesh_truncated(half_disk, 4, target_h=0.1)
         K, M = assemble(mesh, WP)
-        monkeypatch.setattr(fem2d, "eigsh", second)
+        monkeypatch.setattr(fem2d, "dstev", second)
         with pytest.raises(NumericalError, match="eigenvalue lies at or below"):
             smallest_eigen(K, M, interior=_band_order(mesh))
 
@@ -595,19 +644,32 @@ class TestSmallestEigen:
         with pytest.raises(DomainRangeError, match="distinct row indices"):
             smallest_eigen(K, M, interior=interior)
 
-    def test_arpack_failure_raises(self, monkeypatch):
-        from scipy.sparse.linalg import ArpackNoConvergence
+    def test_restarts_from_a_full_basis(self, half_disk, monkeypatch):
+        # a basis of 4 vectors fills long before the Ritz pair converges;
+        # each thick restart keeps the Ritz vector and the next Lanczos
+        # vector, and the loop reaches the same pair
         from crithardy import fem2d
+        mesh = mesh_truncated(half_disk, 4, target_h=0.1)
+        K, M = assemble(mesh, WP)
+        order = _band_order(mesh)
+        full = smallest_eigen(K, M, interior=order)
+        monkeypatch.setattr(fem2d, "_LANCZOS_BASIS", 4)
+        res = smallest_eigen(K, M, interior=order)
+        assert res.iterations > full.iterations > 4
+        assert res.residual <= 1e-11
+        assert res.value == pytest.approx(full.value, rel=1e-13)
 
-        def fail(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(fem2d, "eigsh", fail)
+    def test_step_cap_raises(self, monkeypatch):
+        # two steps cannot span the smallest eigenvector of diag(2, 3, 4)
+        # from the all-ones start
+        from crithardy import fem2d
+        monkeypatch.setattr(fem2d, "_LANCZOS_STEPS", 2)
         K = sparse.diags([2.0, 3.0, 4.0]).tocsr()
         M = sparse.identity(3, format="csr")
-        with pytest.raises(NonConvergenceError) as info:
+        with pytest.raises(NonConvergenceError,
+                           match="did not reach tol") as info:
             smallest_eigen(K, M, interior=np.arange(3))
-        assert "iterations" in info.value.diagnostics
+        assert info.value.diagnostics["iterations"] == 2
 
     def test_ball_matches_log_window_oracle(self, ball):
         # independent oracle: the radial problem reduces exactly to the 1-D
@@ -727,6 +789,22 @@ class TestRadialEigen:
         (low,), _ = eigh(K_low[sub].toarray(), M[sub].toarray(),
                          subset_by_index=[0, 0])
         assert low < d0
+
+    def test_certificate_rejects_a_higher_radial_pair(self, ball,
+                                                      monkeypatch):
+        # a dense solve that hands back the radial mode's second pair would
+        # pass the residual gate; the radial dpttrf factor fails first
+        from crithardy import fem2d
+        real_eigh = fem2d.eigh
+
+        def second(*args, **kwargs):
+            return real_eigh(*args, **{**kwargs, "subset_by_index": [1, 1]})
+
+        mesh = mesh_truncated(ball, 4, target_h=0.1)
+        monkeypatch.setattr(fem2d, "eigh", second)
+        with pytest.raises(NumericalError, match="radial mode has an "
+                           "eigenvalue at or below"):
+            radial_eigen(mesh, WP)
 
     def test_residual_above_tol_raises(self, ball, monkeypatch):
         from crithardy import fem2d
