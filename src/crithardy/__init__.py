@@ -17,9 +17,9 @@ from ._errors import (AssemblyError, ConstructionError, DegenerateInputError,
 from .domain import (ArcSet, CuspProfile, DomainKind, DomainSpec,
                      GeometryClassification, Regime, classify, limsup_m0,
                      limsup_mR, profile_measure)
-from .fem2d import (ConstantEstimate, EigenResult, Mesh, TruncationSchedule,
-                    assemble, extrapolate_constant, mesh_truncated,
-                    radial_eigen, smallest_eigen, solve_truncated)
+from .fem2d import (ConstantEstimate, EigenResult, Mesh, assemble,
+                    extrapolate_constant, mesh_truncated, radial_eigen,
+                    smallest_eigen, solve_truncated)
 from .oned import (AngularEigenResult, angular_eigenvalue,
                    angular_identity_residual, arc_poincare_constant,
                    extrapolate_angular_zero_limit, hardy_1d_quotient,

@@ -189,7 +189,15 @@ class CuspProfile:
 
     def g(self, rho: float) -> float:
         """Slice infimum of the weight ratio at tip distance ``rho`` in
-        (0, r0], in closed form."""
+        (0, r0], in closed form; also the infimum of g over (0, rho], as
+        both factors of g decrease on (0, 1).  On the vertical ray g is
+        ``(x log(1/x) / (1-x))^2`` at x = 1 - rho, and ``d/dx [x log(1/x) /
+        (1-x)] = (log(1/x) - 1 + x) / (1-x)^2 > 0``.  At the slice edge it is
+        ``h m^2 / (2 rho sin a)^2``, ``h = 1 - 2 rho sin a + rho^2`` in
+        (0, 1), m = -log h; ``d/drho log(sqrt(h) m / rho)`` has the sign of
+        ``-(phi(m) + rho^2 (1 - m/2))``, ``phi(m) = (1 + e^{-m}) (m/2 -
+        tanh(m/2)) > 0``: linear in rho^2 in [0, 1] and negative at both
+        ends, -phi(m) and ``-e^{-m} (1 + m/2)``."""
         if rho > self.r0:
             raise DomainRangeError(f"rho={rho} beyond profile extent {self.r0}")
         return weight.cusp_ratio_infimum(rho, self.a)
@@ -215,17 +223,6 @@ class CuspProfile:
         first, top = rho <= self.rho_table[0], math.pi / 2 - 1e-12
         return (np.where(first, self.a, np.minimum(opening, top)),
                 np.where(first | (opening >= top), 0.0, slope))
-
-    def min_g(self, delta: float) -> float:
-        """Infimum of g over (0, delta]: ``g(delta)``, as both factors of g
-        decrease on (0, 1).  On the vertical ray g is ``(x log(1/x) /
-        (1-x))^2`` at x = 1 - rho, and ``d/dx [x log(1/x) / (1-x)] = (log(1/x)
-        - 1 + x) / (1-x)^2 > 0``.  At the slice edge it is ``h m^2 / (2 rho sin
-        a)^2``, ``h = 1 - 2 rho sin a + rho^2`` in (0, 1), m = -log h; ``d/drho
-        log(sqrt(h) m / rho)`` has the sign of ``-(phi(m) + rho^2 (1 - m/2))``,
-        ``phi(m) = (1 + e^{-m}) (m/2 - tanh(m/2)) > 0``: linear in rho^2 in
-        [0, 1] and negative at both ends, -phi(m) and ``-e^{-m} (1 + m/2)``."""
-        return self.g(delta)
 
     def cone_fit_extent(self, a_prime: float) -> float:
         """Largest rho such that the opening stays inside the a_prime cone below it."""
@@ -460,6 +457,16 @@ def _real(what: str, value):
             or not math.isfinite(value)):
         raise DomainRangeError(
             f"{what} must be a finite real number, got {value!r}")
+    return value
+
+
+def _count(what: str, value) -> int:
+    """``value``, unless it is not a positive integer (a bool is not): then
+    raise `DomainRangeError`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise DomainRangeError(
+            f"{what} must be a positive integer, got {value!r}")
     return value
 
 

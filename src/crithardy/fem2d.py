@@ -10,8 +10,8 @@ exact envelope radius.
 
 ``d_n`` converges like ``1/window^2`` in the log-window length of the mesh
 (the exhaustion opens a logarithmic channel), so `extrapolate_constant` fits
-``C + beta/(window + gamma)^2`` alongside plain Aitken extrapolation and
-reports both.
+``C + beta/(window + gamma)^2``; when the fit fails its gate the estimate is
+the finest ``d_n``, and a warning says which condition failed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from scipy.sparse.linalg import splu  # noqa: F401
 
 from ._errors import (AssemblyError, ConstructionError, DomainRangeError,
                       NonConvergenceError, NumericalError)
-from .domain import DomainKind, DomainSpec, tip_to_xy
+from .domain import DomainKind, DomainSpec, _count, tip_to_xy
 from .oned import _rate_fit
 from .weight import WeightParams, weight_eval
 
@@ -42,23 +42,6 @@ _LANCZOS_BASIS = 20
 _LANCZOS_STEPS = 200
 # it stops once the residual it predicts for its vector is at most this
 _RITZ_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TruncationSchedule:
-    """Increasing truncation indices; inner/outer radii are 1/n and R - 1/n."""
-
-    n_values: tuple
-    R: float = 1.0
-
-    def __post_init__(self):
-        ns = tuple(self.n_values)
-        if len(ns) < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise DomainRangeError("schedule must be strictly increasing")
-        for n in ns:
-            if not (1.0 / n < self.R - 1.0 / n):
-                raise DomainRangeError(f"truncation n={n} empties the domain")
-        object.__setattr__(self, "n_values", ns)
 
 
 @dataclass
@@ -201,10 +184,11 @@ def mesh_truncated(dom: DomainSpec, n: int, target_h: float = 0.02) -> Mesh:
     wrap would cut at angle 0, and a core cutoff with ``cR >= R - 1/n``
     raise `ConstructionError`.  The mesh records the log-window length used
     by the extrapolation fit, the minimal angle quality and the radius of
-    each vertex row (``row_radii``).  ``target_h`` must be positive and
-    finite.
+    each vertex row (``row_radii``).  ``n`` must be a positive integer and
+    ``target_h`` positive and finite (`DomainRangeError`).
     """
     R = dom.R
+    _count("truncation index n", n)
     if not 0.0 < target_h < math.inf:
         raise DomainRangeError("mesh size target_h must be positive and "
                                f"finite (got {target_h!r})")
@@ -664,10 +648,9 @@ def radial_eigen(mesh: Mesh, wp: WeightParams) -> EigenResult:
             raise NumericalError(
                 f"angular mode k={k[j]} has an eigenvalue at or below the "
                 f"radial d0={d0:.17g} (zpttrf info={info})")
-    broadcast = sparse.kron(sparse.eye(rows, rows - 2, k=-1),
-                            np.ones((n_cols, 1))) / math.sqrt(n_cols)
-    return _gated_result(u[:, 0], K0.dot, M0.dot, broadcast.dot, 0, 0,
-                         "radial")
+    scale = 1.0 / math.sqrt(n_cols)
+    return _gated_result(u[:, 0], K0.dot, M0.dot, lambda v: np.repeat(
+        np.r_[0.0, v, 0.0], n_cols) * scale, 0, 0, "radial")
 
 
 def _band_order(mesh: Mesh) -> np.ndarray:
@@ -717,45 +700,37 @@ def _mass_fractions(mesh: Mesh, density: np.ndarray, widths: tuple,
 @dataclass
 class ConstantEstimate:
     estimate: float
-    method: str
+    method: str                   # "window_fit" or "last"
     per_n: list
-    aitken: float | None
     fit: dict | None
-    collar_report: dict
     warnings: list
     mesh: Mesh                    # finest truncation level
     vector: np.ndarray            # its eigenvector, on mesh.vertices
 
 
-def _aitken(values: list[float]) -> float | None:
-    if len(values) < 3:
-        return None
-    d0, d1, d2 = values[-3:]
-    denom = (d2 - d1) - (d1 - d0)
-    if denom == 0.0:
-        return d2
-    return d2 - (d2 - d1) ** 2 / denom
-
-
 def extrapolate_constant(dom: DomainSpec, schedule,
                          target_h: float = 0.02) -> ConstantEstimate:
-    """Solve the truncation schedule and extrapolate the best constant.
+    """Solve the truncation schedule, a non-empty, strictly increasing run
+    of positive integers, and extrapolate the best constant.
 
-    Reports the raw non-increasing sequence d_n, each with the certified
-    lower end ``d_n_lower = (1 - 1e-9) d_n`` of its bracket, Aitken
-    extrapolation of the last three values, the log-window rate fit, and the
-    concentration report:
-    per-n collar fractions in {|x|<2/n} and {|x|>R-2/n}, plus the anchor
-    collars fixed by the first schedule point (the escape-signature windows).
+    ``per_n`` holds one record per level: ``d_n`` and the certified lower end
+    ``d_n_lower = (1 - 1e-9) d_n`` of its bracket, solve and mesh statistics,
+    the collar fractions in {|x| < 2/n} and {|x| > R - 2/n}, and the anchor
+    fractions at the first level's widths (the escape-signature windows).
+    The estimate is the log-window fit's ``C`` when the fit passes its gate
+    (three levels or more, ``0 < C <= d_n + 1e-10`` and a largest misfit of
+    at most ``max(1e-3, 0.02 d_n)``, at the finest ``d_n``); otherwise it is
+    that ``d_n``, method ``"last"``, and a refused fit adds one warning.
     """
-    sched = TruncationSchedule(tuple(schedule), R=dom.R)
-    n_first = sched.n_values[0]
-    per_n, values, windows = [], [], []
-    warnings = []
-    for n in sched.n_values:
+    ns = tuple(_count("truncation index n", n) for n in schedule)
+    if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise DomainRangeError(
+            f"schedule must be non-empty and strictly increasing (got {ns})")
+    per_n = []
+    for n in ns:
         res, mesh = solve_truncated(dom, n, target_h)
         (c_in, c_out), (a_in, a_out) = _mass_fractions(
-            mesh, res.density, (2.0 / n, 2.0 / n_first), dom.R)
+            mesh, res.density, (2.0 / n, 2.0 / ns[0]), dom.R)
         per_n.append({
             "n": n, "d_n": res.value, "d_n_lower": _lower_end(res.value),
             "window": mesh.meta["window_length"],
@@ -767,36 +742,29 @@ def extrapolate_constant(dom: DomainSpec, schedule,
             "collar_inner": c_in, "collar_outer": c_out,
             "anchor_inner": a_in, "anchor_outer": a_out,
         })
-        values.append(res.value)
-        windows.append(mesh.meta["window_length"])
-    for a, b in zip(values, values[1:]):
-        if b > a + 100 * _TOL + 1e-9:
-            warnings.append(
-                f"d_n not non-increasing ({a:.6g} -> {b:.6g}); mesh too coarse")
-            break
+    values = [row["d_n"] for row in per_n]
+    rises = [(a, b) for a, b in zip(values, values[1:])
+             if b > a + 100 * _TOL + 1e-9]
+    warnings = [f"d_n not non-increasing ({a:.6g} -> {b:.6g}); mesh too "
+                "coarse" for a, b in rises[:1]]
 
-    aitken = _aitken(values)
-    fit = (_rate_fit(np.asarray(windows), np.asarray(values))
-           if len(values) >= 3 else None)
-    # the window fit captures the logarithmic exhaustion rate; prefer it
-    # whenever it reproduces the sequence tightly, otherwise fall back to
-    # Aitken (fast geometric sequences fit equally well with tiny beta)
-    estimate, method = values[-1], "last"
-    fit_ok = (fit is not None and 0.0 < fit["C"] <= values[-1] + _TOL
-              and fit["residual"] <= max(1e-3, 0.02 * values[-1]))
-    if fit_ok:
-        estimate, method = fit["C"], "window_fit"
-    elif aitken is not None:
-        estimate, method = aitken, "aitken"
-    collar = {
-        "anchor_n": n_first,
-        "anchor_outer_path": [row["anchor_outer"] for row in per_n],
-        "anchor_inner_path": [row["anchor_inner"] for row in per_n],
-        "final_anchor_outer": per_n[-1]["anchor_outer"],
-        "final_anchor_inner": per_n[-1]["anchor_inner"],
-        "final_collar_inner": per_n[-1]["collar_inner"],
-        "final_collar_outer": per_n[-1]["collar_outer"],
-    }
+    # a fast geometric sequence fits the window model too, with a tiny
+    # beta: the gate asks for a tight fit below the last value
+    estimate, method, fit = values[-1], "last", None
+    if len(per_n) >= 3:
+        fit = _rate_fit(np.array([row["window"] for row in per_n]),
+                        np.asarray(values))
+        c, last, gate = fit["C"], values[-1], max(1e-3, 0.02 * values[-1])
+        failed = [why for ok, why in (
+            (0.0 < c, f"C = {c:.6g} is not positive"),
+            (c <= last + _TOL, f"C = {c:.6g} lies above the finest d_n"),
+            (fit["residual"] <= gate,
+             f"residual {fit['residual']:.3g} above {gate:.3g}")) if not ok]
+        if failed:
+            warnings.append(f"window fit refused ({failed[0]}); the estimate "
+                            f"is the finest d_n = {last:.6g}")
+        else:
+            estimate, method = c, "window_fit"
     return ConstantEstimate(estimate=estimate, method=method, per_n=per_n,
-                            aitken=aitken, fit=fit, collar_report=collar,
-                            warnings=warnings, mesh=mesh, vector=res.vector)
+                            fit=fit, warnings=warnings, mesh=mesh,
+                            vector=res.vector)

@@ -13,7 +13,10 @@ Each family realizes one upper-bound construction for the best constant:
   calibrated cusp; certified against the angular eigenvalue.
 
 Integrals with closed forms are evaluated in closed form; everything else
-uses Gauss panels, with |Simpson - trapezoid| style error estimates.
+uses Gauss panels.  ``quad_error_estimate`` is |Simpson - trapezoid| over
+the bridge panels of `phi_alpha_quotient` and the gap between closed form and
+panels in `psi_beta_quotient`; in `halfspace_quotient` and `cusp_upper_bound`
+it measures no quadrature (their docstrings say what it is).
 """
 
 from __future__ import annotations
@@ -428,7 +431,7 @@ def cusp_upper_bound(params: CuspFamilyParams, dom: DomainSpec) -> QuotientRepor
     mass = float(np.sum(_tip_mass_rows(rho_pts, theta, phi) * psi2.ravel()
                         * rho_wts.ravel()))
 
-    min_g = prof.min_g(delta)
+    min_g = prof.g(delta)  # the infimum of g over (0, delta]
     certified = eig.value / min_g
     err = abs(log_factor - log_plateau) * int_dphi2 * 0.01
     return QuotientReport(

@@ -142,20 +142,20 @@ def test_criterion_6_rearrangement_suite(half_disk, ball):
 def test_criterion_7_regime_separation(ball):
     quad = DomainSpec.quadratic_cusp(0.5)
     est_q = extrapolate_constant(quad, [8, 16, 32], target_h=0.02)
-    col_q = est_q.collar_report
+    col_q = est_q.per_n[-1]
     attained_ok = (est_q.estimate >= 0.27
-                   and col_q["final_collar_outer"] < 0.2
-                   and col_q["final_collar_inner"] < 0.2
-                   and col_q["final_anchor_outer"] < 0.2)
+                   and col_q["collar_outer"] < 0.2
+                   and col_q["collar_inner"] < 0.2
+                   and col_q["anchor_outer"] < 0.2)
     est_b = extrapolate_constant(ball, [4, 32, 256], target_h=0.02)
-    path = est_b.collar_report["anchor_outer_path"]
+    path = [row["anchor_outer"] for row in est_b.per_n]
     escape_ok = (path[-1] >= 0.8
                  and all(b > a for a, b in zip(path, path[1:])))
     # the two signatures must differ as stated
-    separated = path[-1] >= 0.8 > 0.2 > col_q["final_anchor_outer"]
+    separated = path[-1] >= 0.8 > 0.2 > col_q["anchor_outer"]
     ok = attained_ok and escape_ok and separated
     report(7, ok, f"attained: estimate {est_q.estimate:.3f} >= 0.27, outer "
-                  f"collar {col_q['final_anchor_outer']:.2e} < 0.2; ball escape "
+                  f"collar {col_q['anchor_outer']:.2e} < 0.2; ball escape "
                   f"path {[f'{v:.2f}' for v in path]} -> {path[-1]:.3f} >= 0.8")
 
 

@@ -293,6 +293,8 @@ class TestCommands:
                              "--emit-vtk", str(vtk)], capsys)
         doc = json.loads(out)
         assert code == 0
+        assert set(doc) == {"meta", "estimate", "method", "fit", "per_n",
+                            "warnings", "vtk"}
         assert len(doc["per_n"]) == 2
         assert all(isinstance(row["fill"], int) for row in doc["per_n"])
         # the VTK is the finest level's own solve, not a second one
@@ -393,6 +395,29 @@ class TestCommands:
                                 "--schedule", schedule], capsys)
         assert code == 1
         assert diag["error"] == "ConstructionError"
+
+    def test_constant_report_keys(self, tmp_path, capsys):
+        dpath = tmp_path / "ball.json"
+        dpath.write_text(json.dumps(DomainSpec.ball(1.0).to_json()))
+        code, out = run_cli(["constant", "--domain", str(dpath),
+                             "--schedule", "4,8,16", "--h", "0.05"], capsys)
+        doc = json.loads(out)
+        assert code == 0
+        assert set(doc) == {"meta", "estimate", "method", "fit", "per_n",
+                            "warnings"}
+        assert doc["method"] == "window_fit" and doc["warnings"] == []
+
+    @pytest.mark.parametrize("schedule, n", [("0,4", 0), ("-4,8", -4)])
+    def test_constant_rejects_non_positive_index(self, schedule, n, tmp_path,
+                                                 capsys):
+        # n = 0 once ended in a ZeroDivisionError traceback
+        dpath = tmp_path / "ball.json"
+        dpath.write_text(json.dumps(DomainSpec.ball(1.0).to_json()))
+        code, diag = cli_error(["constant", "--domain", str(dpath),
+                                f"--schedule={schedule}"], capsys)
+        assert code == 1
+        assert diag["error"] == "DomainRangeError"
+        assert f"positive integer, got {n}" in diag["message"]
 
     def test_parse_schedule_rejects_non_integers(self):
         assert cli._parse_schedule("4,8,") == [4, 8]

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from crithardy import (AssemblyError, ConstructionError, DomainRangeError,
                        DomainSpec, NonConvergenceError, NumericalError,
-                       TruncationSchedule, WeightParams,
+                       WeightParams,
                        assemble, extrapolate_constant, mesh_truncated,
                        radial_eigen, smallest_eigen, solve_truncated,
                        weight_eval)
@@ -228,10 +228,27 @@ class TestMesh:
         assert math.isnan(mesh.meta["min_angle_deg"])
 
     def test_degenerate_truncation(self, ball):
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match="n=1 empties"):
             mesh_truncated(ball, 1, target_h=0.05)
-        with pytest.raises(Exception):
-            TruncationSchedule((4, 4))
+        for schedule in ((4, 4), (8, 4), ()):
+            with pytest.raises(DomainRangeError, match="strictly increasing"):
+                extrapolate_constant(ball, schedule)
+
+    @pytest.mark.parametrize("n", [0, -4, 4.0, 8.5, "8"])
+    def test_truncation_index_must_be_a_positive_integer(self, n, ball,
+                                                         calibrated_cusp,
+                                                         monkeypatch):
+        # n = 0 once divided by zero, and n = -4 reached the row rule
+        for dom in (ball, calibrated_cusp):
+            with pytest.raises(DomainRangeError,
+                               match=re.escape(f"integer, got {n!r}")):
+                mesh_truncated(dom, n)
+        # the schedule is checked whole, before any level is solved
+        from crithardy import fem2d
+        monkeypatch.setattr(fem2d, "solve_truncated", None)
+        with pytest.raises(DomainRangeError, match="positive integer"):
+            extrapolate_constant(ball, [4, n])
+        assert mesh_truncated(ball, np.int64(4)).meta["wrap"]
 
     def test_no_interior_row_raises(self):
         # R = 0.67, n = 3: the truncated annulus is one radial cell thick,
@@ -835,14 +852,42 @@ class TestExtrapolation:
         assert est.fit["beta"] == pytest.approx(math.pi**2, rel=0.05)
         assert all(row["solver"] == "radial" for row in est.per_n)
 
+    @pytest.mark.parametrize("change, condition", [
+        pytest.param({"residual": 1.0}, "residual 1 above", id="residual"),
+        pytest.param({"C": -0.5}, "C = -0.5 is not positive", id="negative"),
+        pytest.param({"C": 9.0}, "C = 9 lies above the finest d_n",
+                     id="above_last"),
+    ])
+    def test_refused_fit_reports_the_finest_level(self, change, condition,
+                                                  ball, monkeypatch):
+        from crithardy import fem2d
+        rate_fit = fem2d._rate_fit
+        monkeypatch.setattr(fem2d, "_rate_fit",
+                            lambda x, y: {**rate_fit(x, y), **change})
+        est = extrapolate_constant(ball, [4, 8, 16], target_h=0.05)
+        assert est.method == "last"
+        assert est.estimate == est.per_n[-1]["d_n"]
+        assert est.fit == {**rate_fit(
+            [row["window"] for row in est.per_n],
+            [row["d_n"] for row in est.per_n]), **change}
+        (warning,) = est.warnings
+        assert f"window fit refused ({condition}" in warning
+
+    def test_short_schedule_is_not_fitted(self, ball):
+        # three parameters need three levels; nothing is refused
+        est = extrapolate_constant(ball, [4, 8], target_h=0.05)
+        assert est.method == "last" and est.fit is None
+        assert est.estimate == est.per_n[-1]["d_n"]
+        assert est.warnings == []
+
     def test_quadratic_cusp_attained_signature(self):
         quad = DomainSpec.quadratic_cusp(0.5)
         est = extrapolate_constant(quad, [8, 16, 32], target_h=0.02)
         assert est.estimate >= 0.27
-        col = est.collar_report
-        assert col["final_collar_outer"] < 0.2
-        assert col["final_collar_inner"] < 0.2
-        assert col["final_anchor_outer"] < 0.2
+        final = est.per_n[-1]
+        assert final["collar_outer"] < 0.2
+        assert final["collar_inner"] < 0.2
+        assert final["anchor_outer"] < 0.2
         ds = [row["d_n"] for row in est.per_n]
         assert all(d >= 0.27 for d in ds)
 
@@ -924,7 +969,7 @@ class TestExtrapolation:
     def test_collar_paths_reported(self, ball, half_disk):
         for dom, solver in ((ball, "radial"), (half_disk, "shift_invert")):
             est = extrapolate_constant(dom, [4, 16], target_h=0.04)
-            assert len(est.collar_report["anchor_outer_path"]) == 2
+            assert [row["n"] for row in est.per_n] == [4, 16]
             assert est.mesh.num_vertices == est.per_n[-1]["vertices"]
             assert est.vector.shape == (est.mesh.num_vertices,)
             for row in est.per_n:
