@@ -128,7 +128,8 @@ def cmd_quotient(args) -> int:
         u = RadialFunction(r=_floats("r", doc["r"]),
                            values=_floats("values", doc["values"]),
                            N=doc.get("N", 2),
-                           constant_core=doc.get("constant_core", False))
+                           constant_core=dm._flag(
+                               "constant_core", doc.get("constant_core", False)))
     else:
         quotient, u = quotient_polar, _polar_grid(doc, None)
     rep = quotient(u, WeightParams(R=dm._real("R", doc.get("R", 1.0)),
@@ -413,6 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as "-4,8" for an option: glue it to its flag
+    while "--schedule" in argv[:-1]:
+        i = argv.index("--schedule")
+        argv[i:i + 2] = ["--schedule=" + argv[i + 1]]
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

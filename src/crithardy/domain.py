@@ -217,11 +217,12 @@ class CuspProfile:
 
     def _opening_with_slope(self, rho):
         """`a_of_r` at tip distances ``rho`` in [0, r0] and its derivative
-        there, with no range check: the limit angle ``a`` up to the first
-        table row, the interpolant capped just below pi/2 beyond it."""
+        there, with no range check: the first table row's calibrated angle
+        ``a_table[0]`` up to that row, the interpolant capped just below pi/2
+        beyond it."""
         opening, slope = self._a_interp.with_slope(rho)
         first, top = rho <= self.rho_table[0], math.pi / 2 - 1e-12
-        return (np.where(first, self.a, np.minimum(opening, top)),
+        return (np.where(first, self.a_table[0], np.minimum(opening, top)),
                 np.where(first | (opening >= top), 0.0, slope))
 
     def cone_fit_extent(self, a_prime: float) -> float:
@@ -470,6 +471,14 @@ def _count(what: str, value) -> int:
     return value
 
 
+def _flag(what: str, value) -> bool:
+    """``value``, unless it is not a bool (a string, a number or null is
+    not): then raise `DomainRangeError`."""
+    if not isinstance(value, bool):
+        raise DomainRangeError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def _band_table(bands) -> list:
     """The ``bands`` of a domain document as ``(r_lo, r_hi, arcs)`` triples,
     every edge and arc end checked by `_real`."""
@@ -668,10 +677,7 @@ class DomainSpec:
         _check_keys("domain document", doc, ("kind", "R"),
                     ("contains_origin", "params"))
         kind, params = doc["kind"], doc.get("params", {})
-        origin = doc.get("contains_origin", False)
-        if not isinstance(origin, bool):
-            raise DomainRangeError(
-                f"contains_origin must be true or false, got {origin!r}")
+        origin = _flag("contains_origin", doc.get("contains_origin", False))
         kinds = [k.value for k in DomainKind]
         if kind not in kinds:
             raise DomainRangeError(

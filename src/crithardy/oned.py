@@ -19,6 +19,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from ._errors import (DegenerateInputError, DomainRangeError,
                       NonConvergenceError, NumericalError)
+from .weight import _dimension
 
 _GAUSS = {8: np.polynomial.legendre.leggauss(8),
           16: np.polynomial.legendre.leggauss(16)}
@@ -43,6 +44,15 @@ def _cell_gauss(lo: np.ndarray, hi: np.ndarray, order: int, f=None):
     if f is None:
         return pts, half[:, None] * w[None, :]
     return float(np.sum(half * (f(pts) @ w)))
+
+
+def _simpson_gap(f_lo, f_mid, f_hi, h) -> float:
+    """|Simpson - trapezoid| summed over cells of widths ``h``, from the
+    integrand at each cell's ends and midpoint: the package's one panel
+    error estimate."""
+    trap = 0.5 * (f_lo + f_hi) * h
+    simp = (f_lo + 4.0 * f_mid + f_hi) * h / 6.0
+    return float(np.sum(np.abs(simp - trap)))
 
 
 def hardy_1d_quotient(t, v, p: int = 2) -> float:
@@ -510,23 +520,11 @@ def sin_power_quotient(alpha: float) -> float:
 # Arc Poincare constant and the radial reduction
 # ---------------------------------------------------------------------------
 
-def _pi_p(p: float) -> float:
-    """Half-period of the p-Laplacian sine; pi for p = 2."""
-    return 2.0 * math.pi * (p - 1.0) ** (1.0 / p) / (p * math.sin(math.pi / p))
-
-
-def arc_poincare_constant(arc_length: float, p: int = 2) -> float:
-    """First Dirichlet p-Laplacian eigenvalue of an arc of the given length.
-
-    For intervals the eigenvalue is exact: (p-1) (pi_p / L)^p, i.e. (pi/L)^2
-    when p = 2; it doubles as the Faber-Krahn style bound C * L^{-p}.
-    """
+def arc_poincare_constant(arc_length: float) -> float:
+    """First Dirichlet eigenvalue ``(pi/L)^2`` of an arc of length ``L``."""
     if not (0.0 < arc_length < 2.0 * math.pi):
         raise DomainRangeError(f"arc length must lie in (0, 2 pi), got {arc_length}")
-    if p < 1:
-        raise DomainRangeError("p must be >= 1")
-    c = 2.0 if p == 1 else (p - 1.0) * _pi_p(p) ** p  # p=1: Cheeger constant
-    return c / arc_length**p
+    return (math.pi / arc_length) ** 2
 
 
 def _alpha_profile_grid(alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -545,8 +543,7 @@ def radial_reduction_constant(N: int) -> float:
     Minimizes over v = t^alpha (1 - t) with alpha = (N-1)/N + 2^{-k},
     k = 3..10; the infimum tends to ((N-1)/N)^N.
     """
-    if N < 2:
-        raise DomainRangeError("N must be >= 2")
+    _dimension(N)
     best = math.inf
     for k in range(3, 11):
         alpha = (N - 1.0) / N + 2.0 ** (-k)

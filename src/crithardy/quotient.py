@@ -20,8 +20,8 @@ import numpy as np
 
 from ._errors import DegenerateInputError, DomainRangeError, GridMismatchError
 from .domain import DomainSpec
-from .oned import _cell_gauss
-from .weight import WeightParams, log_R_over
+from .oned import _cell_gauss, _simpson_gap
+from .weight import WeightParams, log_R_over, weight_eval
 
 
 def sphere_area(N: int) -> float:
@@ -115,12 +115,8 @@ def _radial_mass_terms(u: RadialFunction, p: WeightParams):
                     (np.abs(v1) / np.where(lo_t > 0.0, lo_t, 1.0)) ** p.N,
                     (np.abs(dv) / denom) ** p.N)
     f_hi = (np.abs(v0) / hi_t) ** p.N
-    mid = 0.5 * (lo_t + hi_t)
-    half = 0.5 * (hi_t - lo_t)
-    f_mid = vals_at(mid[:, None])[:, 0]
-    trap = (f_lo + f_hi) * half
-    simpson = (f_lo + 4.0 * f_mid + f_hi) * half / 3.0
-    err = float(np.sum(np.abs(simpson - trap)))
+    f_mid = vals_at(0.5 * (lo_t + hi_t)[:, None])[:, 0]
+    err = _simpson_gap(f_lo, f_mid, f_hi, hi_t - lo_t)
 
     if u.constant_core:
         t_core = t_nodes[0]  # largest t on the grid
@@ -273,7 +269,7 @@ def quotient_polar(u: PolarGridFunction, p: WeightParams) -> QuotientReport:
     dval_t = np.roll(vals, -1, axis=1) - vals
     ang_energy = float(np.sum((dval_t**2).sum(axis=1) * w_r / (u.r * dth)))
     # node-lumped weighted mass: the trapezoid over the rows
-    f_rows = (vals**2).sum(axis=1) * (u.r * log_R_over(p, u.r)) ** (-2) * u.r
+    f_rows = (vals**2).sum(axis=1) * weight_eval(p, u.r) * u.r
     mass = float(np.sum(f_rows * w_r) * dth)
     # error estimate: the same trapezoid over every other row, end rows kept
     keep = np.minimum(np.arange(0, u.r.size + 1, 2), u.r.size - 1)

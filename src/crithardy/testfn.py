@@ -30,20 +30,9 @@ import numpy as np
 from ._errors import ConstructionError, DomainRangeError, NumericalError
 from . import oned
 from .domain import DomainSpec, DomainKind
-from .oned import _cell_gauss
+from .oned import _cell_gauss, _simpson_gap
 from .quotient import QuotientReport, sphere_area
-from .weight import WeightParams, weight_eval
-
-
-def _panel_error_estimate(f, edges: np.ndarray) -> float:
-    """|composite Simpson - trapezoid| over the panels."""
-    lo, hi = edges[:-1], edges[1:]
-    f_lo, f_hi = f(lo), f(hi)
-    f_mid = f(0.5 * (lo + hi))
-    h = hi - lo
-    trap = 0.5 * (f_lo + f_hi) * h
-    simp = (f_lo + 4.0 * f_mid + f_hi) * h / 6.0
-    return float(np.sum(np.abs(simp - trap)))
+from .weight import WeightParams, _dimension, weight_eval
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +54,7 @@ class PhiAlphaParams:
     N: int = 2
 
     def __post_init__(self):
+        _dimension(self.N)
         if not (0.0 < self.alpha < (self.N - 1.0) / self.N):
             raise DomainRangeError(
                 f"alpha must lie in (0, {(self.N - 1) / self.N}), got {self.alpha}")
@@ -99,22 +89,24 @@ def phi_alpha_quotient(p: PhiAlphaParams) -> QuotientReport:
         return np.abs(u) ** N * weight_eval(wp, r) * r ** (N - 1)
 
     edges = np.linspace(r_lo, r_hi, 33)
-    mass_bridge = omega * _cell_gauss(edges[:-1], edges[1:], 16, bridge_mass)
-    err = omega * _panel_error_estimate(bridge_mass, edges)
+    lo, hi = edges[:-1], edges[1:]
+    mass_bridge = omega * _cell_gauss(lo, hi, 16, bridge_mass)
+    err = omega * _simpson_gap(bridge_mass(lo), bridge_mass(0.5 * (lo + hi)),
+                               bridge_mass(hi), hi - lo)
 
     energy = energy_core + energy_bridge
     mass = mass_core + mass_bridge
     return QuotientReport(
         dirichlet_energy=energy, weighted_mass=mass, ratio=energy / mass,
         quad_error_estimate=err,
-        extras={"main_term_ratio": alpha**N, "correction_exponent": m1,
-                "core_factor": k_core,
-                "energy_core": energy_core, "mass_core": mass_core})
+        extras={"main_term_ratio": alpha**N, "energy_core": energy_core,
+                "mass_core": mass_core})
 
 
 def phi_alpha_schedule(ks=range(3, 11), c: float = 0.5, R: float = 1.0,
                        N: int = 2) -> list[tuple[float, float, float]]:
     """(alpha, ratio, error) along alpha = (N-1)/N - 2^{-k}."""
+    _dimension(N)
     rows = []
     for k in ks:
         alpha = (N - 1.0) / N - 2.0 ** (-k)
@@ -140,6 +132,7 @@ class PsiBetaParams:
     N: int = 2
 
     def __post_init__(self):
+        _dimension(self.N)
         if self.beta <= (self.N - 1.0) / self.N:
             raise DomainRangeError(
                 f"beta must exceed {(self.N - 1) / self.N}, got {self.beta}")
@@ -188,6 +181,7 @@ def psi_beta_quotient(p: PsiBetaParams) -> QuotientReport:
 def psi_beta_schedule(ks=range(3, 11), N: int = 2
                       ) -> list[tuple[float, float, float]]:
     """(beta, ratio, error) along beta = (N-1)/N + 2^{-k}."""
+    _dimension(N)
     rows = []
     for k in ks:
         beta = (N - 1.0) / N + 2.0 ** (-k)
@@ -440,4 +434,4 @@ def cusp_upper_bound(params: CuspFamilyParams, dom: DomainSpec) -> QuotientRepor
         extras={"certified_bound": certified, "eigenvalue": eig.value,
                 "min_g": min_g, "radial_part": radial_part,
                 "log_factor": log_factor, "log_lower_bound": log_plateau,
-                "int_phi2": int_phi2, "int_dphi2": int_dphi2})
+                "int_phi2": int_phi2})

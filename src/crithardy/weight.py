@@ -19,6 +19,7 @@ which the best constant exceeds 1/4 without being attained.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,15 @@ def _float_for_scalars(out, *inputs):
     return out
 
 
+def _dimension(N) -> int:
+    """``N``, unless it is not an integer of at least 2 (a bool is not):
+    then raise `DomainRangeError`.  Every entry point that divides by N or
+    by N - 1 calls this first."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 2:
+        raise DomainRangeError(f"N must be an integer >= 2, got {N!r}")
+    return N
+
+
 @dataclass(frozen=True)
 class WeightParams:
     """Parameters of the critical Hardy weight: outer radius R and exponent N."""
@@ -44,8 +54,7 @@ class WeightParams:
     def __post_init__(self) -> None:
         if not (self.R > 0):
             raise DomainRangeError(f"R must be positive, got {self.R}")
-        if self.N < 2:
-            raise DomainRangeError(f"N must be an integer >= 2, got {self.N}")
+        _dimension(self.N)
 
 
 def log_R_over(p: WeightParams, x_norm):

@@ -35,7 +35,7 @@ GAPPED = [(0.0, 0.4, [(0.2, 1.0)]), (0.6, 1.0, [(5.5, 7.0)])]
 def scalar_opening(prof, rho: float) -> float:
     """Reference for `CuspProfile.a_of_r`, one tip distance at a time."""
     if rho <= prof.rho_table[0]:
-        return prof.a
+        return float(prof.a_table[0])
     value = prof._a_interp.with_slope(min(rho, prof.r0))[0]
     return min(float(value), math.pi / 2 - 1e-12)
 

@@ -74,6 +74,10 @@ BAD_RADIAL = {
     "radial_values_text": _radial_doc(values="abc"),
     "radial_R_text": _radial_doc(R="abc"),
     "radial_N_text": _radial_doc(N="two"),
+    # "false" was read as true
+    "radial_constant_core_text": _radial_doc(constant_core="false"),
+    "radial_constant_core_zero": _radial_doc(constant_core=0),
+    "radial_constant_core_null": _radial_doc(constant_core=None),
 }
 
 
@@ -435,6 +439,33 @@ class TestCommands:
         code, diag = cli_error(args + ["--schedule", "4,x"], capsys)
         assert code == 1
         assert diag["error"] == "DomainRangeError"
+
+    @pytest.mark.parametrize("command", [
+        ["constant", "--domain", "{dom}"],
+        ["upperbound", "--family", "phi_alpha"],
+    ])
+    @pytest.mark.parametrize("schedule", ["-4,8", "-4", "0,4"])
+    def test_schedule_token_reaches_the_parser(self, command, schedule,
+                                               tmp_path, capsys):
+        # argparse once read "-4,8" as an option and exited 2
+        dpath = tmp_path / "ball.json"
+        dpath.write_text(json.dumps(DomainSpec.ball(1.0).to_json()))
+        args = [a.format(dom=dpath) for a in command]
+        glued = cli_error(args + [f"--schedule={schedule}"], capsys)
+        apart = cli_error(args + ["--schedule", schedule], capsys)
+        assert apart == glued
+        assert glued[0] == 1 and glued[1]["error"] == "DomainRangeError"
+
+    @pytest.mark.parametrize("family", ["phi_alpha", "psi_beta"])
+    @pytest.mark.parametrize("N", ["1", "0", "-2"])
+    def test_upperbound_rejects_dimension(self, family, N, capsys):
+        # N = 0 and 1 once ended in a ZeroDivisionError traceback, N = -2 in
+        # a math domain error
+        code, diag = cli_error(["upperbound", "--family", family, "--N", N],
+                               capsys)
+        assert code == 1
+        assert diag == {"error": "DomainRangeError",
+                        "message": f"N must be an integer >= 2, got {N}"}
 
     def test_deterministic_output(self, tmp_path, capsys):
         dpath = tmp_path / "ball.json"

@@ -10,7 +10,7 @@ from crithardy import (ArcSet, ConstructionError, DomainRangeError, DomainSpec,
                        NumericalError, PolarGridFunction, Regime, classify,
                        limsup_m0, limsup_mR, mesh_truncated, oned,
                        profile_measure)
-from crithardy.domain import _Pchip, build_cusp_profile
+from crithardy.domain import _Pchip, _flag, build_cusp_profile
 from conftest import GAPPED, SECTOR, scalar_opening
 
 
@@ -279,6 +279,16 @@ class TestSerialization:
         with pytest.raises(DomainRangeError, match=match):
             DomainSpec.from_json(doc)
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_flag_must_be_a_bool(self, value):
+        with pytest.raises(DomainRangeError, match="x must be true or false"):
+            _flag("x", value)
+        doc = {"kind": "angular_profile", "R": 1.0, "contains_origin": value,
+               "params": {"bands": [[0.0, 1.0, [[0.5, 2.0]]]]}}
+        with pytest.raises(DomainRangeError, match="contains_origin must be"):
+            DomainSpec.from_json(doc)
+        assert _flag("x", True) is True and _flag("x", False) is False
+
 
 class TestCalibratedProfile:
     def test_opening_calibration(self, calibrated_cusp):
@@ -487,13 +497,27 @@ class TestHalfWidths:
             assert calibrated_cusp.profile_arcs(r) == ArcSet(
                 [(math.pi / 2 - s, math.pi / 2 + s)])
 
+    @pytest.mark.parametrize("a", [0.8, 0.9, 1.0, 1.1])
+    def test_first_row_is_calibrated(self, a):
+        # at and below the first table row the opening is that row's angle,
+        # not the limit angle a, whose product falls short by about 1e-7
+        from crithardy import angular_eigenvalue
+        prof = DomainSpec.calibrated_cusp(a).cusp
+        first = float(prof.rho_table[0])
+        for rho in (0.0, 1e-9, 0.5 * first, first):
+            assert prof.a_of_r(rho) == prof.a_table[0]
+            if rho > 0.0:
+                product = angular_eigenvalue(prof.a_of_r(rho)) * prof.g(rho)
+                assert product / prof.eigenvalue - 1.0 >= -1e-12
+
     def test_array_opening_matches_scalar(self, calibrated_cusp):
         prof = calibrated_cusp.cusp
         rho = np.concatenate([[0.0, 1e-8], np.geomspace(1e-7, prof.r0, 200)])
         assert np.array_equal(prof.a_of_r(rho),
                               [scalar_opening(prof, p) for p in rho])
         assert isinstance(prof.a_of_r(0.01), float)
-        # g's range, except rho = 0, where the opening is the limit angle
+        # g's range (0, r0] and rho = 0, where the opening is the first
+        # row's calibrated angle, as on the whole first row
         for rho in (1.01 * prof.r0, -1.0, -1e-300, math.nan):
             with pytest.raises(DomainRangeError):
                 prof.a_of_r(rho)

@@ -18,8 +18,8 @@ from crithardy import (DomainRangeError,
                        invert_angular_eigenvalue, radial_reduction_constant,
                        sin_power_quotient, solve_angular)
 from crithardy import oned
-from crithardy.oned import (_angular_nodes, _rate_fit, _smallest_pair,
-                            sin_integral)
+from crithardy.oned import (_angular_nodes, _rate_fit, _simpson_gap,
+                            _smallest_pair, sin_integral)
 from conftest import smooth_bump, smooth_bump_d
 
 
@@ -548,17 +548,48 @@ class TestSinPower:
 
 class TestArcPoincare:
     def test_pi_arc(self):
-        assert arc_poincare_constant(math.pi, 2) == pytest.approx(1.0)
+        assert arc_poincare_constant(math.pi) == 1.0
 
     def test_half_pi_arc(self):
-        assert arc_poincare_constant(math.pi / 2, 2) == pytest.approx(4.0)
+        assert arc_poincare_constant(math.pi / 2) == 4.0
 
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [2])
     def test_scaling(self, p):
+        # the eigenvalue (pi/L)^2 scales as L^-p
         for L in (2.0, 1.0):
-            lam = arc_poincare_constant(L, p)
-            lam_half = arc_poincare_constant(L / 2, p)
+            lam = arc_poincare_constant(L)
+            lam_half = arc_poincare_constant(L / 2)
+            assert lam == (math.pi / L) ** 2
             assert lam_half == pytest.approx(2**p * lam, rel=1e-12)
+
+    @pytest.mark.parametrize("L", [0.0, -1.0, 2 * math.pi])
+    def test_rejects_length_outside_the_circle(self, L):
+        with pytest.raises(DomainRangeError):
+            arc_poincare_constant(L)
+
+
+class TestSimpsonGap:
+    def test_matches_both_former_forms(self):
+        # the panel form of the test families (full widths, h / 6) and the
+        # radial form (half widths, half / 3) are the same numbers
+        rng = np.random.default_rng(7)
+        f_lo, f_mid, f_hi = rng.uniform(0.0, 5.0, (3, 200))
+        lo = np.sort(rng.uniform(0.0, 3.0, 200))
+        hi = lo + rng.uniform(1e-9, 0.5, 200)
+        h = hi - lo
+        panel = float(np.sum(np.abs((f_lo + 4.0 * f_mid + f_hi) * h / 6.0
+                                    - 0.5 * (f_lo + f_hi) * h)))
+        half = 0.5 * (hi - lo)
+        radial = float(np.sum(np.abs((f_lo + 4.0 * f_mid + f_hi) * half / 3.0
+                                     - (f_lo + f_hi) * half)))
+        assert _simpson_gap(f_lo, f_mid, f_hi, h) == panel == radial
+
+    def test_exact_on_quadratics(self):
+        # Simpson and the trapezoid differ by h^3 f'' / 12 per cell
+        lo, hi = np.array([0.0, 1.0]), np.array([1.0, 3.0])
+        f = np.square
+        gap = _simpson_gap(f(lo), f(0.5 * (lo + hi)), f(hi), hi - lo)
+        assert gap == pytest.approx((1.0 + 8.0) * 2.0 / 12.0, rel=1e-14)
 
 
 class TestRadialReduction:

@@ -9,6 +9,8 @@ from crithardy import (DegenerateInputError, DomainRangeError, DomainSpec,
                        WeightParams, hardy_1d_quotient, hardy_scale,
                        log_coordinate_transport, quotient_polar,
                        quotient_radial)
+from crithardy.quotient import _polar_weights, _radial_mass_terms
+from crithardy.weight import log_R_over
 from conftest import GAPPED, SECTOR, smooth_bump
 
 WP = WeightParams(R=1.0, N=2)
@@ -78,6 +80,33 @@ class TestQuotientRadial:
         rep = quotient_radial(u, WP)
         # energy = 2 pi * 1, mass = 2 pi * (int_0^1 t^2/t^2 dt + 1) = 4 pi
         assert rep.ratio == pytest.approx(0.5, rel=1e-3)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_error_estimate_matches_former_inline_form(self, N):
+        # the |Simpson - trapezoid| the mass terms once wrote out in half
+        # widths; the grid reaches r = R, so its last cell starts at t = 0
+        p = WeightParams(R=1.0, N=N)
+        r = np.r_[np.geomspace(1e-6, 0.9, 60), 1.0]
+        v = np.sin(np.pi * np.linspace(0.0, 1.0, r.size))
+        v[0] = v[-1] = 0.0
+        u = RadialFunction(r=r, values=v, N=N)
+        t_nodes = log_R_over(p, r)
+        lo_t, hi_t = t_nodes[1:], t_nodes[:-1]
+        assert lo_t[-1] == 0.0
+        v0, v1 = v[:-1], v[1:]
+        dv, denom = v1 - v0, np.expm1(hi_t - lo_t)
+        f_lo = np.where(lo_t > 0.0,
+                        (np.abs(v1) / np.where(lo_t > 0.0, lo_t, 1.0)) ** N,
+                        (np.abs(dv) / denom) ** N)
+        f_hi = (np.abs(v0) / hi_t) ** N
+        mid, half = 0.5 * (lo_t + hi_t), 0.5 * (hi_t - lo_t)
+        frac = np.expm1(hi_t - mid) / denom
+        f_mid = (np.abs(v0 + dv * frac) / mid) ** N
+        trap = (f_lo + f_hi) * half
+        simpson = (f_lo + 4.0 * f_mid + f_hi) * half / 3.0
+        former = float(np.sum(np.abs(simpson - trap)))
+        assert former > 0.0
+        assert _radial_mass_terms(u, p)[1] == former
 
 
 class TestHardyScale:
@@ -155,6 +184,19 @@ class TestLogTransport:
 
 
 class TestQuotientPolar:
+    def test_mass_matches_former_inline_weight(self, half_disk):
+        # the mass once wrote (r log(R/r))^-2 out in place of weight_eval
+        rng = np.random.default_rng(5)
+        r = np.geomspace(1e-4, 0.999, 50)
+        u = PolarGridFunction(r=r, theta=np.arange(32) * (2 * math.pi / 32),
+                              values=rng.uniform(0, 1, (50, 32)),
+                              domain=half_disk)
+        _, w_r, dth = _polar_weights(u)
+        f_rows = ((u.values**2).sum(axis=1) * (r * log_R_over(WP, r)) ** (-2)
+                  * r)
+        assert quotient_polar(u, WP).weighted_mass == \
+            float(np.sum(f_rows * w_r) * dth)
+
     def test_matches_radial(self, ball):
         nr = 20000
         r = np.linspace(1e-3, 1 - 1e-3, nr)

@@ -11,6 +11,7 @@ from crithardy import (ConstructionError, CuspFamilyParams, DomainRangeError,
                        phi_alpha_quotient, phi_alpha_schedule,
                        psi_beta_quotient, psi_beta_schedule)
 from crithardy.oned import _cell_gauss
+from crithardy.quotient import sphere_area
 from crithardy.testfn import (_angular_mode, _halfspace_sums, _plateau,
                               _tip_mass_rows)
 from crithardy.weight import WeightParams, weight_eval
@@ -44,6 +45,28 @@ class TestPhiAlpha:
         for k in (4, 7, 10):
             rep = phi_alpha_quotient(PhiAlphaParams(alpha=0.5 - 2.0 ** (-k)))
             assert rep.ratio + rep.quad_error_estimate >= 0.25
+
+    @pytest.mark.parametrize("alpha, c, R, N", [
+        (0.4, 0.5, 1.0, 2), (0.5 - 2.0**-10, 0.3, 2.0, 2), (0.6, 0.5, 1.0, 3)])
+    def test_error_matches_former_panel_form(self, alpha, c, R, N):
+        # the bridge's |Simpson - trapezoid| as the family once wrote it
+        wp = WeightParams(R=R, N=N)
+        amp = math.log(2.0 / c) ** alpha
+
+        def bridge_mass(r):
+            u = amp * (2.0 - 2.0 * r / (c * R))
+            return np.abs(u) ** N * weight_eval(wp, r) * r ** (N - 1)
+
+        edges = np.linspace(c * R / 2.0, c * R, 33)
+        lo, hi = edges[:-1], edges[1:]
+        f_lo, f_hi = bridge_mass(lo), bridge_mass(hi)
+        f_mid = bridge_mass(0.5 * (lo + hi))
+        h = hi - lo
+        trap = 0.5 * (f_lo + f_hi) * h
+        simp = (f_lo + 4.0 * f_mid + f_hi) * h / 6.0
+        former = sphere_area(N) * float(np.sum(np.abs(simp - trap)))
+        rep = phi_alpha_quotient(PhiAlphaParams(alpha=alpha, c=c, R=R, N=N))
+        assert rep.quad_error_estimate == former > 0.0
 
 
 class TestPsiBeta:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from crithardy import (DomainRangeError, WeightParams, boundary_taylor_gap,
-                       cusp_h, cusp_ratio_infimum, cusp_weight_ratio,
-                       weight_eval)
-from crithardy.weight import log_R_over
+from crithardy import (DomainRangeError, PhiAlphaParams, PsiBetaParams,
+                       WeightParams, boundary_taylor_gap, cusp_h,
+                       cusp_ratio_infimum, cusp_weight_ratio,
+                       phi_alpha_schedule, psi_beta_schedule,
+                       radial_reduction_constant, weight_eval)
+from crithardy.weight import _dimension, log_R_over
 
 
 class TestWeightEval:
@@ -40,6 +42,31 @@ class TestWeightEval:
         p = WeightParams(R=1.0, N=2)
         assert weight_eval(p, 1e-9) > 1e6
         assert weight_eval(p, 1.0 - 1e-9) > 1e6
+
+
+class TestDimension:
+    """Every entry point that divides by N or N - 1 checks N >= 2 first."""
+
+    ENTRIES = {
+        "WeightParams": lambda N: WeightParams(R=1.0, N=N),
+        "radial_reduction_constant": radial_reduction_constant,
+        "PhiAlphaParams": lambda N: PhiAlphaParams(alpha=0.25, N=N),
+        "PsiBetaParams": lambda N: PsiBetaParams(beta=1.5, N=N),
+        "phi_alpha_schedule": lambda N: phi_alpha_schedule(range(3, 5), N=N),
+        "psi_beta_schedule": lambda N: psi_beta_schedule(range(3, 5), N=N),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("N", [1, 0, -2, 2.5, True],
+                             ids=["1", "0", "-2", "2.5", "True"])
+    def test_rejects(self, entry, N):
+        with pytest.raises(DomainRangeError, match="N must be an integer >= 2"):
+            self.ENTRIES[entry](N)
+
+    @pytest.mark.parametrize("N", [2, 3, np.int64(4)])
+    def test_accepts(self, N):
+        assert _dimension(N) is N
+        assert WeightParams(R=1.0, N=N).N == N
 
 
 class TestTaylorGap:
