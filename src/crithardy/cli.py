@@ -35,8 +35,21 @@ def _meta(args: argparse.Namespace) -> dict:
             "config_hash": _config_hash(payload)}
 
 
-def _write(text: str, path: str | None) -> None:
-    """Write ``text`` and a newline to ``path``, or to stdout."""
+def _emit(out, meta: dict, path: str | None) -> None:
+    """Write a subcommand's result and a newline to ``path``, or to stdout: a
+    dict as sorted JSON with ``meta`` under its own key, a ``(header, rows)``
+    pair as CSV after one ``# key=value`` line per ``meta`` item."""
+    if isinstance(out, dict):
+        text = json.dumps({"meta": meta, **out}, indent=2, sort_keys=True,
+                          default=float)
+    else:
+        header, rows = out
+        lines = [f"# {k}={v}" for k, v in sorted(meta.items())]
+        lines.append(",".join(header))
+        for row in rows:
+            lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
+                                  for v in row))
+        text = "\n".join(lines)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -44,23 +57,19 @@ def _write(text: str, path: str | None) -> None:
         print(text)
 
 
-def _emit_json(doc: dict, path: str | None) -> None:
-    _write(json.dumps(doc, indent=2, sort_keys=True, default=float), path)
-
-
-def _emit_csv(header: list[str], rows: list, meta: dict,
-              path: str | None) -> None:
-    lines = [f"# {k}={v}" for k, v in sorted(meta.items())]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    _write("\n".join(lines), path)
+def _read_json(path: str):
+    """The JSON document in file ``path``; `DomainRangeError`, naming the
+    file, when it cannot be opened or does not hold JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise DomainRangeError(
+            f"cannot read JSON document {path!r}: {exc}") from None
 
 
 def _load_domain(path: str) -> dm.DomainSpec:
-    with open(path) as fh:
-        return dm.DomainSpec.from_json(json.load(fh))
+    return dm.DomainSpec.from_json(_read_json(path))
 
 
 # The optional keys of every function document, and the keys of a polar grid
@@ -96,31 +105,26 @@ def _polar_grid(doc, dom: dm.DomainSpec | None) -> PolarGridFunction:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its result, a dict for JSON or a (header, rows)
+# pair for CSV, and `main` writes it
 # ---------------------------------------------------------------------------
 
-def cmd_domain(args) -> int:
-    dom = _load_domain(args.domain)
-    cls = dm.classify(dom)
-    doc = {"meta": _meta(args), "m0": cls.m0, "mR": cls.mR,
-           "regime": cls.regime.value, "m0_table": cls.m0_table,
-           "mR_table": cls.mR_table}
-    _emit_json(doc, args.out)
-    return 0
+def cmd_domain(args) -> dict:
+    cls = dm.classify(_load_domain(args.domain))
+    return {"m0": cls.m0, "mR": cls.mR, "regime": cls.regime.value,
+            "m0_table": cls.m0_table, "mR_table": cls.mR_table}
 
 
-def cmd_weight_sweep(args) -> int:
+def cmd_weight_sweep(args) -> tuple:
     wp = WeightParams(R=args.R, N=args.N)
-    xs = np.linspace(args.lo, args.hi, args.num)
-    rows = [(float(x), weight.weight_eval(wp, float(x)),
-             weight.boundary_taylor_gap(wp, float(x))) for x in xs]
-    _emit_csv(["x_norm", "weight", "taylor_gap"], rows, _meta(args), args.out)
-    return 0
+    xs = np.linspace(args.lo, args.hi, dm._count("num", args.num))
+    return (["x_norm", "weight", "taylor_gap"],
+            [(float(x), weight.weight_eval(wp, float(x)),
+              weight.boundary_taylor_gap(wp, float(x))) for x in xs])
 
 
-def cmd_quotient(args) -> int:
-    with open(args.input) as fh:
-        doc = json.load(fh)
+def cmd_quotient(args) -> dict:
+    doc = _read_json(args.input)
     if isinstance(doc, dict) and doc.get("type", "radial") == "radial":
         dm._check_keys("radial function document", doc, ("r", "values"),
                        _FUNCTION_KEYS + ("constant_core",))
@@ -134,14 +138,13 @@ def cmd_quotient(args) -> int:
         quotient, u = quotient_polar, _polar_grid(doc, None)
     rep = quotient(u, WeightParams(R=dm._real("R", doc.get("R", 1.0)),
                                    N=dm._count("N", doc.get("N", 2))))
-    out = {"meta": _meta(args), "dirichlet_energy": rep.dirichlet_energy,
+    out = {"dirichlet_energy": rep.dirichlet_energy,
            "weighted_mass": rep.weighted_mass, "ratio": rep.ratio,
            "quad_error_estimate": rep.quad_error_estimate}
     if rep.radial_energy is not None:
         out["radial_energy"] = rep.radial_energy
         out["angular_energy"] = rep.angular_energy
-    _emit_json(out, args.out)
-    return 0
+    return out
 
 
 def _parse_schedule(text: str) -> list[int]:
@@ -153,8 +156,14 @@ def _parse_schedule(text: str) -> list[int]:
         ) from None
 
 
-def cmd_upperbound(args) -> int:
-    ks = _parse_schedule(args.schedule) if args.schedule else list(range(3, 11))
+# the parameters each `upperbound` family runs when no --schedule is given
+_SCHEDULES = {"phi_alpha": range(3, 11), "psi_beta": range(3, 11),
+              "halfspace": (4, 16, 64), "cusp": (6, 8, 10)}
+
+
+def cmd_upperbound(args) -> tuple:
+    ks = (_parse_schedule(args.schedule) if args.schedule
+          else list(_SCHEDULES[args.family]))
     rows: list[tuple] = []
     if args.family == "phi_alpha":
         rows = list(testfn.phi_alpha_schedule(ks, c=args.c, R=args.R, N=args.N))
@@ -162,57 +171,46 @@ def cmd_upperbound(args) -> int:
         rows = list(testfn.psi_beta_schedule(ks, N=args.N))
     elif args.family == "halfspace":
         ball = dm.DomainSpec.ball(args.R)
-        for l in (ks if args.schedule else (4, 16, 64)):
+        for l in ks:
             rep = testfn.halfspace_quotient(
                 None, testfn.HalfSpaceFamilyParams(l=l), ball)
             rows.append((l, rep.ratio, rep.quad_error_estimate))
     elif args.family == "cusp":
         cusp = dm.DomainSpec.calibrated_cusp(args.a)
-        for k in (ks if args.schedule else (6, 8, 10)):
+        for k in ks:
             params = testfn.CuspFamilyParams(
                 a_prime=args.a_prime, eps=args.delta * 2.0 ** (-k),
                 delta=args.delta)
             rep = testfn.cusp_upper_bound(params, cusp)
             rows.append((k, rep.ratio, rep.quad_error_estimate))
-    _emit_csv(["param", "ratio", "error_estimate"], rows, _meta(args), args.out)
-    return 0
+    return ["param", "ratio", "error_estimate"], rows
 
 
-def cmd_ea(args) -> int:
+def cmd_ea(args):
     if args.mode == "sweep":
-        grid = np.linspace(args.lo, args.hi, args.num)
         rows = []
-        for a in grid:
+        for a in np.linspace(args.lo, args.hi, dm._count("num", args.num)):
             res = oned.solve_angular(float(a), args.grid_size)
             rows.append((float(a), res.value, res.residual))
-        _emit_csv(["a", "eigenvalue", "residual"], rows, _meta(args), args.out)
-    else:
-        res = oned.solve_angular(args.a, args.grid_size)
-        _emit_json({"meta": _meta(args), "a": args.a, "eigenvalue": res.value,
-                    "residual": res.residual, "grid_size": res.grid_size},
-                   args.out)
-    return 0
+        return ["a", "eigenvalue", "residual"], rows
+    res = oned.solve_angular(args.a, args.grid_size)
+    return {"a": args.a, "eigenvalue": res.value, "residual": res.residual,
+            "grid_size": res.grid_size}
 
 
-def cmd_radial(args) -> int:
-    val = oned.radial_reduction_constant(args.N)
-    target = ((args.N - 1) / args.N) ** args.N
-    _emit_json({"meta": _meta(args), "N": args.N, "infimum_estimate": val,
-                "closed_form_limit": target}, args.out)
-    return 0
+def cmd_radial(args) -> dict:
+    N = args.N
+    return {"N": N, "infimum_estimate": oned.radial_reduction_constant(N),
+            "closed_form_limit": ((N - 1) / N) ** N}
 
 
-def cmd_rearrange(args) -> int:
+def cmd_rearrange(args) -> dict:
     dom = _load_domain(args.domain)
-    with open(args.fn) as fh:
-        u = _polar_grid(json.load(fh), dom)
+    u = _polar_grid(_read_json(args.fn), dom)
     star = rearrange.rearrange_function(u)
-    rep = rearrange._report(u, star, WeightParams(R=dom.R, N=2))
-    out = {"meta": _meta(args), "checks": rep,
-           "rearranged_values": star.values.tolist(),
-           "half_widths": rearrange.rearrange_domain(dom, u.r).tolist()}
-    _emit_json(out, args.out)
-    return 0
+    return {"checks": rearrange._report(u, star, WeightParams(R=dom.R, N=2)),
+            "rearranged_values": star.values.tolist(),
+            "half_widths": rearrange.rearrange_domain(dom, u.r).tolist()}
 
 
 def _write_vtk(path: str, mesh: fem2d.Mesh, vector: np.ndarray) -> None:
@@ -243,20 +241,19 @@ def _write_vtk(path: str, mesh: fem2d.Mesh, vector: np.ndarray) -> None:
         fh.writelines(sections)
 
 
-def cmd_constant(args) -> int:
-    dom = _load_domain(args.domain)
-    est = fem2d.extrapolate_constant(dom, _parse_schedule(args.schedule),
+def cmd_constant(args) -> dict:
+    est = fem2d.extrapolate_constant(_load_domain(args.domain),
+                                     _parse_schedule(args.schedule),
                                      target_h=args.h)
-    doc = {"meta": _meta(args), "estimate": est.estimate, "method": est.method,
-           "fit": est.fit, "per_n": est.per_n, "warnings": est.warnings}
+    doc = {"estimate": est.estimate, "method": est.method, "fit": est.fit,
+           "per_n": est.per_n, "warnings": est.warnings}
     if args.emit_vtk:
         _write_vtk(args.emit_vtk, est.mesh, est.vector)
         doc["vtk"] = args.emit_vtk
-    _emit_json(doc, args.out)
-    return 0
+    return doc
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args) -> dict:
     quick = args.quick
     rows = []
 
@@ -318,18 +315,24 @@ def cmd_verify_all(args) -> int:
     ok = 0.24 <= est_b.estimate <= 0.26
     add("ball_constant", ok, {"estimate": est_b.estimate})
 
-    all_ok = all(r["pass"] for r in rows)
-    doc = {"meta": _meta(args), "rows": rows, "all_pass": all_ok}
-    _emit_json(doc, args.out)
     for r in rows:
         status = "pass" if r["pass"] else "FAIL"
         print(f"[{status}] {r['theorem']}", file=sys.stderr)
-    return 0 if all_ok else 1
+    return {"rows": rows, "all_pass": all(r["pass"] for r in rows)}
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def command(parent, name: str, func, help: str) -> argparse.ArgumentParser:
+    """The parser of leaf subcommand ``name`` under the subparsers ``parent``:
+    it takes no abbreviated option, has an ``--out`` path and runs ``func``."""
+    p = parent.add_parser(name, help=help, allow_abbrev=False)
+    p.add_argument("--out")
+    p.set_defaults(func=func)
+    return p
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -340,32 +343,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("domain", help="domain geometry operations")
     dsub = p.add_subparsers(dest="domain_command", required=True)
-    pc = dsub.add_parser("classify", help="classify a domain JSON file")
-    pc.add_argument("--domain", required=True)
-    pc.add_argument("--out")
-    pc.set_defaults(func=cmd_domain)
+    p = command(dsub, "classify", cmd_domain, "classify a domain JSON file")
+    p.add_argument("--domain", required=True)
 
     p = sub.add_parser("weight", help="weight evaluations")
     wsub = p.add_subparsers(dest="weight_command", required=True)
-    pw = wsub.add_parser("sweep", help="CSV sweep of weight and Taylor gap")
-    pw.add_argument("--R", type=float, default=1.0)
-    pw.add_argument("--N", type=int, default=2)
-    pw.add_argument("--lo", type=float, default=0.01)
-    pw.add_argument("--hi", type=float, default=0.999)
-    pw.add_argument("--num", type=int, default=100)
-    pw.add_argument("--out")
-    pw.set_defaults(func=cmd_weight_sweep)
+    p = command(wsub, "sweep", cmd_weight_sweep,
+                "CSV sweep of weight and Taylor gap")
+    p.add_argument("--R", type=float, default=1.0)
+    p.add_argument("--N", type=int, default=2)
+    p.add_argument("--lo", type=float, default=0.01)
+    p.add_argument("--hi", type=float, default=0.999)
+    p.add_argument("--num", type=int, default=100)
 
     p = sub.add_parser("quotient", help="quotient evaluation")
     qsub = p.add_subparsers(dest="quotient_command", required=True)
-    pq = qsub.add_parser("eval", help="evaluate a function JSON file")
-    pq.add_argument("--input", required=True)
-    pq.add_argument("--out")
-    pq.set_defaults(func=cmd_quotient)
+    p = command(qsub, "eval", cmd_quotient, "evaluate a function JSON file")
+    p.add_argument("--input", required=True)
 
-    p = sub.add_parser("upperbound", help="test-function family sweeps")
-    p.add_argument("--family", required=True,
-                   choices=["phi_alpha", "psi_beta", "halfspace", "cusp"])
+    p = command(sub, "upperbound", cmd_upperbound, "test-function family sweeps")
+    p.add_argument("--family", required=True, choices=list(_SCHEDULES))
     p.add_argument("--schedule", help="comma-separated parameter list")
     p.add_argument("--c", type=float, default=0.5)
     p.add_argument("--R", type=float, default=1.0)
@@ -373,10 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=0.9)
     p.add_argument("--a-prime", dest="a_prime", type=float, default=0.95)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_upperbound)
 
-    p = sub.add_parser("ea", help="angular eigenvalue")
+    p = command(sub, "ea", cmd_ea, "angular eigenvalue")
     p.add_argument("mode", nargs="?", choices=["sweep"],
                    help="'sweep' emits a CSV over an a-grid")
     p.add_argument("--a", type=float, default=0.5)
@@ -384,32 +379,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, default=1.5)
     p.add_argument("--num", type=int, default=20)
     p.add_argument("--grid-size", dest="grid_size", type=int, default=2048)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ea)
 
-    p = sub.add_parser("radial", help="general-N radial reduction constant")
+    p = command(sub, "radial", cmd_radial, "general-N radial reduction constant")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_radial)
 
-    p = sub.add_parser("rearrange", help="rearrange a polar-grid function")
+    p = command(sub, "rearrange", cmd_rearrange, "rearrange a polar-grid function")
     p.add_argument("--domain", required=True)
     p.add_argument("--fn", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_rearrange)
 
-    p = sub.add_parser("constant", help="FEM best-constant estimate")
+    p = command(sub, "constant", cmd_constant, "FEM best-constant estimate")
     p.add_argument("--domain", required=True)
     p.add_argument("--schedule", default="4,8,16,32")
     p.add_argument("--h", type=float, default=0.02)
     p.add_argument("--emit-vtk", dest="emit_vtk")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_constant)
 
-    p = sub.add_parser("verify-all", help="theorem-to-result verification matrix")
+    p = command(sub, "verify-all", cmd_verify_all,
+                "theorem-to-result verification matrix")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify_all)
     return ap
 
 
@@ -419,10 +405,9 @@ def main(argv=None) -> int:
     while "--schedule" in argv[:-1]:
         i = argv.index("--schedule")
         argv[i:i + 2] = ["--schedule=" + argv[i + 1]]
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
     # every package error; NonConvergenceError and AssemblyError are
     # NumericalErrors
     except (ConstructionError, DegenerateInputError, DomainRangeError,
@@ -432,6 +417,8 @@ def main(argv=None) -> int:
             diag["diagnostics"] = exc.diagnostics
         print(json.dumps(diag), file=sys.stderr)
         return 1
+    _emit(out, _meta(args), args.out)
+    return 1 if isinstance(out, dict) and out.get("all_pass") is False else 0
 
 
 if __name__ == "__main__":

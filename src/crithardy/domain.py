@@ -508,8 +508,7 @@ class DomainSpec:
 
     def __init__(self, kind: DomainKind, R: float, contains_origin: bool,
                  params: dict | None = None, cusp: CuspProfile | None = None):
-        if not (R > 0):
-            raise DomainRangeError(f"R must be positive, got {R}")
+        weight._radius(R)
         self.kind = kind
         self.R = float(R)
         self.contains_origin = bool(contains_origin)

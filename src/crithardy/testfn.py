@@ -29,7 +29,7 @@ import numpy as np
 
 from ._errors import ConstructionError, DomainRangeError, NumericalError
 from . import oned
-from .domain import DomainSpec, DomainKind
+from .domain import DomainSpec, DomainKind, _count
 from .oned import _cell_gauss, _simpson_gap
 from .quotient import QuotientReport, sphere_area
 from .weight import WeightParams, _dimension, weight_eval
@@ -228,8 +228,7 @@ class HalfSpaceFamilyParams:
     l: int = 8
 
     def __post_init__(self):
-        if self.l < 1:
-            raise DomainRangeError("l must be a positive integer")
+        _count("l", self.l)
 
 
 def _halfspace_grid(profile):
@@ -391,8 +390,6 @@ def cusp_upper_bound(params: CuspFamilyParams, dom: DomainSpec) -> QuotientRepor
         raise DomainRangeError("tip family requires the calibrated cusp domain")
     prof = dom.cusp
     a_p, eps, delta = params.a_prime, params.eps, params.delta
-    if a_p <= prof.a:
-        raise DomainRangeError("a_prime must exceed the limit angle")
     fit = prof.cone_fit_extent(a_p)
     if delta > fit:
         raise ConstructionError(

@@ -44,6 +44,17 @@ def _dimension(N) -> int:
     return N
 
 
+def _radius(R):
+    """``R``, unless it is not a finite real number above 0 (a bool is not):
+    then raise `DomainRangeError`.  `WeightParams` and `DomainSpec` call this
+    on their outer radius."""
+    if (isinstance(R, bool) or not isinstance(R, numbers.Real)
+            or not 0 < R < math.inf):
+        raise DomainRangeError(
+            f"R must be a finite real number above 0, got {R!r}")
+    return R
+
+
 @dataclass(frozen=True)
 class WeightParams:
     """Parameters of the critical Hardy weight: outer radius R and exponent N."""
@@ -52,8 +63,7 @@ class WeightParams:
     N: int = 2
 
     def __post_init__(self) -> None:
-        if not (self.R > 0):
-            raise DomainRangeError(f"R must be positive, got {self.R}")
+        _radius(self.R)
         _dimension(self.N)
 
 

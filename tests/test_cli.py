@@ -509,6 +509,71 @@ class TestCommands:
             capture_output=True)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("args", [
+        ["upperbound", "--family", "psi_beta", "--sched", "3,4"],
+        # "-4,8" once reached the parser as --schedule's value and exited 2
+        # with "expected one argument"
+        ["upperbound", "--family", "phi_alpha", "--sched", "-4,8"],
+        ["ea", "--a", "0.9", "--grid", "64"],
+    ], ids=["sched", "sched_negative", "grid"])
+    def test_abbreviated_option_is_refused(self, args, capsys):
+        # argparse once took an unambiguous prefix for the whole option
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_abbreviated_schedule_is_unrecognized(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["upperbound", "--family", "phi_alpha", "--sched", "3,4"])
+        assert "unrecognized arguments: --sched 3,4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["weight", "sweep", "--R", "inf", "--num", "3"],
+         "R must be a finite real number above 0, got inf"),
+        (["upperbound", "--family", "phi_alpha", "--R", "inf"],
+         "R must be a finite real number above 0, got inf"),
+        (["upperbound", "--family", "halfspace", "--R", "inf"],
+         "R must be a finite real number above 0, got inf"),
+        (["weight", "sweep", "--num", "-1"],
+         "num must be a positive integer, got -1"),
+        (["weight", "sweep", "--num", "0"],
+         "num must be a positive integer, got 0"),
+        (["ea", "sweep", "--num", "-1"],
+         "num must be a positive integer, got -1"),
+    ], ids=["weight_R_inf", "phi_alpha_R_inf", "halfspace_R_inf",
+            "weight_num_negative", "weight_num_zero", "ea_num_negative"])
+    def test_input_range_error_line(self, args, message, capsys):
+        # R = inf once printed NaN rows or blamed the transplanted support;
+        # --num -1 once ended in a ValueError traceback
+        code, diag = cli_error(args, capsys)
+        assert code == 1
+        assert diag == {"error": "DomainRangeError", "message": message}
+
+    @pytest.mark.parametrize("command", [
+        ["domain", "classify", "--domain", "{doc}"],
+        ["constant", "--domain", "{doc}"],
+        ["quotient", "eval", "--input", "{doc}"],
+        ["rearrange", "--domain", "{half}", "--fn", "{doc}"],
+    ], ids=["classify", "constant", "quotient", "rearrange"])
+    @pytest.mark.parametrize("content", [None, '{"kind": "ball", "R'],
+                             ids=["missing", "truncated"])
+    def test_unreadable_document_error_line(self, command, content, tmp_path,
+                                            capsys):
+        # a missing file once ended in a FileNotFoundError traceback, a
+        # truncated one in a JSONDecodeError traceback
+        half = tmp_path / "half.json"
+        half.write_text(json.dumps(DomainSpec.half_disk().to_json()))
+        doc = tmp_path / "doc.json"
+        if content is not None:
+            doc.write_text(content)
+        args = [a.format(doc=doc, half=half) for a in command]
+        code, diag = cli_error(args, capsys)
+        assert code == 1
+        assert diag["error"] == "DomainRangeError"
+        assert diag["message"].startswith(
+            f"cannot read JSON document {str(doc)!r}: ")
+
 
 class TestVerifyAll:
     def test_quick_matrix(self, capsys):
@@ -520,6 +585,20 @@ class TestVerifyAll:
         assert {"origin_interior", "interior_sphere", "strict_inequality",
                 "attained", "cusp_nonattained", "angular_limit",
                 "ball_constant"} <= names
+
+    def test_failed_row_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a failed row exits 1 and still writes the matrix, with its status
+        # lines on stderr
+        from crithardy import oned
+        monkeypatch.setattr(oned, "sin_power_quotient", lambda a: 0.0)
+        out = tmp_path / "matrix.json"
+        code = cli.main(["verify-all", "--quick", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert code == 1
+        assert doc["all_pass"] is False
+        assert [r["theorem"] for r in doc["rows"] if not r["pass"]] == \
+            ["angular_limit"]
+        assert "[FAIL] angular_limit" in capsys.readouterr().err.splitlines()
 
 
 class TestStartup:

@@ -98,6 +98,13 @@ class TestPsiBeta:
 
 
 class TestHalfSpace:
+    @pytest.mark.parametrize("l", [0, -1, 2.5, True],
+                             ids=["0", "-1", "2.5", "True"])
+    def test_rejects_shrink_index(self, l):
+        # l = 2.5 and l = True were once accepted
+        with pytest.raises(DomainRangeError, match="l must be a positive integer"):
+            HalfSpaceFamilyParams(l=l)
+
     def test_profile_quotient_against_independent_quadrature(self):
         # oracle: adaptive scipy.integrate.quad of the same profile
         rep = halfspace_quotient(HalfSpaceProfileDefault(),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from crithardy import (DomainRangeError, PhiAlphaParams, PsiBetaParams,
-                       WeightParams, boundary_taylor_gap, cusp_h,
+from crithardy import (DomainRangeError, DomainSpec, PhiAlphaParams,
+                       PsiBetaParams, WeightParams, boundary_taylor_gap, cusp_h,
                        cusp_ratio_infimum, cusp_weight_ratio,
                        phi_alpha_schedule, psi_beta_schedule,
                        radial_reduction_constant, weight_eval)
@@ -67,6 +67,29 @@ class TestDimension:
     def test_accepts(self, N):
         assert _dimension(N) is N
         assert WeightParams(R=1.0, N=N).N == N
+
+
+class TestRadius:
+    """The weight and the domain take a finite real outer radius above 0."""
+
+    ENTRIES = {
+        "WeightParams": lambda R: WeightParams(R=R),
+        "DomainSpec.ball": DomainSpec.ball,
+    }
+
+    # an infinite R once gave NaN weights and a misleading domain error
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("R", [math.inf, math.nan, 0.0, -1.0, True, "1"],
+                             ids=["inf", "nan", "0", "-1", "True", "text"])
+    def test_rejects(self, entry, R):
+        with pytest.raises(DomainRangeError,
+                           match="R must be a finite real number above 0"):
+            self.ENTRIES[entry](R)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("R", [1e-3, 1, np.float64(2.5)])
+    def test_accepts(self, entry, R):
+        assert self.ENTRIES[entry](R).R == R
 
 
 class TestTaylorGap:
