@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dstev, zpttrf
 # unused: perfbench/tracing.py resolves fem2d.splu when it installs
@@ -287,6 +286,10 @@ _QUAD_SUB = _QUAD_MID @ np.array([
     [[0.5, 0, 0.5], [0, 0.5, 0.5], [0, 0, 1]],
     [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]],
 ])
+# the 12 points hold 9 distinct rows: each interior edge of the red
+# refinement is an edge of a corner sub-triangle and of the centre one
+_SUB_ROWS, _SUB_SLOTS = np.unique(_QUAD_SUB.reshape(12, 3), axis=0,
+                                  return_inverse=True)
 # products phi_i phi_j at each point of a rule, flattened to (q, 9): an
 # element's weighted mass is its weights (nt, q) times this table
 _OUTER_MID = np.einsum("qi,qj->qij", _QUAD_MID, _QUAD_MID).reshape(3, 9)
@@ -296,7 +299,8 @@ _OUTER_SUB = np.einsum("sqi,sqj->sqij", _QUAD_SUB, _QUAD_SUB).reshape(4, 3, 9)
 def _weight_at(bary: np.ndarray, pts: np.ndarray, wp: WeightParams
                ) -> np.ndarray:
     """Weight at barycentric points ``bary`` (q, 3) of triangles ``pts``
-    (nt, 3, 2); (nt, q)."""
+    (nt, 3, 2); (nt, q).  Each point is formed and weighed on its own, so
+    equal rows of ``bary`` give equal weights."""
     # vertex by vertex in plain float arithmetic: a BLAS product rounds
     # differently and moves some points by an ulp, which moves the weighted
     # mass next to the cusp tip by 7e-13 of its largest entry
@@ -308,9 +312,18 @@ def _weight_at(bary: np.ndarray, pts: np.ndarray, wp: WeightParams
     return weight_eval(wp, radii).T
 
 
+def _sub_weights(pts: np.ndarray, wp: WeightParams) -> np.ndarray:
+    """Weight at the 12 `_QUAD_SUB` points of triangles ``pts`` (nt, 3, 2),
+    as (nt, 4, 3): the 9 distinct points weighed once each and gathered."""
+    return _weight_at(_SUB_ROWS, pts, wp)[:, _SUB_SLOTS.ravel()].reshape(
+        -1, 4, 3)
+
+
 def assemble(mesh: Mesh, wp: WeightParams
-             ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Stiffness and weighted-mass matrices for P1 elements.
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Element stiffness and weighted-mass matrices for P1 elements, each
+    (nt, 3, 3) with ``[t, i, j]`` the coupling of ``triangles[t, i]`` to
+    ``triangles[t, j]``; the global matrices are their sums over triangles.
 
     Triangles may have either orientation.  The stiffness is exact per
     triangle; the weighted mass uses the mid-edge (degree-2) rule, with one
@@ -338,11 +351,12 @@ def assemble(mesh: Mesh, wp: WeightParams
     # refine quadrature (4 sub-triangles) on elements whose mid-edge weights
     # vary strongly -- these sit against the truncation circles
     refine = w_mid.max(axis=1) / w_mid.min(axis=1) > 1.02
-    m_local = (w_mid @ _OUTER_MID) * (area[:, None] / 3.0)
+    m_local = np.empty((tris.shape[0], 9))
+    plain = ~refine
+    m_local[plain] = (w_mid[plain] @ _OUTER_MID) * (area[plain, None] / 3.0)
     if np.any(refine):
         idx = np.where(refine)[0]
-        w_sub = _weight_at(_QUAD_SUB.reshape(12, 3), p[idx], wp).reshape(
-            idx.size, 4, 3)
+        w_sub = _sub_weights(p[idx], wp)
         scale = area[idx, None] / 12.0
         m_ref = np.zeros((idx.size, 9))
         # one sub-triangle at a time: a single 12-point product rounds
@@ -352,15 +366,32 @@ def assemble(mesh: Mesh, wp: WeightParams
         m_local[idx] = m_ref
     if not (np.all(np.isfinite(k_local)) and np.all(np.isfinite(m_local))):
         raise AssemblyError("non-finite element matrix")
+    return k_local, m_local.reshape(-1, 3, 3)
 
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    nv = verts.shape[0]
-    stiffness = sparse.coo_matrix(
-        (k_local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    weighted_mass = sparse.coo_matrix(
-        (m_local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    return stiffness, weighted_mass
+
+# grid offsets (row, column) in its cell of each vertex of the cell's two
+# triangles, (a, b, d) and (a, d, c), as `_strip_mesh` orders them
+_CELL_CORNERS = (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)))
+
+
+def _strip_stencil(local: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Sum of the element matrices ``local`` (nt, 3, 3) of a `_strip_mesh`
+    on a ``(rows, cols)`` vertex grid whose cells do not wrap (``cols - 1``
+    per row), as ``(rows, cols, 3, 3)`` couplings: ``[i, j, t, s]`` is
+    vertex ``(i, j)``'s to vertex ``(i + t - 1, j + s - 1)``.
+
+    One slice-add per triangle of a cell and pair of its vertices.  An edge
+    coupling sums the two triangles beside it, in either order the same
+    float; a vertex's own entry sums up to six terms in this fixed order.
+    """
+    out = np.zeros((rows, cols, 3, 3))
+    cells = local.reshape(rows - 1, 2, cols - 1, 3, 3)
+    for t, corners in enumerate(_CELL_CORNERS):
+        for p, (ip, jp) in enumerate(corners):
+            for q, (iq, jq) in enumerate(corners):
+                out[ip:ip + rows - 1, jp:jp + cols - 1,
+                    iq - ip + 1, jq - jp + 1] += cells[:, t, :, p, q]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +404,16 @@ def _lower_end(d: float) -> float:
     return (1.0 - _CERT_MARGIN) * d
 
 
-def _band_product(band: np.ndarray, offsets: np.ndarray):
+def _band_product(band: np.ndarray):
     """``x -> A x`` for the symmetric matrix whose lower band is ``band``
-    (``band[i - j, j] = a[i, j]``), read on its nonzero diagonals
-    ``offsets`` only.  Each row is summed in ascending column order, as a
-    CSR product sums it: summed main diagonal first, the Rayleigh quotients
-    of a 96-level sweep strayed up to 7.9e-15 from their long-double values,
-    in this order up to 5.5e-15."""
+    (``band[i - j, j] = a[i, j]``), read on its nonzero diagonals only.
+    Each row is summed in ascending column order, as a CSR product sums it:
+    summed main diagonal first, the Rayleigh quotients of a 96-level sweep
+    strayed up to 7.9e-15 from their long-double values, in this order up
+    to 5.5e-15."""
     n = band.shape[1]
     diagonals = [(d, np.ascontiguousarray(band[d, :n - d]))
-                 for d in offsets if d]
+                 for d in np.flatnonzero(band.any(axis=1)) if d]
     main = np.ascontiguousarray(band[0])
 
     def product(x: np.ndarray) -> np.ndarray:
@@ -473,23 +504,24 @@ def _shift_invert_lanczos(factor: np.ndarray, mmul, n: int
         {"iterations": _LANCZOS_STEPS, "residual_estimate": float(rho)})
 
 
-def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
-                   interior: np.ndarray) -> EigenResult:
+def smallest_eigen(k_band: np.ndarray, m_band: np.ndarray,
+                   interior: np.ndarray, nv: int) -> EigenResult:
     """Smallest generalized eigenpair by shift-invert Lanczos on a band
     Cholesky factor.
 
-    ``interior`` holds the free (non-Dirichlet) unknowns as distinct row
-    indices of ``K``, in elimination order.  One position map sends the
-    COO entries of ``K`` and ``M`` that couple two free unknowns to that
-    order, and each block's lower band, of the width ``kd`` read off both
-    patterns, is scattered from them.  The band of ``K`` is factored once at
-    shift 0 by LAPACK ``dpbtrf``; ``iterations`` counts the ``dpbtrs``
-    solves with that factor and ``fill`` its entries, ``n (kd + 1) -
-    kd (kd + 1) / 2`` for ``n`` unknowns.  A strip's interior grid raveled
-    along its shorter axis (`_band_order`) has ``kd = min(rows, cols) - 1``.
-    The Lanczos loop is `_shift_invert_lanczos`; its ``M`` products read
-    only the nonzero diagonals of the band of ``M`` (four on a strip: the
-    main one, a row step, a column step and a cell diagonal).  The returned
+    ``k_band`` and ``m_band`` are the lower bands of ``K`` and ``M`` over
+    the free (non-Dirichlet) unknowns in LAPACK storage, ``band[i - j, j] =
+    a[i, j]`` for ``n`` unknowns, with zeros past the matrix corner;
+    ``interior`` holds those unknowns' distinct indices among the ``nv``
+    mesh vertices, in the bands' order.  The bands are cut to the width
+    ``kd`` of the last diagonal nonzero in either.  The band of ``K`` is
+    factored once at shift 0 by LAPACK ``dpbtrf``; ``iterations`` counts the
+    ``dpbtrs`` solves with that factor and ``fill`` its entries, ``n (kd +
+    1) - kd (kd + 1) / 2``.  A strip's interior grid raveled along its
+    shorter axis (`_band_order`) has ``kd = min(rows, cols) - 1``.  The
+    Lanczos loop is `_shift_invert_lanczos`; its ``M`` products read only
+    the nonzero diagonals of the band of ``M`` (four on a strip: the main
+    one, a row step, a column step and a cell diagonal).  The returned
     vector is embedded with zeros elsewhere, normalized to unit weighted
     mass and sign-normalized to nonnegative mean.  The residual is the
     relative 2-norm ``|Kx - d Mx| / |Kx|`` at the Rayleigh quotient ``d``;
@@ -502,7 +534,6 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
     definite, `NumericalError` is raised.  The certificate and the gate,
     not the loop's stop rule, prove the answer.
     """
-    nv = stiffness.shape[0]
     idx = np.asarray(interior)
     distinct = (idx.ndim == 1 and idx.dtype.kind in "iu"
                 and bool(np.all((0 <= idx) & (idx < nv))))
@@ -515,26 +546,18 @@ def smallest_eigen(stiffness: sparse.spmatrix, weighted_mass: sparse.spmatrix,
             f"interior must be distinct row indices in [0, {nv}) (got "
             f"{idx.dtype} of shape {idx.shape})")
     n = idx.size
+    if not (k_band.ndim == 2 and k_band.shape == m_band.shape
+            and k_band.shape[1] == n):
+        raise DomainRangeError(
+            f"bands of shape {k_band.shape} and {m_band.shape} do not hold "
+            f"{n} unknowns")
     if n < 2:
         raise NonConvergenceError("eigen solve needs two free unknowns",
                                   {"iterations": 0, "unknowns": int(n)})
-    position = np.full(nv, -1)
-    position[idx] = np.arange(n)
-    lower = []
-    for a in (stiffness, weighted_mass):
-        c = a.tocoo()
-        row, col = position[c.row], position[c.col]
-        keep = (col >= 0) & (row >= col) & (c.data != 0.0)
-        lower.append((row[keep] - col[keep], col[keep], c.data[keep]))
-    kd = int(max(off.max(initial=0) for off, _, _ in lower))
-    # LAPACK's lower band storage, band[i - j, j] = a[i, j], column-major
-    k_band, m_band = (
-        np.bincount(off + (kd + 1) * col, weights=data,
-                    minlength=(kd + 1) * n).reshape(n, kd + 1).T
-        for off, col, data in lower)
-    kmul, mmul = (
-        _band_product(band, np.flatnonzero(np.bincount(off, minlength=kd + 1)))
-        for band, (off, _, _) in zip((k_band, m_band), lower))
+    kd = int(max(np.flatnonzero(band.any(axis=1)).max(initial=0)
+                 for band in (k_band, m_band)))
+    k_band, m_band = k_band[:kd + 1], m_band[:kd + 1]
+    kmul, mmul = _band_product(k_band), _band_product(m_band)
     factor, info = dpbtrf(k_band, lower=1)
     if info != 0:
         raise NumericalError(
@@ -589,21 +612,26 @@ def radial_eigen(mesh: Mesh, wp: WeightParams) -> EigenResult:
     ``j``'s elements are column 0's rotated by ``j``: over the free rows
     ``K`` and ``M`` are block-circulant, and each Fourier mode ``k`` in the
     angle spans an invariant subspace.  Only column 0's ``2 (rows - 1)``
-    triangles are assembled; with their copy one column to the left they
-    give free row ``i``'s couplings ``coef[i, t, s]`` to row ``i + t - 1``
-    at column offset ``s - 1``.  The radial mode ``k = 0`` is the m x m
-    problem ``K0 = P^T K P / n_cols`` (``coef`` summed over ``s``; ``P``
-    broadcasts each interior row to its columns), ``M0`` alike; a dense
-    ``eigh`` gives its smallest pair ``(d0, u)``.
+    triangles are assembled.  Their stencil (`_strip_stencil`) spans vertex
+    columns 0 and 1, and column 1's couplings are column 0's from the cells
+    to its left, rotated; the sum of the two columns is free row ``i``'s
+    couplings ``coef[i, t, s]`` to row ``i + t - 1`` at column offset
+    ``s - 1``.  The radial mode ``k = 0`` is the m x m problem ``K0 = P^T K
+    P / n_cols`` (``coef`` summed over ``s``; ``P`` broadcasts each interior
+    row to its columns), ``M0`` alike; a dense ``eigh`` gives its smallest
+    pair ``(d0, u)``.
 
     Certificate: ``K0 - (1 - 1e-9) d0 M0`` must factor as ``L D L^T`` with
     positive pivots (LAPACK ``dpttrf``), and for every ``k = 1 ..
     n_cols // 2`` (``n_cols - k`` is the conjugate mode) so must the
     Hermitian tridiagonal symbol of ``K - d0 M``, ``coef`` weighted by
-    ``exp(2 pi i k (s - 1) / n_cols)`` (``zpttrf``).  By Sylvester's inertia
-    law no eigenvalue of the strip then lies at or below ``(1 - 1e-9) d0``,
-    so the smallest lies in ``((1 - 1e-9) d0, d0]``, the bracket that
-    `smallest_eigen` proves; otherwise `NumericalError` is raised.
+    ``exp(2 pi i k (s - 1) / n_cols)``.  One ``zpttrf`` call factors all
+    those symbols as one block-diagonal matrix with zero couplings between
+    the blocks, so each block's pivots are its own; the first failing pivot
+    names its mode.  By Sylvester's inertia law no eigenvalue of the strip
+    then lies at or below ``(1 - 1e-9) d0``, so the smallest lies in
+    ``((1 - 1e-9) d0, d0]``, the bracket that `smallest_eigen` proves;
+    otherwise `NumericalError` is raised.
 
     The residual gate of `smallest_eigen` is taken on ``K0``, ``M0`` and
     ``u``; it equals the strip's own, since ``K P u = P K0 u``.  The vector
@@ -616,15 +644,8 @@ def radial_eigen(mesh: Mesh, wp: WeightParams) -> EigenResult:
     rows, n_cols = mesh.meta["n_radii"], mesh.meta["n_cols"]
     cell = Mesh(mesh.vertices, mesh.triangles.reshape(
         rows - 1, 2, n_cols, 3)[:, :, 0].reshape(-1, 3), mesh.boundary)
-
-    def stencil(a):
-        c = a.tocoo()
-        (i, j), (i2, j2) = np.divmod(c.row, n_cols), np.divmod(c.col, n_cols)
-        coef = np.zeros((rows, 3, 3))
-        np.add.at(coef, (i, i2 - i + 1, j2 - j + 1), c.data)
-        return coef[1:-1]
-
-    kc, mc = (stencil(a) for a in assemble(cell, wp))
+    kc, mc = (_strip_stencil(local, rows, 2).sum(axis=1)[1:-1]
+              for local in assemble(cell, wp))
     k0, m0 = kc.sum(axis=2), mc.sum(axis=2)
     K0, M0 = (np.diag(c[:, 1]) + np.diag(c[:-1, 2], 1) + np.diag(c[1:, 0], -1)
               for c in (k0, m0))
@@ -641,13 +662,14 @@ def radial_eigen(mesh: Mesh, wp: WeightParams) -> EigenResult:
     # (m, 3, modes): row i's coupling to rows i-1, i, i+1 in mode k
     symbol = (kc - d0 * mc) @ np.exp(2j * math.pi / n_cols
                                       * np.outer([-1, 0, 1], k))
-    diag, off = symbol[:, 1].real, symbol[:-1, 2]
-    for j in range(k.size):
-        _, _, info = zpttrf(diag[:, j], off[:, j])
-        if info != 0:
-            raise NumericalError(
-                f"angular mode k={k[j]} has an eigenvalue at or below the "
-                f"radial d0={d0:.17g} (zpttrf info={info})")
+    m = symbol.shape[0]
+    off = np.zeros((k.size, m), dtype=complex)
+    off[:, :-1] = symbol[:-1, 2].T
+    _, _, info = zpttrf(symbol[:, 1].real.T.ravel(), off.ravel()[:-1])
+    if info != 0:
+        raise NumericalError(
+            f"angular mode k={(info - 1) // m + 1} has an eigenvalue at or "
+            f"below the radial d0={d0:.17g} (zpttrf info={info})")
     scale = 1.0 / math.sqrt(n_cols)
     return _gated_result(u[:, 0], K0.dot, M0.dot, lambda v: np.repeat(
         np.r_[0.0, v, 0.0], n_cols) * scale, 0, 0, "radial")
@@ -662,17 +684,44 @@ def _band_order(mesh: Mesh) -> np.ndarray:
     return (grid if cols <= rows else grid.T).ravel()
 
 
+def _strip_band(mesh: Mesh, local: np.ndarray) -> np.ndarray:
+    """Lower band, in LAPACK storage, of the sum of the element matrices
+    ``local`` of a strip that does not wrap, over its free vertices in
+    `_band_order`; (kd + 1, n) with ``kd = min(rows, cols) - 1``.
+
+    The interior of the strip's stencil (`_strip_stencil`), transposed when
+    the band order runs down the columns, holds each free vertex's
+    couplings to its grid neighbours.  Raveled along rows of ``q`` free
+    vertices, a vertex's later neighbours lie 1 (next in its row), ``q``
+    (next row) and ``q + 1`` (the cell diagonal) after it.  A coupling to a
+    boundary vertex is left out, and so are the entries past the corner.
+    """
+    rows, cols = mesh.meta["n_radii"], mesh.meta["n_cols"]
+    s = _strip_stencil(local, rows, cols)[1:-1, 1:-1]
+    if cols > rows:
+        s = s.transpose(1, 0, 3, 2)
+    p, q = s.shape[:2]
+    band = np.zeros((p, q, q + 2))
+    band[:, :, 0] = s[:, :, 1, 1]
+    band[:, :-1, 1] = s[:, :-1, 1, 2]
+    band[:-1, :, q] = s[:-1, :, 2, 1]
+    band[:-1, :-1, q + 1] = s[:-1, :-1, 2, 2]
+    return band.reshape(p * q, q + 2).T
+
+
 def solve_truncated(dom: DomainSpec, n: int, target_h: float = 0.02
                     ) -> tuple[EigenResult, Mesh]:
     """Mesh and solve one truncation level: a wrapping strip from column 0's
     triangles (`radial_eigen`), any other assembled in full and solved by
-    `smallest_eigen` on its free vertices in band order (`_band_order`)."""
+    `smallest_eigen` on the bands of its free vertices in band order
+    (`_strip_band`, `_band_order`)."""
     mesh = mesh_truncated(dom, n, target_h)
     wp = WeightParams(R=dom.R, N=2)
     if mesh.meta["wrap"]:
         return radial_eigen(mesh, wp), mesh
-    K, M = assemble(mesh, wp)
-    return smallest_eigen(K, M, interior=_band_order(mesh)), mesh
+    k_band, m_band = (_strip_band(mesh, local) for local in assemble(mesh, wp))
+    return smallest_eigen(k_band, m_band, _band_order(mesh),
+                          mesh.num_vertices), mesh
 
 
 # ---------------------------------------------------------------------------

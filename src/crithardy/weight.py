@@ -72,11 +72,16 @@ def log_R_over(p: WeightParams, x_norm):
 
     Above 0.7R it is ``-log1p((|x| - R)/R)``, which stays accurate as |x| -> R.
     Below, it is ``log(R/|x|)``: there the log1p argument rounds to -1 once
-    |x| < eps R, and the log1p form returns inf.
+    |x| < eps R, and the log1p form returns inf.  Each form is evaluated on
+    its own points only; a NaN radius falls to the second and gives NaN.
     """
     x = np.asarray(x_norm, dtype=float)
-    with np.errstate(divide="ignore"):  # the discarded log1p(-1) below eps R
-        t = np.where(x > 0.7 * p.R, -np.log1p((x - p.R) / p.R), np.log(p.R / x))
+    near = x > 0.7 * p.R
+    far = ~near
+    t = np.empty_like(x)
+    t[near] = -np.log1p((x[near] - p.R) / p.R)
+    with np.errstate(divide="ignore"):  # R / 0 is inf, as log(R/|x|) -> inf
+        t[far] = np.log(p.R / x[far])
     return _float_for_scalars(t, x_norm)
 
 

@@ -15,7 +15,8 @@ from crithardy import (AssemblyError, ConstructionError, DomainRangeError,
                        weight_eval)
 from crithardy.domain import tip_to_xy
 from crithardy.fem2d import (_QUAD_MID, _QUAD_SUB, Mesh, _band_order,
-                             _graded_rows, _mass_fractions, _strip_mesh)
+                             _graded_rows, _mass_fractions, _strip_band,
+                             _strip_mesh, _sub_weights, _weight_at)
 from conftest import scalar_opening
 
 WP = WeightParams(R=1.0, N=2)
@@ -128,12 +129,59 @@ def einsum_assemble(mesh, wp):
         m_ref += np.einsum("tq,qi,qj->tij", weight_at(qb, p[idx]), qb, qb) * (
             area[idx, None, None] / 12.0)
     m_local[idx] = m_ref
+    return to_csr(mesh, k_local), to_csr(mesh, m_local)
+
+
+def to_csr(mesh, local):
+    """The global matrix of element matrices ``local`` (nt, 3, 3): their
+    COO entries summed in CSR."""
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     nv = mesh.num_vertices
-    return tuple(sparse.coo_matrix((m.ravel(), (rows, cols)),
-                                   shape=(nv, nv)).tocsr()
-                 for m in (k_local, m_local))
+    return sparse.coo_matrix((local.ravel(), (rows, cols)),
+                             shape=(nv, nv)).tocsr()
+
+
+def assembled(mesh, wp=WP):
+    """CSR stiffness and weighted mass summed from `assemble`'s element
+    matrices."""
+    return tuple(to_csr(mesh, local) for local in assemble(mesh, wp))
+
+
+def reference_bands(K, M, interior):
+    """Lower bands of the sparse ``K`` and ``M`` over the free unknowns
+    ``interior``, in that order and in LAPACK storage: one position map
+    sends the COO entries that couple two free unknowns to that order, and
+    each band, of the width read off both patterns, is a bincount scatter
+    of them.  The reference for `_strip_band`, and how the tests hand
+    generic sparse matrices to `smallest_eigen`."""
+    n = interior.size
+    position = np.full(K.shape[0], -1)
+    position[interior] = np.arange(n)
+    lower = []
+    for a in (K, M):
+        c = a.tocoo()
+        row, col = position[c.row], position[c.col]
+        keep = (col >= 0) & (row >= col) & (c.data != 0.0)
+        lower.append((row[keep] - col[keep], col[keep], c.data[keep]))
+    kd = int(max(off.max(initial=0) for off, _, _ in lower))
+    return tuple(np.bincount(off + (kd + 1) * col, weights=data,
+                             minlength=(kd + 1) * n).reshape(n, kd + 1).T
+                 for off, col, data in lower)
+
+
+def sparse_eigen(K, M, interior):
+    """`smallest_eigen` on sparse ``K`` and ``M`` by `reference_bands`."""
+    interior = np.asarray(interior)
+    return smallest_eigen(*reference_bands(K, M, interior), interior,
+                          K.shape[0])
+
+
+def strip_eigen(mesh, wp=WP):
+    """`smallest_eigen` on a strip that does not wrap, as `solve_truncated`
+    calls it."""
+    k_band, m_band = (_strip_band(mesh, local) for local in assemble(mesh, wp))
+    return smallest_eigen(k_band, m_band, _band_order(mesh), mesh.num_vertices)
 
 
 def splu_eigen(K, M, interior):
@@ -407,7 +455,7 @@ class TestAssemble:
         tris = np.array([[0, 1, 2]])
         mesh = Mesh(vertices=verts, triangles=tris,
                     boundary=np.ones(3, dtype=bool))
-        K, M = assemble(mesh, WP)
+        K, M = assembled(mesh)
         expect = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0],
                            [-0.5, 0.0, 0.5]])
         assert np.allclose(K.toarray(), expect, atol=1e-14)
@@ -434,18 +482,18 @@ class TestAssemble:
         flipped = Mesh(vertices=mesh.vertices,
                        triangles=mesh.triangles[:, [0, 2, 1]],
                        boundary=mesh.boundary)
-        for a, b in zip(assemble(mesh, WP), assemble(flipped, WP)):
+        for a, b in zip(assembled(mesh), assembled(flipped)):
             assert abs(a - b).max() <= 1e-14 * abs(a).max()
 
     def test_constant_annihilated(self, ball):
         mesh = mesh_truncated(ball, 4, target_h=0.05)
-        K, _ = assemble(mesh, WP)
+        K, _ = assembled(mesh)
         ones = np.ones(mesh.num_vertices)
         assert np.max(np.abs(K @ ones)) < 1e-10
 
     def test_row_sums_zero(self, half_disk):
         mesh = mesh_truncated(half_disk, 8, target_h=0.08)
-        K, _ = assemble(mesh, WP)
+        K, _ = assembled(mesh)
         assert np.max(np.abs(np.asarray(K.sum(axis=1)).ravel())) < 1e-10
 
     @pytest.mark.parametrize("make, n", [
@@ -456,7 +504,7 @@ class TestAssemble:
     def test_matches_einsum_reference(self, make, n, calibrated_cusp):
         dom = calibrated_cusp if make is None else make()
         mesh = mesh_truncated(dom, n)
-        K, M = assemble(mesh, WP)
+        K, M = assembled(mesh)
         K_ref, M_ref = einsum_assemble(mesh, WP)
         for a, b in ((K, K_ref), (M, M_ref)):
             assert np.array_equal(a.indptr, b.indptr)
@@ -465,6 +513,22 @@ class TestAssemble:
         # the tables round phi_i phi_j once, the einsum rounds w phi_i and
         # then multiplies by phi_j: rounding apart, the same mass
         assert np.max(np.abs(M.data - M_ref.data)) <= 1e-15 * M_ref.data.max()
+
+    @pytest.mark.parametrize("kind, n", [("ball", 32), ("half_disk", 32),
+                                         ("cusp_tip", 16384)])
+    def test_sub_weights_gather_the_distinct_points(self, kind, n, ball,
+                                                    half_disk,
+                                                    calibrated_cusp):
+        # each interior edge of the red refinement is an edge of a corner
+        # sub-triangle and of the centre one: 9 distinct points among 12,
+        # each weighed once and gathered, equal to weighing all 12
+        assert np.unique(_QUAD_SUB.reshape(12, 3), axis=0).shape == (9, 3)
+        dom = {"ball": ball, "half_disk": half_disk,
+               "cusp_tip": calibrated_cusp}[kind]
+        mesh = mesh_truncated(dom, n)
+        p = mesh.vertices[mesh.triangles]
+        want = _weight_at(_QUAD_SUB.reshape(12, 3), p, WP).reshape(-1, 4, 3)
+        assert np.array_equal(_sub_weights(p, WP), want)
 
     def test_element_crossing_circle_raises(self):
         verts = np.array([[0.9, 0.0], [1.2, 0.0], [1.0, 0.3]])
@@ -475,13 +539,63 @@ class TestAssemble:
             assemble(mesh, WP)
 
 
+class TestStripBand:
+    @pytest.mark.parametrize("make, n, shape", [
+        pytest.param(None, 16, "wide", id="cusp_16"),
+        pytest.param(None, 1024, "tall", id="cusp_1024"),
+        pytest.param(lambda: DomainSpec.half_disk(1.0), 8, "wide",
+                     id="half_disk_8"),
+        pytest.param(lambda: DomainSpec.quadratic_cusp(0.5), 8, "tall",
+                     id="quadratic_cusp_8"),
+    ])
+    def test_matches_the_reference_scatter(self, make, n, shape,
+                                           calibrated_cusp):
+        mesh = mesh_truncated(calibrated_cusp if make is None else make(), n)
+        rows, cols = mesh.meta["n_radii"], mesh.meta["n_cols"]
+        assert (rows < cols) == (shape == "wide")
+        k_local, m_local = assemble(mesh, WP)
+        refs = reference_bands(to_csr(mesh, k_local), to_csr(mesh, m_local),
+                               _band_order(mesh))
+        for local, ref in zip((k_local, m_local), refs):
+            band = _strip_band(mesh, local)
+            assert band.shape == ref.shape == (min(rows, cols), ref.shape[1])
+            # an edge coupling sums the same two terms as CSR
+            assert np.array_equal(band[1:], ref[1:])
+            # a vertex's own entry sums up to six terms in another order
+            assert np.all(np.abs(band[0] - ref[0])
+                          <= 4 * np.spacing(np.abs(ref[0])))
+
+    @pytest.mark.parametrize("make, ns", [
+        pytest.param(None, (16, 1024, 16384), id="calibrated_cusp"),
+        pytest.param(lambda: DomainSpec.half_disk(1.0), (4, 8),
+                     id="half_disk"),
+    ])
+    def test_each_level_assembles_and_solves_once(self, make, ns,
+                                                  calibrated_cusp,
+                                                  monkeypatch):
+        # both calls go through the module, where a tracer or a spy sees them
+        from crithardy import fem2d
+        calls = []
+        for name in ("assemble", "smallest_eigen"):
+            def spy(*args, _name=name, _real=getattr(fem2d, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(fem2d, name, spy)
+        dom = calibrated_cusp if make is None else make()
+        for n in ns:
+            calls.clear()
+            res, _ = solve_truncated(dom, n)
+            assert res.solver == "shift_invert"
+            assert calls == ["assemble", "smallest_eigen"]
+
+
 class TestSmallestEigen:
     def test_diag(self):
         # the second step's vector is orthogonalized to zero: the basis is
         # an invariant subspace and the loop stops without dividing by it
         K = sparse.diags([2.0, 3.0]).tocsr()
         M = sparse.identity(2, format="csr")
-        res = smallest_eigen(K, M, interior=np.arange(2))
+        res = sparse_eigen(K, M, np.arange(2))
         assert res.value == pytest.approx(2.0, abs=1e-10)
         assert res.iterations <= 3  # two steps and the closing solve
         assert np.all(np.isfinite(res.vector))
@@ -496,7 +610,7 @@ class TestSmallestEigen:
         K = sparse.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
                          [-1, 0, 1]).tocsr()
         M = sparse.diags(1.0 + np.arange(n) / n).tocsr()
-        res = smallest_eigen(K, M, interior=np.arange(n))
+        res = sparse_eigen(K, M, np.arange(n))
         (dense,), _ = eigh(K.toarray(), M.toarray(), subset_by_index=[0, 0])
         assert res.iterations <= n + 1
         assert np.all(np.isfinite(res.vector))
@@ -505,8 +619,8 @@ class TestSmallestEigen:
     def test_one_factor_counted_solves(self, half_disk, monkeypatch):
         from crithardy import fem2d
         mesh = mesh_truncated(half_disk, 8, target_h=0.05)
-        K, M = assemble(mesh, WP)
-        order = _band_order(mesh)
+        k_band, m_band = (_strip_band(mesh, local)
+                          for local in assemble(mesh, WP))
         factors, solves = [], []
         real_dpbtrf, real_dpbtrs = fem2d.dpbtrf, fem2d.dpbtrs
 
@@ -520,11 +634,12 @@ class TestSmallestEigen:
 
         monkeypatch.setattr(fem2d, "dpbtrf", dpbtrf)
         monkeypatch.setattr(fem2d, "dpbtrs", dpbtrs)
-        res = smallest_eigen(K, M, interior=order)
+        res = smallest_eigen(k_band, m_band, _band_order(mesh),
+                             mesh.num_vertices)
         # K at shift 0, then the certificate's K - (1 - 1e-9) d M
         at_zero, shifted = factors
-        diag_k, diag_m = K.diagonal()[order], M.diagonal()[order]
-        assert np.array_equal(at_zero[0], diag_k)
+        diag_k, diag_m = k_band[0], m_band[0]
+        assert np.array_equal(at_zero, k_band)
         np.testing.assert_allclose(
             shifted[0], diag_k - (1 - 1e-9) * res.value * diag_m, rtol=1e-14)
         assert res.iterations == len(solves) > 0
@@ -532,12 +647,12 @@ class TestSmallestEigen:
 
     def test_matches_dense_oracle(self, ball):
         mesh = mesh_truncated(ball, 4, target_h=0.1)
-        K, M = assemble(mesh, WP)
+        K, M = assembled(mesh)
         idx = np.where(~mesh.boundary)[0]
         sub = np.ix_(idx, idx)
         dense = eigh(K[sub].toarray(), M[sub].toarray(), eigvals_only=True,
                      subset_by_index=[0, 0])
-        res = smallest_eigen(K, M, interior=idx)
+        res = sparse_eigen(K, M, idx)
         assert res.value == pytest.approx(dense[0], rel=1e-12)
 
     @pytest.mark.parametrize("make, n", [
@@ -556,7 +671,7 @@ class TestSmallestEigen:
         est = extrapolate_constant(dom, [n], target_h=0.05)
         (row,) = est.per_n
         idx = np.flatnonzero(~est.mesh.boundary)
-        K, M = assemble(est.mesh, WeightParams(R=dom.R, N=2))
+        K, M = assembled(est.mesh, WeightParams(R=dom.R, N=2))
         sub = np.ix_(idx, idx)
         (dense,), _ = eigh(K[sub].toarray(), M[sub].toarray(),
                            subset_by_index=[0, 0])
@@ -607,7 +722,7 @@ class TestSmallestEigen:
         wp = WeightParams(R=dom.R, N=2)
         for n in ns:
             res, mesh = solve_truncated(dom, n)
-            value, vector = splu_eigen(*assemble(mesh, wp), ~mesh.boundary)
+            value, vector = splu_eigen(*assembled(mesh, wp), ~mesh.boundary)
             assert res.solver == "shift_invert"
             assert res.value == pytest.approx(value, rel=1e-13)
             np.testing.assert_allclose(res.vector, vector, rtol=0,
@@ -626,10 +741,9 @@ class TestSmallestEigen:
                 theta[:-1], z[:, :-1], info)
 
         mesh = mesh_truncated(half_disk, 4, target_h=0.1)
-        K, M = assemble(mesh, WP)
         monkeypatch.setattr(fem2d, "dstev", second)
         with pytest.raises(NumericalError, match="eigenvalue lies at or below"):
-            smallest_eigen(K, M, interior=_band_order(mesh))
+            strip_eigen(mesh)
 
     def test_residual_above_tol_raises(self, monkeypatch):
         # the 2-norm residual cannot fall below rounding
@@ -638,7 +752,7 @@ class TestSmallestEigen:
         K = sparse.diags([2.0, 3.0]).tocsr()
         M = sparse.identity(2, format="csr")
         with pytest.raises(NonConvergenceError) as info:
-            smallest_eigen(K, M, interior=np.arange(2))
+            sparse_eigen(K, M, np.arange(2))
         assert info.value.diagnostics["iterations"] > 0
 
     def test_no_free_unknowns_raises(self):
@@ -646,7 +760,7 @@ class TestSmallestEigen:
         K = sparse.diags([2.0, 3.0, 4.0]).tocsr()
         M = sparse.identity(3, format="csr")
         with pytest.raises(NonConvergenceError) as info:
-            smallest_eigen(K, M, interior=np.array([1]))
+            sparse_eigen(K, M, np.array([1]))
         assert info.value.diagnostics["unknowns"] == 1
 
     @pytest.mark.parametrize("interior", [
@@ -656,10 +770,18 @@ class TestSmallestEigen:
         pytest.param(np.array([0, 1, 4]), id="out_of_range"),
     ])
     def test_interior_must_be_distinct_indices(self, interior):
-        K = sparse.diags([1.0, 2.0, 3.0, 4.0]).tocsr()
-        M = sparse.identity(4, format="csr")
+        band = np.ones((1, interior.size))
         with pytest.raises(DomainRangeError, match="distinct row indices"):
-            smallest_eigen(K, M, interior=interior)
+            smallest_eigen(band, band, interior, 4)
+
+    @pytest.mark.parametrize("k_shape, m_shape", [
+        pytest.param((2, 3), (2, 3), id="fewer_columns"),
+        pytest.param((2, 4), (3, 4), id="unequal_widths"),
+        pytest.param((4,), (4,), id="one_dimensional"),
+    ])
+    def test_bands_must_hold_the_interior(self, k_shape, m_shape):
+        with pytest.raises(DomainRangeError, match="do not hold 4 unknowns"):
+            smallest_eigen(np.ones(k_shape), np.ones(m_shape), np.arange(4), 4)
 
     def test_restarts_from_a_full_basis(self, half_disk, monkeypatch):
         # a basis of 4 vectors fills long before the Ritz pair converges;
@@ -667,11 +789,9 @@ class TestSmallestEigen:
         # vector, and the loop reaches the same pair
         from crithardy import fem2d
         mesh = mesh_truncated(half_disk, 4, target_h=0.1)
-        K, M = assemble(mesh, WP)
-        order = _band_order(mesh)
-        full = smallest_eigen(K, M, interior=order)
+        full = strip_eigen(mesh)
         monkeypatch.setattr(fem2d, "_LANCZOS_BASIS", 4)
-        res = smallest_eigen(K, M, interior=order)
+        res = strip_eigen(mesh)
         assert res.iterations > full.iterations > 4
         assert res.residual <= 1e-11
         assert res.value == pytest.approx(full.value, rel=1e-13)
@@ -685,7 +805,7 @@ class TestSmallestEigen:
         M = sparse.identity(3, format="csr")
         with pytest.raises(NonConvergenceError,
                            match="did not reach tol") as info:
-            smallest_eigen(K, M, interior=np.arange(3))
+            sparse_eigen(K, M, np.arange(3))
         assert info.value.diagnostics["iterations"] == 2
 
     def test_ball_matches_log_window_oracle(self, ball):
@@ -730,7 +850,7 @@ class TestRadialEigen:
         for n in (4, 8, 16, 32):
             mesh = mesh_truncated(dom, n)
             radial = radial_eigen(mesh, wp)
-            value, vector = splu_eigen(*assemble(mesh, wp), ~mesh.boundary)
+            value, vector = splu_eigen(*assembled(mesh, wp), ~mesh.boundary)
             assert radial.solver == "radial"
             assert radial.iterations == radial.fill == 0
             assert radial.value == pytest.approx(value, rel=1e-12)
@@ -772,40 +892,74 @@ class TestRadialEigen:
 
     def test_certificate_rejects_a_lower_angular_mode(self, ball,
                                                       monkeypatch):
-        # alpha (e_a - e_b)(e_a - e_b)^T taken off K for the edge (a, b) of
-        # every (a, b, d) triangle, which joins two neighbours in a row: its
-        # symbol 2 alpha (cos(2 pi k / n_cols) - 1) is zero in the radial
-        # mode, so d0 does not move, and negative in every other
+        # alpha (e_a - e_b)(e_a - e_b)^T taken off the element stiffness of
+        # every (a, b, d) triangle, whose edge (a, b) joins two neighbours in
+        # a row: its symbol 2 alpha (cos(2 pi k / n_cols) - 1) is zero in the
+        # radial mode, so d0 does not move, and negative in every other
         from crithardy import fem2d
         mesh = mesh_truncated(ball, 4, target_h=0.1)
         d0 = radial_eigen(mesh, WP).value
         rows, alpha = mesh.meta["n_radii"], 2.0
 
         def lowered(strip, wp):
-            K, M = assemble(strip, wp)
-            a, b = strip.triangles.reshape(rows - 1, 2, -1, 3)[:, 0, :, :2
-                                                              ].reshape(-1, 2).T
-            ends = np.concatenate([a, b])
-            E = sparse.coo_matrix((np.full(a.size, alpha), (a, b)),
-                                  shape=K.shape)
-            D = sparse.coo_matrix((np.full(ends.size, alpha), (ends, ends)),
-                                  shape=K.shape)
-            return (K + E + E.T - D).tocsr(), M
+            k_local, m_local = assemble(strip, wp)
+            abd = k_local.reshape(rows - 1, 2, -1, 3, 3)[:, 0]
+            abd[..., [0, 1], [0, 1]] -= alpha
+            abd[..., [0, 1], [1, 0]] += alpha
+            return k_local, m_local
 
         # the column-0 stencil carries the perturbation
         monkeypatch.setattr(fem2d, "assemble", lowered)
         with pytest.raises(NumericalError, match="angular mode k="):
             radial_eigen(mesh, WP)
         # K_low is indefinite, so its Cholesky factor fails
-        K_low, M = lowered(mesh, WP)
+        K_low, M = (to_csr(mesh, local) for local in lowered(mesh, WP))
         idx = np.flatnonzero(~mesh.boundary)
         with pytest.raises(NumericalError, match="not positive definite"):
-            smallest_eigen(K_low, M, interior=idx)
+            sparse_eigen(K_low, M, idx)
         # an eigenpair below d0 exists, so d0 would have been wrong
         sub = np.ix_(idx, idx)
         (low,), _ = eigh(K_low[sub].toarray(), M[sub].toarray(),
                          subset_by_index=[0, 0])
         assert low < d0
+
+    def test_one_zpttrf_call_for_every_angular_mode(self, ball, monkeypatch):
+        # the modes' symbols factor as one block-diagonal matrix: each
+        # block's pivots are its own call's bit for bit, and a failing pivot
+        # names its mode
+        from crithardy import fem2d
+        mesh = mesh_truncated(ball, 4, target_h=0.1)
+        m, modes = mesh.meta["n_radii"] - 2, mesh.meta["n_cols"] // 2
+        real, calls = fem2d.zpttrf, []
+
+        def spy(d, e):
+            calls.append((d, e, real(d, e)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(fem2d, "zpttrf", spy)
+        radial_eigen(mesh, WP)
+        ((d, e, (pivots, factors, info)),) = calls
+        assert info == 0 and d.shape == (modes * m,)
+        assert np.all(e[m - 1::m] == 0.0)
+        for j in range(modes):
+            block = slice(j * m, (j + 1) * m)
+            inner = slice(j * m, (j + 1) * m - 1)
+            own_pivots, own_factors, own_info = real(d[block], e[inner])
+            assert own_info == 0
+            assert np.array_equal(pivots[block], own_pivots)
+            assert np.array_equal(factors[inner], own_factors)
+
+        # a negative entry on the first or the last row of mode 3's block,
+        # and one inside mode 5's
+        for row in (0, m - 1):
+            def broken(d, e, _row=row):
+                d = d.copy()
+                d[[2 * m + _row, 4 * m + m // 2]] = -1.0
+                return real(d, e)
+
+            monkeypatch.setattr(fem2d, "zpttrf", broken)
+            with pytest.raises(NumericalError, match="angular mode k=3 has"):
+                radial_eigen(mesh, WP)
 
     def test_certificate_rejects_a_higher_radial_pair(self, ball,
                                                       monkeypatch):
@@ -928,7 +1082,7 @@ class TestExtrapolation:
         monkeypatch.setattr(fem2d, "solve_truncated", kept)
         est = extrapolate_constant(dom, [4, 8, 16], target_h=0.02)
         for row, (res, mesh) in zip(est.per_n, solved):
-            _, M = assemble(mesh, WeightParams(R=dom.R, N=2))
+            _, M = assembled(mesh, WeightParams(R=dom.R, N=2))
             ref = res.vector * (M @ res.vector)
             radii = np.repeat(mesh.meta["row_radii"], mesh.meta["n_cols"])
             for name, w in (("collar", 2.0 / row["n"]), ("anchor", 0.5)):

@@ -116,6 +116,46 @@ class TestTaylorGap:
         assert np.max(np.abs(boundary_taylor_gap(p, xs))) < 1e-2
 
 
+def where_log_R_over(p, x_norm):
+    """Both forms on every point, one kept by ``np.where``: the reference
+    for the masked `log_R_over`."""
+    x = np.asarray(x_norm, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(x > 0.7 * p.R, -np.log1p((x - p.R) / p.R),
+                        np.log(p.R / x))
+
+
+class TestLogROver:
+    @pytest.mark.parametrize("R", [1.0, 0.9449967450181259, 2.5])
+    def test_masked_forms_equal_the_where_form(self, R):
+        # an array that straddles 0.7R, with 0.7R and its neighbours, radii
+        # down to 1e-150 R, NaN and 0
+        p = WeightParams(R=R, N=2)
+        rng = np.random.default_rng(7)
+        edge = 0.7 * R
+        x = np.concatenate([
+            rng.uniform(0.0, R, 4000), R * np.geomspace(1e-150, 1.0, 64),
+            [edge, np.nextafter(edge, 0.0), np.nextafter(edge, R), math.nan,
+             0.0]])
+        rng.shuffle(x)
+        want = where_log_R_over(p, x)
+        assert np.array_equal(log_R_over(p, x), want, equal_nan=True)
+        # the weight and the Taylor gap read it: their values do not move
+        inside = (x > 0.0) & (x < R)
+        xi = x[inside]
+        assert np.array_equal(weight_eval(p, xi), (xi * want[inside]) ** -2)
+        assert np.array_equal(boundary_taylor_gap(p, xi),
+                              (xi * want[inside] / (R - xi)) ** 2 - 1.0)
+
+    @pytest.mark.parametrize("x", [0.7, math.nan, 0.3, 0.95, 1e-17])
+    def test_scalar_equals_the_where_form(self, x):
+        p = WeightParams(R=1.0, N=2)
+        got = log_R_over(p, x)
+        assert type(got) is float
+        assert np.array_equal(got, float(where_log_R_over(p, x)),
+                              equal_nan=True)
+
+
 class TestCuspFrame:
     def test_h_limit_r_to_zero(self):
         assert cusp_h(1e-12, 1.0) == pytest.approx(1.0, abs=1e-11)
