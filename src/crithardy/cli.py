@@ -325,6 +325,23 @@ def cmd_verify_all(args) -> dict:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """`argparse.ArgumentParser` that names an unknown ``--option`` given to
+    a leaf command with a positional argument.  argparse would hand the
+    token after the option to that positional and blame the positional
+    instead (``ea --grid 64``: ``invalid choice: '64'``)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._subparsers is None and self._get_positional_actions():
+            for tok in args:
+                if tok == "--":
+                    break
+                if tok.startswith("--") and (tok.split("=", 1)[0]
+                                             not in self._option_string_actions):
+                    self.error(f"unrecognized arguments: {tok}")
+        return super().parse_known_args(args, namespace)
+
+
 def command(parent, name: str, func, help: str) -> argparse.ArgumentParser:
     """The parser of leaf subcommand ``name`` under the subparsers ``parent``:
     it takes no abbreviated option, has an ``--out`` path and runs ``func``."""
@@ -335,7 +352,7 @@ def command(parent, name: str, func, help: str) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="crithardy",
         description="Best constants of the critical Hardy inequality: "
                     "quotients, bounds, and FEM eigenvalues on planar domains")

@@ -70,6 +70,7 @@ class EigenResult:
     residual: float
     fill: int                     # entries of the band Cholesky factor
     solver: str                   # "shift_invert" or "radial"
+    shift: float = 0.0            # the certified Lanczos shift; 0 if none
 
 
 def _grid_min_angle(x: np.ndarray, y: np.ndarray, wrap: bool) -> float:
@@ -98,15 +99,16 @@ def _grid_min_angle(x: np.ndarray, y: np.ndarray, wrap: bool) -> float:
     tx, ty, tn = rx[1:], ry[1:], rn[1:]
     lx, ly, ln = cx[:, :-1], cy[:, :-1], cn[:, :-1]
     qx, qy, qn = cx[:, 1:], cy[:, 1:], cn[:, 1:]
-    cosines = np.stack([
-        (bx * dx + by * dy) / (bn * dn),       # (a, b, d) at a
-        -(qx * bx + qy * by) / (qn * bn),      # at b
-        (dx * qx + dy * qy) / (dn * qn),       # at d
-        (dx * lx + dy * ly) / (dn * ln),       # (a, d, c) at a
-        (tx * dx + ty * dy) / (tn * dn),       # at d
-        -(lx * tx + ly * ty) / (ln * tn),      # at c
+    # the largest cosine of each corner, then of those six (a NaN spreads)
+    largest = np.array([
+        ((bx * dx + by * dy) / (bn * dn)).max(),       # (a, b, d) at a
+        (-(qx * bx + qy * by) / (qn * bn)).max(),      # at b
+        ((dx * qx + dy * qy) / (dn * qn)).max(),       # at d
+        ((dx * lx + dy * ly) / (dn * ln)).max(),       # (a, d, c) at a
+        ((tx * dx + ty * dy) / (tn * dn)).max(),       # at d
+        (-(lx * tx + ly * ty) / (ln * tn)).max(),      # at c
     ])
-    return float(np.degrees(np.arccos(np.clip(np.max(cosines), -1, 1))))
+    return float(np.degrees(np.arccos(np.clip(largest.max(), -1, 1))))
 
 
 def _strip_mesh(x: np.ndarray, y: np.ndarray, wrap: bool,
@@ -304,8 +306,11 @@ def _weight_at(bary: np.ndarray, pts: np.ndarray, wp: WeightParams
     # vertex by vertex in plain float arithmetic: a BLAS product rounds
     # differently and moves some points by an ulp, which moves the weighted
     # mass next to the cusp tip by 7e-13 of its largest entry
-    qp = sum(b[:, None, None] * v for b, v in zip(
-        bary.T, np.ascontiguousarray(pts.transpose(1, 2, 0))))
+    b, v = bary.T[:, :, None, None], np.ascontiguousarray(
+        pts.transpose(1, 2, 0))
+    qp = b[0] * v[0]
+    qp += b[1] * v[1]
+    qp += b[2] * v[2]
     radii = np.hypot(qp[:, 0], qp[:, 1])           # (q, nt)
     if np.any(radii <= 0.0) or np.any(radii >= wp.R):
         raise AssemblyError("element crosses a singular circle of the weight")
@@ -342,10 +347,16 @@ def assemble(mesh: Mesh, wp: WeightParams
         raise AssemblyError("degenerate triangle")
     area = 0.5 * np.abs(area2)
 
-    e = np.stack([e0, e1, e2], axis=1)         # (nt, 3, 2)
-    k_local = (e[:, :, None, 0] * e[:, None, :, 0]
-               + e[:, :, None, 1] * e[:, None, :, 1]
-               ) / (4.0 * area)[:, None, None]
+    # each of the six distinct products e_i . e_j once, mirrored: the sum
+    # u0 v0 + u1 v1 is the same float in either order
+    e = (e0, e1, e2)
+    area4 = 4.0 * area
+    k_local = np.empty((tris.shape[0], 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            k_local[:, i, j] = (e[i][:, 0] * e[j][:, 0]
+                                + e[i][:, 1] * e[j][:, 1]) / area4
+            k_local[:, j, i] = k_local[:, i, j]
 
     w_mid = _weight_at(_QUAD_MID, p, wp)
     # refine quadrature (4 sub-triangles) on elements whose mid-edge weights
@@ -358,11 +369,13 @@ def assemble(mesh: Mesh, wp: WeightParams
         idx = np.where(refine)[0]
         w_sub = _sub_weights(p[idx], wp)
         scale = area[idx, None] / 12.0
-        m_ref = np.zeros((idx.size, 9))
+        m_ref, term = np.zeros((idx.size, 9)), np.empty((idx.size, 9))
         # one sub-triangle at a time: a single 12-point product rounds
         # differently, and the window fit turns that into 1e-11 of the estimate
         for k, outer in enumerate(_OUTER_SUB):
-            m_ref += (w_sub[:, k] @ outer) * scale
+            np.matmul(w_sub[:, k], outer, out=term)
+            term *= scale
+            m_ref += term
         m_local[idx] = m_ref
     if not (np.all(np.isfinite(k_local)) and np.all(np.isfinite(m_local))):
         raise AssemblyError("non-finite element matrix")
@@ -438,18 +451,23 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def _shift_invert_lanczos(factor: np.ndarray, mmul, n: int
                           ) -> tuple[np.ndarray, int]:
-    """Eigenvector of the largest eigenvalue ``1/d`` of ``K^{-1} M`` and the
-    number of solves taken, by Lanczos in the ``M`` inner product.
+    """Eigenvector of the largest eigenvalue ``1/(d - sigma)`` of ``(K -
+    sigma M)^{-1} M`` and the number of solves taken, by Lanczos in the
+    ``M`` inner product.
 
-    Each step solves once with the band Cholesky ``factor`` of ``K`` and
-    forms one ``M`` product (``mmul``); the new vector is orthogonalized
-    against the two before it and then, once more, against the whole stored
-    basis.  After each step the tridiagonal's largest pair ``(theta, s)``
-    gives the Ritz vector ``y`` and the relative residual ``|s_last|
-    |M w| / (theta |M y|)`` that ``x = K^{-1} M y`` has, with ``w`` the
-    unnormalized next Lanczos vector (``K x - M x / theta = -(s_last /
-    theta) M w``).  Once that is at most ``_RITZ_TOL``, or the basis spans
-    all ``n`` unknowns, ``x`` is returned: the closing solve also clears
+    Each step solves once with the band Cholesky ``factor`` of ``K - sigma
+    M`` and forms one ``M`` product (``mmul``); the new vector is
+    orthogonalized against the two before it and then, once more, against
+    the whole stored basis.  After each step the tridiagonal's largest pair
+    ``(theta, s)`` gives the Ritz vector ``y`` and the estimate ``rho =
+    |s_last| |M w| / (theta |M y|)``, with ``w`` the unnormalized next
+    Lanczos vector.  ``x = (K - sigma M)^{-1} M y`` satisfies ``K x - d M x
+    = -(s_last / theta) M w`` at ``d = sigma + 1/theta``, and ``K x = M y +
+    sigma M x`` with ``M x`` close to ``theta M y``, so ``|K x|`` is about
+    ``|M y| d / (d - sigma)``: ``rho`` is the relative residual of ``x`` at
+    ``sigma = 0`` and overstates it by about ``d / (d - sigma)`` above.
+    Once ``rho`` is at most ``_RITZ_TOL``, or the basis spans all ``n``
+    unknowns, ``x`` is returned: the closing solve also clears
     the rounding that the Ritz combination leaves where the eigenvector is
     far below its maximum, as in a cusp's tip.  A full basis of
     ``_LANCZOS_BASIS`` vectors restarts thick (Wu & Simon, SIAM J. Matrix
@@ -505,7 +523,8 @@ def _shift_invert_lanczos(factor: np.ndarray, mmul, n: int
 
 
 def smallest_eigen(k_band: np.ndarray, m_band: np.ndarray,
-                   interior: np.ndarray, nv: int) -> EigenResult:
+                   interior: np.ndarray, nv: int,
+                   shift: float = 0.0) -> EigenResult:
     """Smallest generalized eigenpair by shift-invert Lanczos on a band
     Cholesky factor.
 
@@ -514,14 +533,21 @@ def smallest_eigen(k_band: np.ndarray, m_band: np.ndarray,
     a[i, j]`` for ``n`` unknowns, with zeros past the matrix corner;
     ``interior`` holds those unknowns' distinct indices among the ``nv``
     mesh vertices, in the bands' order.  The bands are cut to the width
-    ``kd`` of the last diagonal nonzero in either.  The band of ``K`` is
-    factored once at shift 0 by LAPACK ``dpbtrf``; ``iterations`` counts the
-    ``dpbtrs`` solves with that factor and ``fill`` its entries, ``n (kd +
-    1) - kd (kd + 1) / 2``.  A strip's interior grid raveled along its
-    shorter axis (`_band_order`) has ``kd = min(rows, cols) - 1``.  The
-    Lanczos loop is `_shift_invert_lanczos`; its ``M`` products read only
-    the nonzero diagonals of the band of ``M`` (four on a strip: the main
-    one, a row step, a column step and a cell diagonal).  The returned
+    ``kd`` of the last diagonal nonzero in either.
+
+    A ``shift`` above 0 is tried first: LAPACK ``dpbtrf`` factors the band
+    of ``K - shift M``, and success proves by Sylvester's law of inertia
+    that every eigenvalue lies above ``shift``, so the loop still converges
+    to the smallest pair only (``oned._smallest_pair``'s rule).  A refused
+    shift, or none, factors ``K`` at shift 0, operation for operation as
+    without one.  The shift in use is the result's ``shift``;
+    ``iterations`` counts the ``dpbtrs`` solves with its factor and
+    ``fill`` the factor's entries, ``n (kd + 1) - kd (kd + 1) / 2``.  A
+    strip's interior grid raveled along its shorter axis (`_band_order`)
+    has ``kd = min(rows, cols) - 1``.  The Lanczos loop is
+    `_shift_invert_lanczos`; its ``M`` products read only the nonzero
+    diagonals of the band of ``M`` (four on a strip: the main one, a row
+    step, a column step and a cell diagonal).  The returned
     vector is embedded with zeros elsewhere, normalized to unit weighted
     mass and sign-normalized to nonnegative mean.  The residual is the
     relative 2-norm ``|Kx - d Mx| / |Kx|`` at the Rayleigh quotient ``d``;
@@ -558,10 +584,16 @@ def smallest_eigen(k_band: np.ndarray, m_band: np.ndarray,
                  for band in (k_band, m_band)))
     k_band, m_band = k_band[:kd + 1], m_band[:kd + 1]
     kmul, mmul = _band_product(k_band), _band_product(m_band)
-    factor, info = dpbtrf(k_band, lower=1)
+    info = 1
+    if shift > 0.0:
+        factor, info = dpbtrf(k_band - shift * m_band, lower=1,
+                              overwrite_ab=1)
     if info != 0:
-        raise NumericalError(
-            f"stiffness block is not positive definite (dpbtrf info={info})")
+        shift = 0.0
+        factor, info = dpbtrf(k_band, lower=1)
+        if info != 0:
+            raise NumericalError("stiffness block is not positive definite "
+                                 f"(dpbtrf info={info})")
     fill = n * (kd + 1) - kd * (kd + 1) // 2
     x, solves = _shift_invert_lanczos(factor, mmul, n)
 
@@ -571,11 +603,12 @@ def smallest_eigen(k_band: np.ndarray, m_band: np.ndarray,
         return full
 
     res = _gated_result(x, kmul, mmul, embed, solves, fill, "shift_invert")
-    shift = _lower_end(res.value)
-    _, info = dpbtrf(k_band - shift * m_band, lower=1, overwrite_ab=1)
+    res.shift = float(shift)
+    lower = _lower_end(res.value)
+    _, info = dpbtrf(k_band - lower * m_band, lower=1, overwrite_ab=1)
     if info != 0:
         raise NumericalError(
-            f"an eigenvalue lies at or below {shift:.17g}, under the Lanczos "
+            f"an eigenvalue lies at or below {lower:.17g}, under the Lanczos "
             f"d={res.value:.17g} (dpbtrf info={info})")
     return res
 
@@ -709,19 +742,20 @@ def _strip_band(mesh: Mesh, local: np.ndarray) -> np.ndarray:
     return band.reshape(p * q, q + 2).T
 
 
-def solve_truncated(dom: DomainSpec, n: int, target_h: float = 0.02
-                    ) -> tuple[EigenResult, Mesh]:
+def solve_truncated(dom: DomainSpec, n: int, target_h: float = 0.02,
+                    shift: float = 0.0) -> tuple[EigenResult, Mesh]:
     """Mesh and solve one truncation level: a wrapping strip from column 0's
-    triangles (`radial_eigen`), any other assembled in full and solved by
-    `smallest_eigen` on the bands of its free vertices in band order
-    (`_strip_band`, `_band_order`)."""
+    triangles (`radial_eigen`, which has no use for ``shift``), any other
+    assembled in full and solved by `smallest_eigen` from ``shift`` on the
+    bands of its free vertices in band order (`_strip_band`,
+    `_band_order`)."""
     mesh = mesh_truncated(dom, n, target_h)
     wp = WeightParams(R=dom.R, N=2)
     if mesh.meta["wrap"]:
         return radial_eigen(mesh, wp), mesh
     k_band, m_band = (_strip_band(mesh, local) for local in assemble(mesh, wp))
     return smallest_eigen(k_band, m_band, _band_order(mesh),
-                          mesh.num_vertices), mesh
+                          mesh.num_vertices, shift), mesh
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +797,9 @@ def extrapolate_constant(dom: DomainSpec, schedule,
     of positive integers, and extrapolate the best constant.
 
     ``per_n`` holds one record per level: ``d_n`` and the certified lower end
-    ``d_n_lower = (1 - 1e-9) d_n`` of its bracket, solve and mesh statistics,
+    ``d_n_lower = (1 - 1e-9) d_n`` of its bracket, solve and mesh statistics
+    (``shift`` is the certified Lanczos shift the solve ran at, 0.0 when none
+    was tried or it was refused),
     the collar fractions in {|x| < 2/n} and {|x| > R - 2/n}, and the anchor
     fractions at the first level's widths (the escape-signature windows).
     The estimate is the log-window fit's ``C`` when the fit passes its gate
@@ -777,14 +813,21 @@ def extrapolate_constant(dom: DomainSpec, schedule,
             f"schedule must be non-empty and strictly increasing (got {ns})")
     per_n = []
     for n in ns:
-        res, mesh = solve_truncated(dom, n, target_h)
+        # from the third level on, try the last d_n less twice the last
+        # decrease: d_n lies above it unless it falls by twice that or more,
+        # and smallest_eigen certifies the shift before its loop runs
+        shift = 0.0
+        if len(per_n) >= 2:
+            d2, d1 = (row["d_n"] for row in per_n[-2:])
+            shift = max(d1 - 2.0 * (d2 - d1), 0.0)
+        res, mesh = solve_truncated(dom, n, target_h, shift)
         (c_in, c_out), (a_in, a_out) = _mass_fractions(
             mesh, res.density, (2.0 / n, 2.0 / ns[0]), dom.R)
         per_n.append({
             "n": n, "d_n": res.value, "d_n_lower": _lower_end(res.value),
             "window": mesh.meta["window_length"],
-            "solver": res.solver, "iterations": res.iterations,
-            "fill": res.fill,
+            "solver": res.solver, "shift": res.shift,
+            "iterations": res.iterations, "fill": res.fill,
             "residual": res.residual,
             "vertices": mesh.num_vertices, "triangles": mesh.num_triangles,
             "min_angle_deg": mesh.meta["min_angle_deg"],

@@ -212,8 +212,10 @@ class PolarGridFunction:
                 f"values shape {self.values.shape} != ({nr}, {nt})")
         if np.any(np.diff(self.r) <= 0) or self.r[0] <= 0 or self.r[-1] >= self.domain.R:
             raise DomainRangeError("radii must increase strictly inside (0, R)")
-        dth = np.diff(self.theta)
-        if nt < 4 or not np.allclose(dth, 2 * math.pi / nt, rtol=1e-12, atol=1e-12):
+        # np.allclose's test at rtol = atol = 1e-12 against the finite step,
+        # NaN and inf steps refused alike, without its array handling
+        if nt < 4 or not np.all(np.abs(np.diff(self.theta) - 2 * math.pi / nt)
+                                <= 1e-12 + 1e-12 * (2 * math.pi / nt)):
             raise DomainRangeError("theta must be a uniform full-circle grid")
         if self.mask is None:
             lo, hi = self.domain.slice_arcs(self.r)

@@ -523,6 +523,27 @@ class TestCommands:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["ea", "--a", "0.9", "--grid", "64"],
+        ["ea", "sweep", "--grid", "64"],
+        ["ea", "--grid=64"],
+    ], ids=["value", "sweep", "glued"])
+    def test_unknown_option_is_named(self, args, capsys):
+        # argparse once handed "64" to the positional mode and blamed it:
+        # "argument mode: invalid choice: '64'"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid" in err
+        assert "invalid choice" not in err
+
+    def test_positional_choice_is_still_checked(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ea", "64"])
+        assert exc.value.code == 2
+        assert "invalid choice: '64'" in capsys.readouterr().err
+
     def test_abbreviated_schedule_is_unrecognized(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["upperbound", "--family", "phi_alpha", "--sched", "3,4"])

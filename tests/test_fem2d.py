@@ -830,6 +830,79 @@ class TestSmallestEigen:
         assert res.value >= 0.25 - 1e-6
 
 
+# the cusp_fem schedule, whose last four levels take a predicted shift
+CUSP_SCHEDULE = (16, 64, 256, 1024, 4096, 16384)
+
+
+@pytest.fixture(scope="module")
+def cusp_095_schedule():
+    dom = DomainSpec.calibrated_cusp(0.95)
+    return dom, extrapolate_constant(dom, CUSP_SCHEDULE)
+
+
+class TestCertifiedShift:
+    def test_shift_above_d_is_refused(self, calibrated_cusp, monkeypatch):
+        # K - sigma M is indefinite above the smallest eigenvalue: its
+        # factorization fails, and the solve runs at shift 0 as without one
+        from crithardy import fem2d
+        mesh = mesh_truncated(calibrated_cusp, 256)
+        k_band, m_band = (_strip_band(mesh, local)
+                          for local in assemble(mesh, WP))
+        args = (k_band, m_band, _band_order(mesh), mesh.num_vertices)
+        plain = smallest_eigen(*args)
+        infos = []
+        real_dpbtrf = fem2d.dpbtrf
+
+        def dpbtrf(*a, **kw):
+            out = real_dpbtrf(*a, **kw)
+            infos.append(out[1])
+            return out
+
+        monkeypatch.setattr(fem2d, "dpbtrf", dpbtrf)
+        res = smallest_eigen(*args, shift=1.5 * plain.value)
+        # the refused shift, K at shift 0, the certificate
+        assert len(infos) == 3 and infos[0] > 0 and infos[1:] == [0, 0]
+        assert res.shift == 0.0 == plain.shift
+        assert res.value == plain.value
+        assert res.iterations == plain.iterations
+        assert res.residual == plain.residual
+        assert np.array_equal(res.vector, plain.vector)
+        assert np.array_equal(res.density, plain.density)
+
+    def test_accepted_shift_keeps_d_n(self, cusp_095_schedule):
+        dom, est = cusp_095_schedule
+        wp = WeightParams(R=dom.R, N=2)
+        for row in est.per_n[2:]:
+            assert row["shift"] > 0.0
+            plain = strip_eigen(mesh_truncated(dom, row["n"]), wp)
+            assert plain.shift == 0.0
+            assert row["d_n"] == pytest.approx(plain.value, rel=1e-14, abs=0)
+            assert row["iterations"] < plain.iterations
+
+    def test_shift_lies_below_the_bracket(self, cusp_095_schedule):
+        _, est = cusp_095_schedule
+        rows = est.per_n
+        assert [row["shift"] for row in rows[:2]] == [0.0, 0.0]
+        assert all(0.0 <= row["shift"] < row["d_n_lower"] for row in rows)
+
+    def test_schedule_takes_at_most_80_solves(self, cusp_095_schedule):
+        # 109 solves (14, 15, 17, 19, 21, 23) at shift 0
+        _, est = cusp_095_schedule
+        assert sum(row["iterations"] for row in est.per_n) <= 80
+
+    @pytest.mark.parametrize("make, ns", [
+        pytest.param(lambda: DomainSpec.half_disk(1.0), (4, 8, 16),
+                     id="half_disk"),
+        pytest.param(lambda: DomainSpec.ball(1.0), (4, 8, 16), id="ball"),
+    ])
+    def test_no_shift_where_none_is_predicted(self, make, ns):
+        # the half disk's d_n falls by more than half its next value from
+        # level to level (4.71, 1.97), so the prediction is below 0; a
+        # wrapping strip solves radially
+        est = extrapolate_constant(make(), ns)
+        assert [row["shift"] for row in est.per_n] == [0.0] * len(ns)
+
+
 class TestRadialEigen:
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: DomainSpec.ball(0.9), id="ball_0.9"),

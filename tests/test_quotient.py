@@ -184,6 +184,26 @@ class TestLogTransport:
 
 
 class TestQuotientPolar:
+    @pytest.mark.parametrize("change, uniform", [
+        pytest.param(0.0, True, id="exact"),
+        pytest.param(5e-13, True, id="inside_tolerance"),
+        pytest.param(1e-10, False, id="outside_tolerance"),
+        pytest.param(math.nan, False, id="nan"),
+        pytest.param(math.inf, False, id="inf"),
+    ])
+    def test_theta_check_gives_allclose_answer(self, change, uniform, ball):
+        theta = np.arange(16) * (2 * math.pi / 16)
+        theta[5] += change
+        assert np.allclose(np.diff(theta), 2 * math.pi / 16, rtol=1e-12,
+                           atol=1e-12) == uniform
+        args = dict(r=np.array([0.25, 0.5]), theta=theta,
+                    values=np.ones((2, 16)), domain=ball)
+        if uniform:
+            PolarGridFunction(**args)
+        else:
+            with pytest.raises(DomainRangeError, match="uniform full-circle"):
+                PolarGridFunction(**args)
+
     def test_mass_matches_former_inline_weight(self, half_disk):
         # the mass once wrote (r log(R/r))^-2 out in place of weight_eval
         rng = np.random.default_rng(5)

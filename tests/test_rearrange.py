@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crithardy import (DomainRangeError, DomainSpec, PolarGridFunction,
+from crithardy import (DomainRangeError, DomainSpec, GridMismatchError,
+                       PolarGridFunction,
                        hardy_littlewood_check, polya_szego_check,
                        rearrange_domain, rearrange_function,
                        rearrangement_report)
@@ -174,6 +175,18 @@ class TestMassAndQuotient:
 
 
 class TestHardyLittlewood:
+    @pytest.mark.parametrize("scale", [0.0, 5e-6, 2e-5],
+                             ids=["exact", "inside_tolerance",
+                                  "outside_tolerance"])
+    def test_grid_check_gives_allclose_answer(self, scale, half_disk):
+        v = grid_fn(half_disk, np.ones((6, 16)))
+        u = grid_fn(half_disk, np.ones((6, 16)), r=v.r * (1 + scale))
+        if np.allclose(u.r, v.r):
+            hardy_littlewood_check(u, v)
+        else:
+            with pytest.raises(GridMismatchError, match="same grid"):
+                hardy_littlewood_check(u, v)
+
     def test_constant_equality(self, half_disk):
         rng = np.random.default_rng(9)
         u = polar_random_bumps(half_disk, rng)
