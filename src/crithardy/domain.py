@@ -25,7 +25,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -174,18 +174,41 @@ class CuspProfile:
     ``angular_eigenvalue(a_of_r) * g(rho) = angular_eigenvalue(a)`` where ``g``
     is the slice infimum of the shifted weight ratio: the smaller of its values
     at the slice edge and on the vertical ray (`weight.cusp_ratio_infimum`).
+
+    ``g_table`` holds the closed-form g on the 96 table rows.  ``a_table``,
+    the calibrated half-angle of each row, is inverted on first read by
+    `_invert_rows`, from ``root`` (the cold solve of ``E(a)`` on the 512
+    grid), and kept; threads that read it first at once build the same
+    bits.  `a_of_r`, `half_widths` (and so meshing, the grid masks and
+    `classify`) read it; `cone_fit_extent` reads it only for an ``a'`` next
+    to a row's angle, so ``upperbound --family cusp`` does not build it.
     """
 
     a: float
     r0: float
-    eigenvalue: float
     rho_table: np.ndarray
     g_table: np.ndarray
-    a_table: np.ndarray
-    _a_interp: _Pchip = field(init=False, repr=False)
+    root: oned.AngularEigenResult = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        self._a_interp = _Pchip(self.rho_table, self.a_table)
+    @property
+    def eigenvalue(self) -> float:
+        """``E(a)`` on the 512 grid, the calibration's target."""
+        return self.root.value
+
+    @cached_property
+    def _targets(self) -> np.ndarray:
+        """``E(a) / g`` on each row: the eigenvalue its angle is calibrated
+        to."""
+        return self.eigenvalue / self.g_table
+
+    @cached_property
+    def a_table(self) -> np.ndarray:
+        """Calibrated half-angle on each row, inverted on first read."""
+        return _invert_rows(self.root, self._targets)
+
+    @cached_property
+    def _a_interp(self) -> _Pchip:
+        return _Pchip(self.rho_table, self.a_table)
 
     def g(self, rho: float) -> float:
         """Slice infimum of the weight ratio at tip distance ``rho`` in
@@ -226,10 +249,28 @@ class CuspProfile:
                 np.where(first | (opening >= top), 0.0, slope))
 
     def cone_fit_extent(self, a_prime: float) -> float:
-        """Largest rho such that the opening stays inside the a_prime cone below it."""
-        if a_prime <= self.a:
-            raise DomainRangeError("a_prime must exceed the limit angle")
-        bad = self.a_table >= a_prime
+        """Largest rho such that the opening stays inside the a_prime cone
+        below it: the row before the first with ``a_table >= a_prime``, or
+        r0 when no row has.
+
+        Each row's angle matches its target ``E(a) / g`` within the
+        inversion's 1e-10 and E is non-decreasing in the angle, so a target
+        more than 2e-10 above ``E(a')`` on the 512 grid puts the row's angle
+        above ``a'``, and one more than 2e-10 below puts it below.  The
+        margin also covers the few ulps between the inversion's warm-started
+        solves and the cold one of ``E(a')``, made once per angle
+        (`oned.angular_eigenvalue`).  Only a target inside that band reads
+        `a_table`, which builds it.  Raises `DomainRangeError` unless
+        ``a < a_prime < pi/2``, and when the first row is already too wide.
+        """
+        if not (self.a < a_prime < math.pi / 2):
+            raise DomainRangeError(
+                f"a_prime must lie in ({self.a}, pi/2), got {a_prime}")
+        e_prime = oned.angular_eigenvalue(a_prime, 512)
+        if np.any(np.abs(self._targets - e_prime) <= 2e-10):
+            bad = self.a_table >= a_prime
+        else:
+            bad = self._targets > e_prime
         if not bad.any():
             return self.r0
         first_bad = int(np.argmax(bad))
@@ -257,49 +298,24 @@ def _extrapolate(xs: list, ys: list, x: float) -> float:
     return total
 
 
-@lru_cache(maxsize=16)
-def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
-    """Construct the calibrated cusp profile for limit angle ``a``.
+def _invert_rows(root: oned.AngularEigenResult,
+                 targets: np.ndarray) -> np.ndarray:
+    """The angle whose eigenvalue on ``root``'s grid is each of ``targets``,
+    all above ``root.value``.
 
-    ``r0``, the tip distance the profile extends to, must lie in (1e-7, 1) and
-    defaults to 0.5; the weight-ratio infimum ``g`` is below 1 at every tip
-    distance (see `weight`).  The 96-row half-angle table, geometric in the tip
-    distance from 1e-7 to ``r0``, is obtained by inverting the angular
-    eigenvalue on the 512 grid at each tip distance (the bracketed secant
-    of `oned.invert_angular_eigenvalue`).  The rows are solved in order of
-    increasing target ``E(a) / g``, each bracketed from below by the
-    previous root, since E is non-decreasing in the angle.  Each row starts
-    from a predicted root: the polynomial in ``u = 1/sqrt(E)`` through the
-    last four distinct roots (``a`` itself first), evaluated at the row's
+    Each root comes from the bracketed secant of
+    `oned.invert_angular_eigenvalue`.  The rows are solved in order of
+    increasing target, each bracketed from below by the previous root,
+    since E is non-decreasing in the angle.  Each row starts from a
+    predicted root: the polynomial in ``u = 1/sqrt(E)`` through the last
+    four distinct roots (``root`` itself first), evaluated at the row's
     target; its slope there steers the next step when the prediction
-    misses.  Only ``E(a)`` is solved cold.  Every later evaluation starts
-    from the solution at its bracket's lower end (the previous root, then
-    the secant's lower end), a certified start that cuts a pair solve from
-    5 inverse-iteration steps to about 2.
+    misses.  Every evaluation starts from the solution at its bracket's
+    lower end (the previous root, then the secant's lower end), a certified
+    start that cuts a pair solve from 5 inverse-iteration steps to about 2.
     """
-    if not (math.pi / 4 < a < math.pi / 2):
-        raise DomainRangeError(f"limit angle must lie in (pi/4, pi/2), got {a}")
-    if r0 is None:
-        r0 = 0.5
-    if not (1e-7 < r0 < 1.0):
-        raise DomainRangeError(
-            f"profile extent r0 must lie in (1e-7, 1), got {r0}")
-    rho = np.geomspace(1e-7, r0, 96)
-    rho[-1] = r0
-    if not np.all(np.diff(rho) > 0.0):
-        # geomspace rounds its rows out of order when r0 is within about
-        # 1e-14 of 1e-7
-        raise DomainRangeError(
-            f"profile extent r0={r0!r} is too close to the first row 1e-7")
-    root = oned.solve_angular(a, 512)  # each inversion keeps its grid
-    e_a = root.value
-    g_vals = weight.cusp_ratio_infimum(rho, a)
-    if np.any(g_vals >= 1.0):
-        bad = rho[np.argmax(g_vals >= 1.0)]
-        raise NumericalError(f"weight ratio not below 1 at rho={bad}")
-    targets = e_a / g_vals
-    a_vals = np.empty_like(rho)
-    u_done, a_done = [1.0 / math.sqrt(e_a)], [a]
+    a_vals = np.empty_like(targets)
+    u_done, a_done = [1.0 / math.sqrt(root.value)], [root.a]
     for i in np.argsort(targets, kind="stable"):
         u = 1.0 / math.sqrt(targets[i])
         guess = slope = None
@@ -316,8 +332,43 @@ def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
             # and extrapolation amplifies the scatter past the tolerance
             u_done.append(1.0 / math.sqrt(root.value))
             a_done.append(root.a)
-    return CuspProfile(a=a, r0=float(r0), eigenvalue=e_a, rho_table=rho,
-                       g_table=g_vals, a_table=a_vals)
+    return a_vals
+
+
+@lru_cache(maxsize=16)
+def build_cusp_profile(a: float, r0: float | None = None) -> CuspProfile:
+    """Construct the calibrated cusp profile for limit angle ``a``.
+
+    ``r0``, the tip distance the profile extends to, must lie in (1e-7, 1) and
+    defaults to 0.5; the weight-ratio infimum ``g`` is below 1 at every tip
+    distance (see `weight`).  The 96 table rows are geometric in the tip
+    distance from 1e-7 to ``r0``.  The build solves ``E(a)`` cold on the 512
+    grid and evaluates the closed-form ``g`` on the rows; the half-angle
+    table, which inverts ``E`` on that grid at each row's target
+    ``E(a) / g`` (`_invert_rows`), is built on its first read
+    (`CuspProfile.a_table`).
+    """
+    if not (math.pi / 4 < a < math.pi / 2):
+        raise DomainRangeError(f"limit angle must lie in (pi/4, pi/2), got {a}")
+    if r0 is None:
+        r0 = 0.5
+    if not (1e-7 < r0 < 1.0):
+        raise DomainRangeError(
+            f"profile extent r0 must lie in (1e-7, 1), got {r0}")
+    rho = np.geomspace(1e-7, r0, 96)
+    rho[-1] = r0
+    if not np.all(np.diff(rho) > 0.0):
+        # geomspace rounds its rows out of order when r0 is within about
+        # 1e-14 of 1e-7
+        raise DomainRangeError(
+            f"profile extent r0={r0!r} is too close to the first row 1e-7")
+    root = oned.solve_angular(a, 512)  # each inversion keeps its grid
+    g_vals = weight.cusp_ratio_infimum(rho, a)
+    if np.any(g_vals >= 1.0):
+        bad = rho[np.argmax(g_vals >= 1.0)]
+        raise NumericalError(f"weight ratio not below 1 at rho={bad}")
+    return CuspProfile(a=a, r0=float(r0), rho_table=rho, g_table=g_vals,
+                       root=root)
 
 
 def tip_to_xy(rho, theta):

@@ -219,6 +219,44 @@ class TestCommands:
             ratios, [6.8721832736200765, 6.6308972501573065, 6.501142474435397],
             rtol=1e-12, atol=0)
 
+    def test_upperbound_cusp_builds_no_table(self, monkeypatch, capsys):
+        # the certificate reads the profile through g and the cone fit,
+        # which compares each row's target with E(a') and leaves the
+        # half-angle table alone; a cold run solves E(a) and E(a') on the
+        # 512 grid and the mode at a' on the 2048 grid
+        from crithardy import domain, oned, testfn
+        calls = {"solve_angular": 0, "invert_angular_eigenvalue": 0}
+
+        def counted(name):
+            inner = getattr(oned, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(oned, name, counted(name))
+        for cache in (domain.build_cusp_profile, oned.angular_eigenvalue,
+                      testfn._angular_mode):
+            cache.cache_clear()
+        code, _ = run_cli(["upperbound", "--family", "cusp", "--a", "0.9",
+                           "--a-prime", "0.95"], capsys)
+        assert code == 0
+        assert calls == {"solve_angular": 3, "invert_angular_eigenvalue": 0}
+        assert "a_table" not in vars(domain.build_cusp_profile(0.9))
+
+    @pytest.mark.parametrize("a_prime", ["1.6", "nan", "0.9"])
+    def test_upperbound_cusp_a_prime_range(self, a_prime, capsys):
+        # 1.6 and nan once passed the cone fit and were blamed on a as the
+        # angular solve's input
+        code, diag = cli_error(["upperbound", "--family", "cusp", "--a",
+                                "0.9", "--a-prime", a_prime], capsys)
+        assert code == 1
+        assert diag == {"error": "DomainRangeError",
+                        "message": f"a_prime must lie in (0.9, pi/2), "
+                                   f"got {float(a_prime)}"}
+
     def test_rearrange(self, tmp_path, capsys):
         dpath = tmp_path / "half.json"
         dpath.write_text(json.dumps(DomainSpec.half_disk().to_json()))

@@ -338,6 +338,42 @@ class TestCalibratedProfile:
         assert calls["dpttrs"] / calls["_smallest_pair"] <= 2.5
 
     @pytest.mark.parametrize("a", [0.82, 0.9, 1.08])
+    def test_cone_fit_matches_table_rule(self, a):
+        # the row before the first whose angle reaches a', read off the
+        # table; None where the first row already does
+        prof = build_cusp_profile(a)
+        angles = prof.a_table
+
+        def table_rule(a_prime):
+            bad = angles >= a_prime
+            if not bad.any():
+                return prof.r0
+            k = int(np.argmax(bad))
+            return float(prof.rho_table[k - 1]) if k else None
+
+        def fit(p, a_prime):
+            try:
+                return p.cone_fit_extent(a_prime)
+            except DomainRangeError as err:
+                assert "no cone fit" in str(err)
+                return None
+
+        # between rows, below the first and above the last, E(a') is far
+        # from every target and a fresh profile decides without its table
+        fresh = build_cusp_profile.__wrapped__(a)
+        between = np.concatenate([
+            [0.5 * (a + angles[0])], 0.5 * (angles[:-1] + angles[1:]),
+            [0.5 * (angles[-1] + math.pi / 2)]])
+        assert [fit(fresh, x) for x in between] == \
+            [table_rule(x) for x in between]
+        assert "a_table" not in vars(fresh)
+        # on and beside a row, E(a') lies inside the targets' band: the
+        # table decides
+        near = np.concatenate([angles, angles - 1e-12, angles + 1e-12])
+        assert [fit(fresh, x) for x in near] == [table_rule(x) for x in near]
+        assert np.array_equal(fresh.a_table, angles)
+
+    @pytest.mark.parametrize("a", [0.82, 0.9, 1.08])
     def test_default_extent(self, a):
         # the slice infimum is below 1 at every tip distance, so the default
         # extent is the fixed 0.5
