@@ -449,7 +449,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i", a, b))
 
 
-def _shift_invert_lanczos(factor: np.ndarray, mmul, n: int
+def _shift_invert_lanczos(factor: np.ndarray, mmul, n: int, shift: float
                           ) -> tuple[np.ndarray, int]:
     """Eigenvector of the largest eigenvalue ``1/(d - sigma)`` of ``(K -
     sigma M)^{-1} M`` and the number of solves taken, by Lanczos in the
@@ -461,11 +461,13 @@ def _shift_invert_lanczos(factor: np.ndarray, mmul, n: int
     the whole stored basis.  After each step the tridiagonal's largest pair
     ``(theta, s)`` gives the Ritz vector ``y`` and the estimate ``rho =
     |s_last| |M w| / (theta |M y|)``, with ``w`` the unnormalized next
-    Lanczos vector.  ``x = (K - sigma M)^{-1} M y`` satisfies ``K x - d M x
-    = -(s_last / theta) M w`` at ``d = sigma + 1/theta``, and ``K x = M y +
-    sigma M x`` with ``M x`` close to ``theta M y``, so ``|K x|`` is about
-    ``|M y| d / (d - sigma)``: ``rho`` is the relative residual of ``x`` at
-    ``sigma = 0`` and overstates it by about ``d / (d - sigma)`` above.
+    Lanczos vector, divided by ``1 + sigma theta``.  ``x = (K - sigma
+    M)^{-1} M y`` satisfies ``K x - d M x = -(s_last / theta) M w`` at ``d =
+    sigma + 1/theta`` (``sigma`` is ``shift``), and ``K x = M y + sigma M
+    x`` with ``M x`` close to ``theta M y``, so ``|K x|`` is about ``|M y|
+    d / (d - sigma) = |M y| (1 + sigma theta)``: ``rho`` is the relative
+    residual of ``x`` at any shift, and at ``sigma = 0`` the division by 1
+    leaves its bits as they were.
     Once ``rho`` is at most ``_RITZ_TOL``, or the basis spans all ``n``
     unknowns, ``x`` is returned: the closing solve also clears
     the rounding that the Ritz combination leaves where the eigenvector is
@@ -504,7 +506,8 @@ def _shift_invert_lanczos(factor: np.ndarray, mmul, n: int
                                  f"info={info})")
         s = z[:, -1]
         my = s @ m_basis[:j + 1]
-        rho = abs(s[-1]) * math.sqrt(_dot(mw, mw) / _dot(my, my)) / theta[-1]
+        rho = (abs(s[-1]) * math.sqrt(_dot(mw, mw) / _dot(my, my))
+               / theta[-1] / (1.0 + shift * theta[-1]))
         if rho <= _RITZ_TOL or j + 1 == n:
             return dpbtrs(factor, my, lower=1)[0], step + 1
         b = beta[j]
@@ -595,7 +598,7 @@ def smallest_eigen(k_band: np.ndarray, m_band: np.ndarray,
             raise NumericalError("stiffness block is not positive definite "
                                  f"(dpbtrf info={info})")
     fill = n * (kd + 1) - kd * (kd + 1) // 2
-    x, solves = _shift_invert_lanczos(factor, mmul, n)
+    x, solves = _shift_invert_lanczos(factor, mmul, n, shift)
 
     def embed(v):
         full = np.zeros(nv)

@@ -22,6 +22,8 @@ it measures no quadrature (their docstrings say what it is).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -336,6 +338,17 @@ def _angular_mode(a_prime: float) -> oned.AngularEigenResult:
     return oned.solve_angular(a_prime, 2048)
 
 
+_TIP_BLOCK = 32
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (so ``taskset`` bounds it), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _tip_mass_rows(rho_pts: np.ndarray, theta: np.ndarray,
                    phi: np.ndarray) -> np.ndarray:
     """Angular sums of the tip-family mass integrand, one per radial node.
@@ -354,9 +367,22 @@ def _tip_mass_rows(rho_pts: np.ndarray, theta: np.ndarray,
     1.3e-11, and folding moves them by about 1e-15.)  An odd cell count, or
     nodes off the mirror by more than 1e-14, raises `NumericalError`.
 
-    ``rho_pts`` holds one Gauss panel per row; each panel is one
-    ``(8, M/2)`` block and one dot product.  The log is ``log1p(w)``, as in
-    `weight.cusp_weight_ratio`: ``log(h)`` cancels as ``rho -> 0``.
+    The raveled nodes are evaluated in blocks of ``_TIP_BLOCK`` (32) rows,
+    four 8-point Gauss panels, each in two preallocated ``(32, M/2)`` work
+    buffers by in-place ufuncs and one matrix-vector product with the
+    coefficients.  The operations and their order are those of one
+    ``(8, M/2)`` block per panel, and the BLAS product sums rows four at a
+    time, so a block of whole panels gives every row the bits its own panel
+    gave (the tests hold the rows to the per-panel loop).  The blocks are
+    split into one contiguous range per usable CPU (`_usable_cpus`, at most
+    one per block), each written to its own slice of the output: the ufunc
+    loops and the product release the interpreter lock.  The calling thread
+    takes the first range and a pool thread each of the others: when the
+    caller only waited for its pool, a call right after a busy stretch of
+    the caller took 7.8 ms against 5.1 ms on a shared 2-CPU host, since
+    both pool threads ran on one CPU until the scheduler moved one.  The
+    log is ``log1p(w)``, as in `weight.cusp_weight_ratio`: ``log(h)``
+    cancels as ``rho -> 0``.
     """
     m = theta.size - 1
     if m % 2:
@@ -366,14 +392,37 @@ def _tip_mass_rows(rho_pts: np.ndarray, theta: np.ndarray,
     if off > 1e-14:
         raise NumericalError(f"tip mass grid is {off:.3g} off its pi/2 mirror")
     half = m // 2
-    sin_half = np.sin(0.5 * (theta[:half] + theta[1:half + 1]))
+    two_sin = 2.0 * np.sin(0.5 * (theta[:half] + theta[1:half + 1]))
     p2 = (0.5 * (phi[:-1] + phi[1:])) ** 2 * np.diff(theta)
     coef = 4.0 * (p2[:half] + p2[::-1][:half])
-    out = np.empty(rho_pts.shape)
-    for i, r in enumerate(rho_pts[:, :, None]):
-        w = r * (r - 2.0 * sin_half)
-        out[i] = r[:, 0] ** 2 * ((1.0 / ((1.0 + w) * np.log1p(w) ** 2)) @ coef)
-    return out.ravel()
+    rho = rho_pts.ravel()
+    out = np.empty(rho.size)
+
+    def rows(lo: int, hi: int) -> None:
+        w, lg = np.empty((2, min(_TIP_BLOCK, hi - lo), half))
+        for start in range(lo, hi, _TIP_BLOCK):
+            r = rho[start:start + _TIP_BLOCK, None]
+            wb, lb = w[:r.shape[0]], lg[:r.shape[0]]
+            np.subtract(r, two_sin, out=wb)
+            wb *= r
+            np.log1p(wb, out=lb)
+            lb *= lb
+            wb += 1.0
+            wb *= lb
+            np.divide(1.0, wb, out=wb)
+            out[start:start + r.shape[0]] = r[:, 0] ** 2 * (wb @ coef)
+
+    blocks = -(-rho.size // _TIP_BLOCK)
+    workers = max(1, min(_usable_cpus(), blocks))
+    cuts = [min(blocks * i // workers * _TIP_BLOCK, rho.size)
+            for i in range(workers + 1)]
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        futures = [pool.submit(rows, lo, hi)
+                   for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        rows(cuts[0], cuts[1])
+        for done in futures:
+            done.result()
+    return out
 
 
 def cusp_upper_bound(params: CuspFamilyParams, dom: DomainSpec) -> QuotientReport:

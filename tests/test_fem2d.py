@@ -890,6 +890,16 @@ class TestCertifiedShift:
         _, est = cusp_095_schedule
         assert sum(row["iterations"] for row in est.per_n) <= 80
 
+    def test_shifted_levels_stop_at_their_own_residual(self, cusp_095_schedule):
+        # the stop rule reads the residual at the shift: 13, 11, 10, 9
+        # solves, against 14, 11, 11, 10 when the estimate was taken as if
+        # at shift 0, which overstated it by d / (d - sigma) (42 at n =
+        # 16384); every level still ends below the 1e-12 target
+        _, est = cusp_095_schedule
+        shifted = est.per_n[2:]
+        assert sum(row["iterations"] for row in shifted) <= 43
+        assert all(row["residual"] <= 1e-12 for row in shifted)
+
     @pytest.mark.parametrize("make, ns", [
         pytest.param(lambda: DomainSpec.half_disk(1.0), (4, 8, 16),
                      id="half_disk"),

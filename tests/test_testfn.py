@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from crithardy import (ConstructionError, CuspFamilyParams, DomainRangeError,
                        halfspace_quotient,
                        phi_alpha_quotient, phi_alpha_schedule,
                        psi_beta_quotient, psi_beta_schedule)
+from crithardy import testfn
 from crithardy.oned import _cell_gauss
 from crithardy.quotient import sphere_area
 from crithardy.testfn import (_angular_mode, _halfspace_sums, _plateau,
@@ -211,16 +214,38 @@ def unfolded_rows(rho_pts, theta, phi):
     return np.concatenate(rows)
 
 
+def panel_rows(rho_pts, theta, phi):
+    """The folded tip-mass rows one Gauss panel (row of ``rho_pts``) at a
+    time, each in fresh temporaries: the reference for the blocked,
+    threaded evaluation, which must give the same bits."""
+    half = (theta.size - 1) // 2
+    sin_half = np.sin(0.5 * (theta[:half] + theta[1:half + 1]))
+    p2 = (0.5 * (phi[:-1] + phi[1:])) ** 2 * np.diff(theta)
+    coef = 4.0 * (p2[:half] + p2[::-1][:half])
+    out = np.empty(rho_pts.shape)
+    for i, r in enumerate(rho_pts[:, :, None]):
+        w = r * (r - 2.0 * sin_half)
+        out[i] = r[:, 0] ** 2 * ((1.0 / ((1.0 + w) * np.log1p(w) ** 2))
+                                 @ coef)
+    return out.ravel()
+
+
+def tip_nodes(eps, delta):
+    """The radial Gauss nodes and weights of `cusp_upper_bound`, one
+    8-point panel per row."""
+    edges = np.unique(np.concatenate([np.linspace(eps, 2 * eps, 9),
+                                      np.geomspace(2 * eps, delta / 2, 65),
+                                      np.linspace(delta / 2, delta, 9)]))
+    return _cell_gauss(edges[:-1], edges[1:], 8)
+
+
 def long_double_tip_mass(params):
     """The radial nodes of `cusp_upper_bound`, and the unfolded mass rows
     and mass there in np.longdouble."""
     eps, delta = params.eps, params.delta
     eig = _angular_mode(params.a_prime)
     ld = np.longdouble
-    edges = np.unique(np.concatenate([np.linspace(eps, 2 * eps, 9),
-                                      np.geomspace(2 * eps, delta / 2, 65),
-                                      np.linspace(delta / 2, delta, 9)]))
-    rho_pts, rho_wts = _cell_gauss(edges[:-1], edges[1:], 8)
+    rho_pts, rho_wts = tip_nodes(eps, delta)
     rows = unfolded_rows(rho_pts.astype(ld), eig.theta.astype(ld),
                          eig.phi.astype(ld))
     psi2 = (_plateau(rho_pts, eps, delta) ** 2 / rho_pts).ravel()
@@ -250,6 +275,40 @@ class TestCuspFamily:
         np.testing.assert_allclose(
             _tip_mass_rows(rho_pts, eig.theta, phi),
             unfolded_rows(rho_pts, eig.theta, phi), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 7])
+    def test_rows_match_the_panel_loop(self, workers, monkeypatch):
+        # every split of the blocks over the workers gives each row the
+        # bits of the per-panel loop: the nodes of k = 6, 8, 10 and 45, a
+        # mode that is not mirror-symmetric, and 8, 24 and 40 rows (one
+        # block, partly filled; two, the second partly); 7 workers run on
+        # fewer cores, switching threads every microsecond
+        monkeypatch.setattr(testfn, "_usable_cpus", lambda: workers)
+        eig = _angular_mode(0.95)
+        skewed = eig.phi * (1.0 + 0.1 * eig.theta)
+        nodes = {k: tip_nodes(0.05 * 2.0 ** (-k), 0.05)[0]
+                 for k in (6, 8, 10, 45)}
+        cases = [(rho_pts, eig.phi) for rho_pts in nodes.values()]
+        cases += [(nodes[8], skewed)]
+        cases += [(nodes[45][:panels], skewed) for panels in (1, 3, 5)]
+        same = []
+
+        def check():
+            for rho_pts, phi in cases:
+                same.append(np.array_equal(
+                    _tip_mass_rows(rho_pts, eig.theta, phi),
+                    panel_rows(rho_pts, eig.theta, phi)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=check, daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert same == [True] * len(cases)
 
     def test_tip_mass_rows_needs_mirror_grid(self):
         eig = _angular_mode(0.95)
